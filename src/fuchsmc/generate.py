@@ -18,7 +18,7 @@ from .linalg import ExactMatrix
 from .okubo import OkuboSystem, check_onf_conditions, pick_generic
 from .scalars import gr
 from .schlesinger import SchlesingerTuple, infer_scheme, is_irreducible
-from .spectral import RiemannScheme, format_spectral_type
+from .spectral import PartitionTuple, RiemannScheme, format_spectral_type
 
 
 def random_matrix(rng: random.Random, n: int, lo: int = -3, hi: int = 3) -> ExactMatrix:
@@ -129,8 +129,7 @@ def random_scheme_tuple(
 
 def rigid_family_type(n: int) -> str:
     """The family 1^n,(n-1)1,1^n: full splitting except one point."""
-    ones = "1" * n
-    return f"{ones},{n-1}1,{ones}"
+    return format_spectral_type(PartitionTuple.from_multiplicities([[1] * n, [n - 1, 1], [1] * n]))
 
 
 def rigid_family_realization(n: int) -> SchlesingerTuple:
@@ -156,8 +155,7 @@ def rigid_family_realization(n: int) -> SchlesingerTuple:
             forbidden = [-(label) for label, _ in t.scheme.column_at(2)]
             mu2 = pick_generic(forbidden + [gr(0)])
             t = addition(t, [0, mu2])
-        expect = "1" * (k + 1) + f",{k}1," + "1" * (k + 1)
-        t = _raise_rank(t, expect)
+        t = _raise_rank(t, rigid_family_type(k + 1))
     assert is_irreducible(t)
     return t
 

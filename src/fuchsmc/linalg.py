@@ -5,6 +5,14 @@ form with its canonical pivot structure, kernel/image bases read off from it,
 commutant dimensions, the dimension of a generated matrix algebra, and the
 space of intertwiners between two matrix tuples.
 
+All of them run on one fraction-free elimination kernel over the Gaussian
+integers Z[i] (rows of Python ints, denominators cleared row by row, every
+row kept primitive).  `_add_row` reduces one row against an echelon basis
+and is the only pivot loop: `_echelon` feeds it the rows of a matrix, and
+the Burnside span closure feeds it one product at a time.  Rank, pivot
+columns and span tests read the pivots; rref, kernel, solve and inverse
+divide each reduced row by one entry, once, at the end.
+
 All values are immutable after construction and all operations are pure, so
 concurrent use is safe.  Kernel and image bases are the rref-canonical ones
 (free variables set to one in column order, pivot columns of the original
@@ -13,6 +21,10 @@ matrix), which makes every construction built on them deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect
+from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import NonSquareError, SizeMismatchError
@@ -237,90 +249,166 @@ def block_matrix(grid: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
     return ExactMatrix.from_rows(rows)
 
 
-# -- elimination core ---------------------------------------------------------
+# -- elimination kernel --------------------------------------------------------
+#
+# Every elimination runs over the Gaussian integers Z[i].  A row is a pair
+# (re, im) of equal-length lists of Python ints.  A rational row enters scaled
+# by the lcm of its denominators; scaling a row by a nonzero constant changes
+# neither the row space, the pivot columns, the rank nor the kernel.  Rows are
+# kept primitive (the integer gcd of all their parts divided out), so entries
+# stay small without any rational arithmetic.  Results that need rational
+# values divide each row by one of its entries once, at the end.
+
+IntRow = tuple[list[int], list[int]]
+IntMatrix = tuple[list[list[int]], list[list[int]]]  # real and imaginary parts
 
 
-def _forward_eliminate(rows: list[list[GaussianRational]], ncols: int) -> int:
-    """In-place forward elimination; returns the rank."""
-    nr = len(rows)
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        inv = prow[c].inverse()
-        for i in range(r + 1, nr):
-            f = rows[i][c]
-            if f:
-                fr = f * inv
-                row = rows[i]
-                row[c] = ZERO
-                for k in range(c + 1, ncols):
-                    pk = prow[k]
-                    if pk:
-                        row[k] = row[k] - fr * pk
-        r += 1
-        if r == nr:
-            break
-    return r
+def _int_row(values: Sequence[GaussianRational]) -> IntRow:
+    """The row scaled by the lcm of its denominators, as Gaussian integers."""
+    re = [x.re for x in values]
+    im = [x.im for x in values]
+    den = lcm(*(q.denominator for q in re), *(q.denominator for q in im))
+    return (
+        [q.numerator * (den // q.denominator) for q in re],
+        [q.numerator * (den // q.denominator) for q in im],
+    )
 
 
-def _rref_rows(rows: list[list[GaussianRational]], ncols: int) -> list[int]:
-    """In-place Gauss-Jordan reduction; returns pivot columns."""
-    nr = len(rows)
+def _primitive(re: list[int], im: list[int]) -> IntRow:
+    g = gcd(*re, *im) if any(im) else gcd(*re)
+    if g > 1:
+        return [x // g for x in re], [y // g for y in im]
+    return re, im
+
+
+def _real_at(row: IntRow, c: int) -> IntRow:
+    """The row times the conjugate of its entry in column c, made primitive:
+    a multiple whose entry in column c is a real integer."""
+    re, im = row
+    a, b = re[c], im[c]
+    if not b:
+        return row
+    # (x + yi)(a - bi) = (xa + yb) + (ya - xb)i
+    return _primitive([x * a + y * b for x, y in zip(re, im)], [y * a - x * b for x, y in zip(re, im)])
+
+
+def _eliminate(row: IntRow, prow: IntRow, c: int) -> IntRow:
+    """The row step: p*row - f*prow made primitive, where p = prow[c] is a
+    real integer and f = row[c].  The result is zero in column c.
+
+    Only real multipliers ever scale a row, so making it primitive divides
+    out whatever the multipliers added: the rows stay as small as the
+    Gaussian-integer multiples of their rational counterparts.
+    """
+    re, im = row
+    pre, pim = prow
+    p, fr, fi = pre[c], re[c], im[c]
+    g = gcd(p, fr, fi)
+    if g > 1:
+        p, fr, fi = p // g, fr // g, fi // g
+    if fi:  # (fr + fi i)(u + vi) = (fr u - fi v) + (fr v + fi u)i
+        return _primitive(
+            [p * x - fr * u + fi * v for x, u, v in zip(re, pre, pim)],
+            [p * y - fr * v - fi * u for y, u, v in zip(im, pre, pim)],
+        )
+    # a real multiplier keeps an all-zero imaginary part zero
+    return _primitive(
+        [p * x - fr * u for x, u in zip(re, pre)],
+        [p * y - fr * v for y, v in zip(im, pim)] if any(im) or any(pim) else im,
+    )
+
+
+def _add_row(pivots: list[int], rows: list[IntRow], row: IntRow) -> bool:
+    """Reduce `row` against an echelon basis and insert it if it is new.
+
+    The basis is sorted by pivot, each basis row's first nonzero entry sits
+    in its pivot column and is a real integer, so one pass in pivot order
+    clears every pivot column of `row`.  Returns whether the row was
+    independent.
+    """
+    for c, prow in zip(pivots, rows):
+        if row[0][c] or row[1][c]:
+            row = _eliminate(row, prow, c)
+    re, im = row
+    n = len(re)
+    lead = min(next(compress(range(n), re), n), next(compress(range(n), im), n))
+    if lead == n:
+        return False
+    at = bisect(pivots, lead)
+    pivots.insert(at, lead)
+    rows.insert(at, _real_at(row, lead))
+    return True
+
+
+def _echelon(rows: Iterable[IntRow], ncols: int) -> tuple[list[int], list[IntRow]]:
+    """Pivot columns (increasing) and a primitive echelon basis of the row space."""
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        pv = prow[c]
-        if pv != ONE:
-            inv = pv.inverse()
-            prow[c] = ONE
-            for k in range(c + 1, ncols):
-                if prow[k]:
-                    prow[k] = prow[k] * inv
-        for i in range(nr):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                row = rows[i]
-                row[c] = ZERO
-                for k in range(c + 1, ncols):
-                    pk = prow[k]
-                    if pk:
-                        row[k] = row[k] - f * pk
-        pivots.append(c)
-        r += 1
-        if r == nr:
+    basis: list[IntRow] = []
+    for row in rows:
+        if len(pivots) == ncols:
             break
-    return pivots
+        _add_row(pivots, basis, row)
+    return pivots, basis
+
+
+def _reduced(rows: Iterable[IntRow], ncols: int) -> tuple[list[int], list[IntRow]]:
+    """Like `_echelon`, with every pivot column cleared in the other rows too:
+    a multiple of the rref, row by row."""
+    pivots, rows = _echelon(rows, ncols)
+    for k in range(len(rows) - 1, 0, -1):
+        c, prow = pivots[k], rows[k]
+        for i in range(k):
+            if rows[i][0][c] or rows[i][1][c]:
+                rows[i] = _eliminate(rows[i], prow, c)
+    return pivots, rows
+
+
+def _kernel_rows(rows: Iterable[IntRow], ncols: int) -> list[tuple[int, IntRow]]:
+    """(f, v) per free column f, in increasing order: v is a primitive
+    multiple of the canonical kernel vector, which is v divided by v[f]."""
+    pivots, rows = _reduced(rows, ncols)
+    pivot_set = set(pivots)
+    out = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        used = [(c, re, im) for c, (re, im) in zip(pivots, rows) if re[f] or im[f]]
+        scale = lcm(*(re[c] for c, re, _ in used))
+        vre, vim = [0] * ncols, [0] * ncols
+        vre[f] = scale
+        for c, re, im in used:
+            k = scale // re[c]  # the pivot re[c] is real and divides scale
+            vre[c] = -re[f] * k
+            vim[c] = -im[f] * k
+        out.append((f, _primitive(vre, vim)))
+    return out
+
+
+def _divided(row: IntRow, c: int) -> list[GaussianRational]:
+    """The row divided by its entry in column c, as Gaussian rationals."""
+    re, im = _real_at(row, c)
+    den = re[c]
+    return [
+        GaussianRational(Fraction(x, den), Fraction(y, den)) if x or y else ZERO
+        for x, y in zip(re, im)
+    ]
+
+
+def _rref(m: ExactMatrix) -> tuple[list[int], list[list[GaussianRational]]]:
+    """Pivot columns and the nonzero rows of the reduced row echelon form."""
+    pivots, rows = _reduced(map(_int_row, m.rows), m.ncols)
+    return pivots, [_divided(row, c) for c, row in zip(pivots, rows)]
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
     """The unique reduced row echelon form of m and its pivot columns."""
-    rows = [list(r) for r in m.rows]
-    pivots = _rref_rows(rows, m.ncols)
+    pivots, rows = _rref(m)
+    rows += [[ZERO] * m.ncols for _ in range(m.nrows - len(rows))]
     return ExactMatrix(m.nrows, m.ncols, rows), pivots
 
 
 def rank(m: ExactMatrix) -> int:
-    rows = [list(r) for r in m.rows]
-    return _forward_eliminate(rows, m.ncols)
+    return len(independent_columns(m))
 
 
 def kernel_basis(m: ExactMatrix) -> list[Vector]:
@@ -330,32 +418,16 @@ def kernel_basis(m: ExactMatrix) -> list[Vector]:
     set to one (in increasing column order) and pivot coordinates read off
     from the reduced rows.
     """
-    rows = [list(r) for r in m.rows]
-    pivots = _rref_rows(rows, m.ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.ncols):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * m.ncols
-        v[f] = ONE
-        for r, c in enumerate(pivots):
-            if rows[r][f]:
-                v[c] = -rows[r][f]
-        basis.append(tuple(v))
-    return basis
+    return [tuple(_divided(v, f)) for f, v in _kernel_rows(map(_int_row, m.rows), m.ncols)]
 
 
 def image_basis(m: ExactMatrix) -> list[Vector]:
     """The pivot columns of m: the canonical basis of the column space."""
-    rows = [list(r) for r in m.rows]
-    pivots = _rref_rows(rows, m.ncols)
-    return [m.column(c) for c in pivots]
+    return [m.column(c) for c in independent_columns(m)]
 
 
 def independent_columns(m: ExactMatrix) -> list[int]:
-    rows = [list(r) for r in m.rows]
-    return _rref_rows(rows, m.ncols)
+    return _echelon(map(_int_row, m.rows), m.ncols)[0]
 
 
 def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -367,30 +439,24 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """
     if a.nrows != b.nrows:
         raise SizeMismatchError("solve: row mismatch")
-    aug = a.hstack(b)
-    rows = [list(r) for r in aug.rows]
-    pivots = _rref_rows(rows, aug.ncols)
+    pivots, rows = _rref(a.hstack(b))
     for c in pivots:
         if c >= a.ncols:
             raise SizeMismatchError("solve: inconsistent system")
     out = [[ZERO] * b.ncols for _ in range(a.ncols)]
     for r, c in enumerate(pivots):
-        for j in range(b.ncols):
-            out[c][j] = rows[r][a.ncols + j]
+        out[c] = rows[r][a.ncols :]
     return ExactMatrix(a.ncols, b.ncols, out)
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
     if not m.is_square():
         raise NonSquareError("inverse of a non-square matrix")
-    aug = m.hstack(ExactMatrix.identity(m.nrows))
-    rows = [list(r) for r in aug.rows]
-    pivots = _rref_rows(rows, aug.ncols)
-    if len(pivots) < m.nrows or any(c >= m.nrows for c in pivots[: m.nrows]):
+    n = m.nrows
+    pivots, rows = _rref(m.hstack(ExactMatrix.identity(n)))
+    if pivots[:n] != list(range(n)):
         raise SizeMismatchError("matrix is singular")
-    return ExactMatrix(
-        m.nrows, m.nrows, [row[m.nrows :] for row in rows[: m.nrows]]
-    )
+    return ExactMatrix(n, n, [row[n:] for row in rows])
 
 
 def span_contains(basis: ExactMatrix, vectors: ExactMatrix) -> bool:
@@ -414,6 +480,75 @@ def complete_to_basis(span_cols: ExactMatrix) -> tuple[list[int], list[int]]:
     return indep, comp
 
 
+# -- Gaussian integer matrices -------------------------------------------------
+
+
+def _int_matrices(mats: Sequence[ExactMatrix]) -> list[IntMatrix]:
+    """The matrices scaled by one common lcm of all their denominators."""
+    den = lcm(*(q.denominator for m in mats for r in m.rows for x in r for q in (x.re, x.im)))
+    return [
+        (
+            [[x.re.numerator * (den // x.re.denominator) for x in r] for r in m.rows],
+            [[x.im.numerator * (den // x.im.denominator) for x in r] for r in m.rows],
+        )
+        for m in mats
+    ]
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    if not any(map(any, b)):
+        return [[0] * len(b[0]) for _ in a]
+    out = []
+    for arow in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(arow, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
+def _gaussian_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    (are, aim), (bre, bim) = a, b
+    re, im = _int_matmul(are, bre), _int_matmul(are, bim)
+    if any(map(any, aim)):
+        re = [[x - y for x, y in zip(r, s)] for r, s in zip(re, _int_matmul(aim, bim))]
+        im = [[x + y for x, y in zip(r, s)] for r, s in zip(im, _int_matmul(aim, bre))]
+    return re, im
+
+
+def _flat(m: IntMatrix) -> IntRow:
+    re, im = m
+    return [x for r in re for x in r], [y for r in im for y in r]
+
+
+def _unflat(v: IntRow, ncols: int) -> IntMatrix:
+    re, im = v
+    return (
+        [re[k : k + ncols] for k in range(0, len(re), ncols)],
+        [im[k : k + ncols] for k in range(0, len(im), ncols)],
+    )
+
+
+def _sylvester_rows(a: IntMatrix, b: IntMatrix) -> list[IntRow]:
+    """The equations g a - b g = 0 on the row-major entries of g."""
+    (are, aim), (bre, bim) = a, b
+    na, nb = len(are), len(bre)
+    rows = []
+    for i in range(nb):
+        for j in range(na):
+            re = [0] * (nb * na)
+            im = [0] * (nb * na)
+            for c in range(na):
+                re[i * na + c] += are[c][j]
+                im[i * na + c] += aim[c][j]
+            for r in range(nb):
+                re[r * na + j] -= bre[i][r]
+                im[r * na + j] -= bim[i][r]
+            rows.append((re, im))
+    return rows
+
+
 # -- higher-level primitives ---------------------------------------------------
 
 
@@ -421,20 +556,10 @@ def commutant_dim(m: ExactMatrix) -> int:
     """Dimension of the centralizer {X : mX = Xm} inside full matrix space."""
     if not m.is_square():
         raise NonSquareError("commutant of a non-square matrix")
+    # c*m has the commutant of m, so the system is built from an integer multiple
+    (a,) = _int_matrices([m])
     n = m.nrows
-    a = m.rows
-    # equation (i,j): sum_k m[i][k] X[k][j] - X[i][k] m[k][j] = 0
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [ZERO] * (n * n)
-            for k in range(n):
-                if a[i][k]:
-                    row[k * n + j] = row[k * n + j] + a[i][k]
-                if a[k][j]:
-                    row[i * n + k] = row[i * n + k] - a[k][j]
-            rows.append(row)
-    return n * n - _forward_eliminate(rows, n * n)
+    return n * n - len(_echelon(_sylvester_rows(a, a), n * n)[0])
 
 
 def solve_sylvester_space(
@@ -445,6 +570,12 @@ def solve_sylvester_space(
     Solved one constraint at a time: the kernel of the first equation is
     computed directly, then each further equation is imposed on the current
     solution span, which keeps the eliminations small.
+
+    The basis is the canonical kernel basis of all equations together.  The
+    intermediate spans are carried as Gaussian integer multiples of their
+    canonical vectors, which are recovered at the end: each one is its
+    multiple divided by the entry at its free coordinate (its last nonzero
+    one).  Scaling a pair (a_j, b_j) by a common constant keeps the space.
     """
     if len(a_list) != len(b_list):
         raise SizeMismatchError("intertwiner: list length mismatch")
@@ -459,85 +590,46 @@ def solve_sylvester_space(
         if not b.is_square() or b.nrows != nb:
             raise SizeMismatchError("intertwiner: right sizes differ")
 
-    a0, b0 = a_list[0], b_list[0]
-    # g is nb x na; equation (i,j): sum_c g[i][c] a[c][j] - sum_r b[i][r] g[r][j] = 0
-    rows = []
-    for i in range(nb):
-        for j in range(na):
-            row = [ZERO] * (nb * na)
-            for c in range(na):
-                if a0.rows[c][j]:
-                    row[i * na + c] = row[i * na + c] + a0.rows[c][j]
-            for r in range(nb):
-                if b0.rows[i][r]:
-                    row[r * na + j] = row[r * na + j] - b0.rows[i][r]
-            rows.append(row)
-    kern = kernel_basis(ExactMatrix(nb * na, nb * na, rows))
-    gens = [_unflatten(v, nb, na) for v in kern]
-
-    for a, b in zip(a_list[1:], b_list[1:]):
+    pairs = [_int_matrices([a, b]) for a, b in zip(a_list, b_list)]
+    gens = _kernel_rows(_sylvester_rows(*pairs[0]), nb * na)
+    for a, b in pairs[1:]:
         if not gens:
             return []
-        residuals = [g * a - b * g for g in gens]
-        cols = [_flatten(r) for r in residuals]
-        coeffs = kernel_basis(ExactMatrix.from_columns(cols, nrows=nb * na))
-        gens = [_combine(gens, c) for c in coeffs]
-    return gens
-
-
-def _flatten(m: ExactMatrix) -> Vector:
-    return tuple(x for row in m.rows for x in row)
-
-
-def _unflatten(v: Vector, nrows: int, ncols: int) -> ExactMatrix:
-    return ExactMatrix(
-        nrows, ncols, [v[i * ncols : (i + 1) * ncols] for i in range(nrows)]
-    )
-
-
-def _combine(mats: Sequence[ExactMatrix], coeffs: Vector) -> ExactMatrix:
-    out = ExactMatrix.zeros(mats[0].nrows, mats[0].ncols)
-    for m, c in zip(mats, coeffs):
-        if c:
-            out = out + m.scale(c)
+        residuals = []  # g a - b g for each g, flattened: the columns of the next system
+        for _, v in gens:
+            g = _unflat(v, na)
+            (ga_re, ga_im), (bg_re, bg_im) = _flat(_gaussian_matmul(g, a)), _flat(_gaussian_matmul(b, g))
+            residuals.append(([x - y for x, y in zip(ga_re, bg_re)], [x - y for x, y in zip(ga_im, bg_im)]))
+        rows = [([re[k] for re, _ in residuals], [im[k] for _, im in residuals]) for k in range(nb * na)]
+        gens = [(gens[f][0], _combined(gens, c)) for f, c in _kernel_rows(rows, len(gens))]
+    out = []
+    for f, v in gens:
+        entries = _divided(v, f)
+        out.append(ExactMatrix(nb, na, [entries[i * na : (i + 1) * na] for i in range(nb)]))
     return out
 
 
-class _SpanBuilder:
-    """Incremental row-reduced basis of vectors, for span-closure loops."""
-
-    def __init__(self, length: int):
-        self.length = length
-        self.rows: list[list[GaussianRational]] = []
-        self.pivots: list[int] = []
-
-    def add(self, vec: Iterable[GaussianRational]) -> bool:
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p]
-            if f:
-                for k in range(p, self.length):
-                    if row[k]:
-                        v[k] = v[k] - f * row[k]
-        piv = next((k for k in range(self.length) if v[k]), None)
-        if piv is None:
-            return False
-        inv = v[piv].inverse()
-        v = [x * inv if x else ZERO for x in v]
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+def _combined(gens: list[tuple[int, IntRow]], coeffs: IntRow) -> IntRow:
+    """sum_k coeffs[k] * gens[k], made primitive."""
+    length = len(gens[0][1][0])
+    re, im = [0] * length, [0] * length
+    for (_, (vre, vim)), cr, ci in zip(gens, coeffs[0], coeffs[1]):
+        if cr:
+            re = [s + cr * x for s, x in zip(re, vre)]
+            im = [s + cr * y for s, y in zip(im, vim)]
+        if ci:
+            re = [s - ci * y for s, y in zip(re, vim)]
+            im = [s + ci * x for s, x in zip(im, vre)]
+    return _primitive(re, im)
 
 
 def generated_algebra_dim(mats: Sequence[ExactMatrix], size: int | None = None) -> int:
     """Dimension of the unital algebra generated by the given matrices.
 
     Span-closure under left multiplication by the generators, iterated until
-    stable; stops early once the full matrix space is reached.
+    stable; stops early once the full matrix space is reached.  A nonzero
+    multiple of a generator generates the same unital algebra, so each one is
+    scaled to a Gaussian integer matrix and the products stay in Z[i].
     """
     if mats:
         n = mats[0].nrows
@@ -548,22 +640,24 @@ def generated_algebra_dim(mats: Sequence[ExactMatrix], size: int | None = None) 
         if size is None:
             raise SizeMismatchError("empty generator list needs an explicit size")
         n = size
-    span = _SpanBuilder(n * n)
-    ident = ExactMatrix.identity(n)
-    span.add(_flatten(ident))
-    frontier = [ident]
+    gens = [_int_matrices([m])[0] for m in mats]
     full = n * n
-    while frontier and span.dim < full:
+    pivots: list[int] = []
+    basis: list[IntRow] = []
+    (ident,) = _int_matrices([ExactMatrix.identity(n)])
+    _add_row(pivots, basis, _flat(ident))
+    frontier = [ident]
+    while frontier and len(pivots) < full:
         new_frontier = []
-        for g in mats:
+        for g in gens:
             for b in frontier:
-                prod = g * b
-                if span.add(_flatten(prod)):
+                prod = _gaussian_matmul(g, b)
+                if _add_row(pivots, basis, _flat(prod)):
                     new_frontier.append(prod)
-                    if span.dim == full:
+                    if len(pivots) == full:
                         return full
         frontier = new_frontier
-    return span.dim
+    return len(pivots)
 
 
 def largest_invariant_subspace(a: ExactMatrix, basis: Sequence[Vector]) -> list[Vector]:

@@ -16,6 +16,7 @@ from .errors import (
     ConditionsFailError,
     EigenvalueCollisionError,
     InvariantError,
+    NotNormalizableError,
     NotOkuboConvertibleError,
     PreconditionFailError,
     SizeMismatchError,
@@ -224,7 +225,7 @@ def mc_via_images(o: OkuboSystem, lam) -> OkuboSystem:
     if o.scheme is not None:
         try:
             predicted = predicted_scheme(o.scheme, lam)
-        except Exception:
+        except NotNormalizableError:
             predicted = None
         if predicted is not None and predicted.order == a_new.nrows:
             cand = OkuboSystem(blocks, o.poles, a_new, None)

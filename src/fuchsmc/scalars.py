@@ -1,9 +1,9 @@
 """Exact scalars: complex numbers with rational real and imaginary parts.
 
-The whole library computes over this field.  Rationals are gmpy2.mpq when
-available (roughly an order of magnitude faster than fractions.Fraction for
-the elimination loops) with a pure-Python fallback.  Both keep fractions
-reduced with positive denominators, so equality is structural.
+The whole library computes over this field.  Rationals are
+fractions.Fraction, which keeps them reduced with positive denominators, so
+equality is structural.  The elimination loops do not run on these values:
+they work on Gaussian integers (see linalg).
 
 Text grammar (used by every file format):
 
@@ -17,12 +17,9 @@ Examples: "3", "-1/2", "1/2+3i", "-i", "2-1/3i".
 
 from __future__ import annotations
 
-from .errors import ParseError
+from fractions import Fraction as _Q
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _Q
+from .errors import ParseError
 
 _Q0 = _Q(0)
 _Q1 = _Q(1)

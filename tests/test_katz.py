@@ -239,6 +239,15 @@ class TestMcMax:
         assert out.rank == ord_of(m) - d_max(m)
         assert format_spectral_type(out.scheme.spectral_type()) == "11,11,11"
 
+    def test_rigid_family_past_nine(self):
+        # the (n-1)1 column needs the parenthesised part "(10)1" at n = 11
+        from fuchsmc.generate import rigid_family_realization, rigid_family_type
+
+        t = rigid_family_realization(11)
+        assert t.rank == 11
+        assert rigid_family_type(11) == "11111111111,(10)1,11111111111"
+        assert format_spectral_type(t.scheme.spectral_type()) == rigid_family_type(11)
+
     def test_basic_tuple_does_not_shrink(self):
         t = find_basic_2x2_tuple()
         out = mc_max(t)

@@ -1,7 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuchsmc.errors import NonSquareError, SizeMismatchError
@@ -12,6 +13,7 @@ from fuchsmc.linalg import (
     complete_to_basis,
     generated_algebra_dim,
     image_basis,
+    independent_columns,
     inverse,
     kernel_basis,
     rank,
@@ -19,7 +21,8 @@ from fuchsmc.linalg import (
     solve,
     solve_sylvester_space,
 )
-from fuchsmc.scalars import gr
+from fuchsmc.scalars import ZERO, gr
+from fuchsmc.schlesinger import build_L
 
 E = ExactMatrix.from_rows
 
@@ -237,3 +240,341 @@ class TestCharPoly:
             acc = acc + power.scale(c)
             power = power * m
         assert acc.is_zero()
+
+
+# -- oracle: textbook Gauss-Jordan on pairs of Fractions ---------------------------
+#
+# The library eliminates over the Gaussian integers and divides once at the
+# end.  The oracle below is the plain rational algorithm, one field operation
+# at a time, written against Fraction pairs so that it shares no arithmetic
+# with the code under test.
+
+
+def _cmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def oracle_rref(m):
+    """(rows, pivots) of the reduced row echelon form of m."""
+    rows = [[(x.re, x.im) for x in r] for r in m.rows]
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        piv = next((i for i in range(r, m.nrows) if rows[i][c] != (0, 0)), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        a, b = rows[r][c]
+        norm = a * a + b * b
+        inv = (a / norm, -b / norm)
+        rows[r] = [_cmul(inv, x) for x in rows[r]]
+        for i in range(m.nrows):
+            f = rows[i][c]
+            if i != r and f != (0, 0):
+                rows[i] = [
+                    (x[0] - fx[0], x[1] - fx[1])
+                    for x, fx in zip(rows[i], (_cmul(f, y) for y in rows[r]))
+                ]
+        pivots.append(c)
+        r += 1
+    return [[gr(x, y) for x, y in row] for row in rows], pivots
+
+
+def oracle_kernel(m):
+    rows, pivots = oracle_rref(m)
+    basis = []
+    for f in range(m.ncols):
+        if f in pivots:
+            continue
+        v = [gr(0)] * m.ncols
+        v[f] = gr(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def oracle_solve(a, b):
+    """a X = b with free coordinates zero; None when inconsistent."""
+    rows, pivots = oracle_rref(a.hstack(b))
+    if any(c >= a.ncols for c in pivots):
+        return None
+    out = [[gr(0)] * b.ncols for _ in range(a.ncols)]
+    for r, c in enumerate(pivots):
+        out[c] = rows[r][a.ncols :]
+    return ExactMatrix(a.ncols, b.ncols, out)
+
+
+def oracle_inverse(m):
+    """The inverse of a square m; None when m is singular."""
+    n = m.nrows
+    if len(oracle_rref(m)[1]) < n:
+        return None
+    return oracle_solve(m, ExactMatrix.identity(n))
+
+
+def oracle_commutant_dim(a):
+    """n^2 minus the rank of the Kronecker system I(x)A - A^T(x)I on vec(X)."""
+    n = a.nrows
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [gr(0)] * (n * n)  # X[k][l] sits at column l*n + k
+            for k in range(n):
+                row[j * n + k] = row[j * n + k] + a[i, k]
+                row[k * n + i] = row[k * n + i] - a[k, j]
+            rows.append(row)
+    return n * n - len(oracle_rref(ExactMatrix(n * n, n * n, rows))[1])
+
+
+def oracle_algebra_dim(mats, n):
+    """The span closure of the identity under left multiplication."""
+    span = [ExactMatrix.identity(n)]
+    frontier = list(span)
+
+    def dim(ms):
+        return len(oracle_rref(ExactMatrix.from_rows([[x for r in m.rows for x in r] for m in ms]))[1])
+
+    while frontier:
+        new = []
+        for g in mats:
+            for b in frontier:
+                prod = g * b
+                if dim(span + [prod]) > len(span):
+                    span.append(prod)
+                    new.append(prod)
+        frontier = new
+    return len(span)
+
+
+def oracle_intertwiners(a_list, b_list):
+    """One constraint at a time, each kernel by the oracle."""
+    na, nb = a_list[0].nrows, b_list[0].nrows
+
+    def unflatten(v):
+        return ExactMatrix(nb, na, [v[i * na : (i + 1) * na] for i in range(nb)])
+
+    a0, b0 = a_list[0], b_list[0]
+    rows = []
+    for i in range(nb):
+        for j in range(na):
+            row = [gr(0)] * (nb * na)
+            for c in range(na):
+                row[i * na + c] = row[i * na + c] + a0[c, j]
+            for r in range(nb):
+                row[r * na + j] = row[r * na + j] - b0[i, r]
+            rows.append(row)
+    gens = [unflatten(v) for v in oracle_kernel(ExactMatrix(nb * na, nb * na, rows))]
+    for a, b in zip(a_list[1:], b_list[1:]):
+        if not gens:
+            return []
+        cols = [tuple(x for r in (g * a - b * g).rows for x in r) for g in gens]
+        combos = []
+        for coeffs in oracle_kernel(ExactMatrix.from_columns(cols, nrows=nb * na)):
+            out = ExactMatrix.zeros(nb, na)
+            for g, c in zip(gens, coeffs):
+                out = out + g.scale(c)
+            combos.append(out)
+        gens = combos
+    return gens
+
+
+# Gaussian rationals with non-unit denominators; zero is drawn often, so
+# that sparse rows and columns occur
+gaussians = st.one_of(
+    st.just(ZERO),
+    st.builds(
+        lambda a, b, c, d: gr(Fraction(a, b), Fraction(c, d)),
+        st.integers(-4, 4), st.integers(1, 4), st.integers(-4, 4), st.integers(1, 4),
+    ),
+)
+rationals = st.builds(lambda a, b: gr(Fraction(a, b)), st.integers(-4, 4), st.integers(1, 4))
+
+
+def matrices(nrows, ncols, entries=gaussians):
+    return st.lists(
+        st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
+    ).map(lambda rows: ExactMatrix(nrows, ncols, rows))
+
+
+@st.composite
+def gaussian_matrices(draw, max_size=5, square=False):
+    """Any shape up to max_size; half are products through a narrower inner
+    dimension, hence rank-deficient (the zero matrix when it is 0)."""
+    nrows = draw(st.integers(1, max_size))
+    ncols = nrows if square else draw(st.integers(1, max_size))
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, min(nrows, ncols) - 1))
+        if inner == 0:
+            return ExactMatrix.zeros(nrows, ncols)
+        return draw(matrices(nrows, inner)) * draw(matrices(inner, ncols))
+    return draw(matrices(nrows, ncols))
+
+
+G = gr
+ORACLE_EXAMPLES = [
+    ExactMatrix.zeros(3, 2),
+    E([[G("1/2-3i")]]),
+    E([[G("1/3+i"), G("2"), G("-i"), G("1/2"), G(0)], [G("2/3+2i"), G("4"), G("-2i"), G(1), G(0)]]),
+    E([[G("i"), G("1/2")], [G(1), G("-1/2i")], [G("2i"), G(1)], [G(0), G(0)], [G("1/3"), G("-1/6i")]]),
+]
+
+
+def _with_examples(test):
+    for m in ORACLE_EXAMPLES:
+        test = example(m)(test)
+    return test
+
+
+class TestAgainstOracle:
+    @_with_examples
+    @given(gaussian_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_elimination(self, m):
+        rows, pivots = oracle_rref(m)
+        assert rank(m) == len(pivots)
+        assert independent_columns(m) == pivots
+        r, piv = rref(m)
+        assert piv == pivots
+        assert r == ExactMatrix(m.nrows, m.ncols, rows)
+        assert kernel_basis(m) == oracle_kernel(m)
+        assert image_basis(m) == [m.column(c) for c in pivots]
+
+    @given(gaussian_matrices(), st.integers(1, 3), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_solve(self, a, k, consistent, data):
+        if consistent:
+            b = a * data.draw(matrices(a.ncols, k))
+        else:
+            b = data.draw(matrices(a.nrows, k))
+        want = oracle_solve(a, b)
+        if want is None:
+            with pytest.raises(SizeMismatchError):
+                solve(a, b)
+        else:
+            assert solve(a, b) == want
+
+    @example(ExactMatrix.zeros(3))
+    @example(E([[G("1/2-3i")]]))
+    @given(gaussian_matrices(max_size=4, square=True))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse(self, m):
+        want = oracle_inverse(m)
+        if want is None:
+            with pytest.raises(SizeMismatchError):
+                inverse(m)
+        else:
+            assert inverse(m) == want
+
+
+def jordan_sum(blocks):
+    """Direct sum of Jordan blocks J_k(lam) for (k, lam) in blocks."""
+    n = sum(k for k, _ in blocks)
+    rows = [[gr(0)] * n for _ in range(n)]
+    at = 0
+    for k, lam in blocks:
+        for i in range(k):
+            rows[at + i][at + i] = gr(lam)
+            if i + 1 < k:
+                rows[at + i][at + i + 1] = gr(1)
+        at += k
+    return ExactMatrix(n, n, rows)
+
+
+def jordan_commutant_dim(blocks):
+    """Frobenius: the sum over eigenvalues of min(k_i, k_j) over block pairs."""
+    return sum(min(k, l) for k, lam in blocks for l, mu in blocks if lam == mu)
+
+
+def compositions(n, largest=3):
+    """Ordered block sizes summing to n, none above `largest`."""
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(1, min(n, largest) + 1) for rest in compositions(n - k, largest)]
+
+
+def jordan_blocks(n):
+    """(size, eigenvalue) blocks of total size n; eigenvalues repeat often."""
+    return st.sampled_from(compositions(n)).flatmap(
+        lambda sizes: st.tuples(*[st.sampled_from(["2", "-1/2", "1+i"]) for _ in sizes]).map(
+            lambda lams: list(zip(sizes, lams))
+        )
+    )
+
+
+def conjugated(m, g):
+    gi = oracle_inverse(g)
+    return m if gi is None else g * m * gi
+
+
+class TestCommutantAgainstOracle:
+    @given(st.integers(1, 5).flatmap(jordan_blocks), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_jordan_blocks(self, blocks, data):
+        j = jordan_sum(blocks)
+        m = conjugated(j, data.draw(matrices(j.nrows, j.nrows)))
+        want = jordan_commutant_dim(blocks)
+        assert oracle_commutant_dim(m) == want
+        assert commutant_dim(m) == want
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["0", "3", "-1/2", "2i", "1-i"]), st.integers(1, 3)),
+            min_size=1, max_size=4,
+        ).filter(lambda parts: sum(k for _, k in parts) <= 5),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_build_L_outputs(self, parts, data):
+        m = build_L([(gr(lam), k) for lam, k in parts])
+        assert commutant_dim(m) == oracle_commutant_dim(m)
+        g = data.draw(matrices(m.nrows, m.nrows))
+        conj = conjugated(m, g)
+        assert commutant_dim(conj) == oracle_commutant_dim(m)
+
+
+class TestAlgebraAgainstOracle:
+    @given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_span_closure(self, n, count, gaussian, data):
+        entries = gaussians if gaussian else rationals
+        mats = [data.draw(matrices(n, n, entries)) for _ in range(count)]
+        assert generated_algebra_dim(mats) == oracle_algebra_dim(mats, n)
+
+    @given(st.integers(2, 3), st.integers(1, 3), st.booleans(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_reducible_generators(self, n, count, gaussian, data):
+        # a common invariant subspace: the first k coordinates, then hidden
+        # by one conjugation
+        entries = gaussians if gaussian else rationals
+        k = data.draw(st.integers(1, n - 1))
+        mats = []
+        for _ in range(count):
+            m = data.draw(matrices(n, n, entries))
+            mats.append(ExactMatrix(n, n, [
+                [ZERO if i >= k and j < k else m[i, j] for j in range(n)] for i in range(n)
+            ]))
+        g = data.draw(matrices(n, n, entries))
+        gi = oracle_inverse(g)
+        if gi is not None:
+            mats = [g * m * gi for m in mats]
+        dim = generated_algebra_dim(mats)
+        assert dim == oracle_algebra_dim(mats, n)
+        assert dim < n * n
+
+
+class TestIntertwinersAgainstOracle:
+    @given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_basis(self, n, count, conjugate, data):
+        # derogatory constraints give intertwiner spaces of dimension > 1
+        a_list = [
+            data.draw(st.one_of(matrices(n, n), jordan_blocks(n).map(jordan_sum)))
+            for _ in range(count)
+        ]
+        if conjugate:
+            g = data.draw(matrices(n, n))
+            b_list = [conjugated(a, g) for a in a_list]
+        else:
+            b_list = [data.draw(matrices(n, n)) for _ in range(count)]
+        assert solve_sylvester_space(a_list, b_list) == oracle_intertwiners(a_list, b_list)

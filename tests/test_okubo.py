@@ -132,6 +132,16 @@ class TestImageRealization:
         with pytest.raises(ConditionsFailError):
             mc_via_images(o, 1)
 
+    def test_unrelated_scheme_error_propagates(self, rank1_onf, monkeypatch):
+        # only a scheme that cannot be normalised is dropped; any other
+        # failure of the scheme transport is a bug and must surface
+        def broken(scheme, lam):
+            raise RuntimeError("broken scheme transport")
+
+        monkeypatch.setattr("fuchsmc.okubo.predicted_scheme", broken)
+        with pytest.raises(RuntimeError, match="broken scheme transport"):
+            mc_via_images(rank1_onf, 2)
+
 
 class TestEulerTransform:
     def test_identity_at_zero(self, rank1_onf):
