@@ -14,6 +14,8 @@ import sys
 from . import serialization as ser
 from .errors import (
     CalculusError,
+    CRViolatedError,
+    EigenvalueCollisionError,
     InvariantError,
     NotGenericError,
     ParseError,
@@ -21,7 +23,14 @@ from .errors import (
 )
 from .identities import run_full_suite
 from .katz import mc_max
-from .okubo import OkuboSystem, onf_from_scf, pick_generic, scf_from_onf
+from .okubo import (
+    OkuboSystem,
+    euler_transform,
+    onf_from_scf,
+    pick_generic,
+    scf_from_onf,
+    scheme_of_euler,
+)
 from .scalars import gr
 from .schlesinger import (
     SchlesingerTuple,
@@ -34,6 +43,7 @@ from .spectral import (
     BASIC_TABLE_IDX0,
     BASIC_TABLE_IDX_MINUS2,
     PartitionTuple,
+    RiemannScheme,
     canonical_type,
     d_max,
     enumerate_basic,
@@ -46,8 +56,9 @@ from .spectral import (
     parse_spectral_type,
 )
 from .yokoyama import (
-    auto_epsilon_rere,
+    RestrictionParams,
     rere_composite,
+    restrict,
     scheme_of_extension,
     scheme_of_restriction,
 )
@@ -122,17 +133,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _rank_of(system) -> int:
-    return system.rank
-
-
 def _idx_of(system) -> int:
     t = scf_from_onf(system) if isinstance(system, OkuboSystem) else system
     return index_of_rigidity(t)
-
-
-def _scheme_of(system):
-    return system.scheme
 
 
 def cmd_apply(args) -> int:
@@ -146,13 +149,13 @@ def cmd_apply(args) -> int:
         except CalculusError as exc:
             print(f"operation {k} ({entry.get('op')}): {exc}", file=sys.stderr)
             raise
-        scheme = _scheme_of(system)
+        scheme = system.scheme
         log.append(
             {
                 "step": k,
                 "op": entry,
                 "kind": "onf" if isinstance(system, OkuboSystem) else "scf",
-                "rank": _rank_of(system),
+                "rank": system.rank,
                 "idx": _idx_of(system),
                 "scheme": ser.scheme_to_json(scheme) if scheme is not None else None,
             }
@@ -161,7 +164,7 @@ def cmd_apply(args) -> int:
     with open(args.output + ".log", "w") as fh:
         for row in log:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-    print(f"applied {len(ops)} operations; rank {_rank_of(system)}")
+    print(f"applied {len(ops)} operations; rank {system.rank}")
     return 0
 
 
@@ -231,10 +234,10 @@ def _reduce_katz_matrix(system) -> int:
     if not is_irreducible(t):
         raise CalculusError("reduction requires an irreducible system")
     step = 0
-    idx0 = index_of_rigidity(t)
+    idx = idx0 = index_of_rigidity(t)
     while True:
         m = t.scheme.spectral_type()
-        _report_step(step, t.rank, index_of_rigidity(t), format_spectral_type(m))
+        _report_step(step, t.rank, idx, format_spectral_type(m))
         if t.rank == 1:
             print("reached rank 1")
             return 0
@@ -244,7 +247,8 @@ def _reduce_katz_matrix(system) -> int:
         t = mc_max(t)
         if t.scheme is None:
             raise InvariantError("scheme transport failed during reduction")
-        if index_of_rigidity(t) != idx0:
+        idx = index_of_rigidity(t)
+        if idx != idx0:
             raise InvariantError("rigidity index drifted during reduction")
         step += 1
 
@@ -266,10 +270,10 @@ def _reduce_yokoyama_matrix(system) -> int:
     if o.scheme is None:
         raise SchemeUnavailableError("the reduction driver needs a declared scheme")
     step = 0
-    idx0 = _idx_of(o)
+    idx = idx0 = _idx_of(o)
     while True:
         m = o.scheme.spectral_type()
-        _report_step(step, o.rank, _idx_of(o), format_spectral_type(m))
+        _report_step(step, o.rank, idx, format_spectral_type(m))
         if o.rank == 1:
             print("reached rank 1")
             return 0
@@ -295,7 +299,8 @@ def _reduce_yokoyama_matrix(system) -> int:
             o = _attempt_rere(o, j, rho1, rho2, rho3)
         if o.scheme is None:
             raise InvariantError("scheme transport failed during reduction")
-        if _idx_of(o) != idx0:
+        idx = _idx_of(o)
+        if idx != idx0:
             raise InvariantError("rigidity index drifted during reduction")
         step += 1
 
@@ -310,10 +315,6 @@ def _report_minimal_stage(m: PartitionTuple) -> None:
 
 def _restrict_with_shift(o: OkuboSystem) -> OkuboSystem:
     """Generic Euler shift followed by deleting the last block."""
-    from .errors import CRViolatedError, EigenvalueCollisionError
-    from .okubo import euler_transform
-    from .yokoyama import RestrictionParams, restrict
-
     p = o.num_points
     inf_col = o.scheme.column_at_infinity()
     mu1, mu2 = -inf_col[0][0], -inf_col[1][0]
@@ -329,17 +330,15 @@ def _restrict_with_shift(o: OkuboSystem) -> OkuboSystem:
 
 def _attempt_rere(o, j, rho1, rho2, rho3):
     try:
-        eps = auto_epsilon_rere(o, j, rho1, rho2, rho3)
+        return rere_composite(o, j, rho1, rho2, rho3)
     except NotGenericError:
         # fall back to a fresh third parameter when the drawn one is blocked
         for k in range(1, 12):
             try:
-                eps = auto_epsilon_rere(o, j, rho1, rho2, gr(k))
-                return rere_composite(o, j, rho1, rho2, gr(k), eps)
+                return rere_composite(o, j, rho1, rho2, gr(k))
             except NotGenericError:
                 continue
         raise
-    return rere_composite(o, j, rho1, rho2, rho3, eps)
 
 
 def _reduce_yokoyama_scheme(s, blocks) -> int:
@@ -365,9 +364,6 @@ def _reduce_yokoyama_scheme(s, blocks) -> int:
 
 
 def _restriction_scheme_step(s, blocks):
-    from .errors import CRViolatedError
-    from .okubo import scheme_of_euler
-
     inf_col = s.column_at_infinity()
     mu_sum = -(inf_col[0][0] + inf_col[1][0])
     forbidden = [label - mu_sum for label, _ in s.column_at(len(blocks))]
@@ -398,8 +394,6 @@ def _rere_scheme_step(s, blocks, j):
 
 
 def _rere_scheme_once(s, blocks, j, rho1, rho2, rho3, eps):
-    from .okubo import scheme_of_euler
-
     n = s.order
     s1 = scheme_of_extension(s, rho1, rho2, block_sizes=blocks)
     b1 = blocks + [s1.order - n]
@@ -426,8 +420,6 @@ def _swap_scheme_cols(s, blocks, i, j):
     cols[i], cols[j] = cols[j], cols[i]
     poles[i - 1], poles[j - 1] = poles[j - 1], poles[i - 1]
     blocks[i - 1], blocks[j - 1] = blocks[j - 1], blocks[i - 1]
-    from .spectral import RiemannScheme
-
     return RiemannScheme(poles, cols), blocks
 
 

@@ -28,6 +28,7 @@ from .linalg import ExactMatrix, Vector
 from .scalars import GaussianRational, ZERO, gr
 from .schlesinger import (
     SchlesingerTuple,
+    _attach_scheme,
     is_irreducible,
     residue_at_infinity,
     verify_scheme,
@@ -155,8 +156,9 @@ def middle_convolution(t: SchlesingerTuple, lam) -> SchlesingerTuple:
     for g in cd.big_matrices:
         coords = basis_inv * (g * comp_mat)
         mats.append(coords.submatrix(range(s, pn), range(q)))
-    scheme = _transported_scheme(t, lam, SchlesingerTuple(t.poles, mats))
-    return SchlesingerTuple(t.poles, mats, scheme)
+    out = SchlesingerTuple(t.poles, mats)
+    scheme = _transported_scheme(t, lam, out)
+    return out if scheme is None else _attach_scheme(out, scheme)
 
 
 def _std_vector(n: int, i: int) -> Vector:

@@ -24,7 +24,7 @@ from .errors import (
 from .katz import predicted_scheme
 from .linalg import ExactMatrix
 from .scalars import GaussianRational, ZERO, gr
-from .schlesinger import SchlesingerTuple, verify_scheme
+from .schlesinger import SchlesingerTuple, _attach_scheme, verify_scheme
 from .spectral import RiemannScheme, canonical_column
 
 
@@ -55,9 +55,11 @@ class OkuboSystem:
         self.block_sizes = block_sizes
         self.poles = poles
         self.a = a
-        self.scheme = scheme
-        if scheme is not None and not verify_scheme(scf_from_onf(self.with_scheme(None)), scheme):
-            raise InvariantError("declared scheme does not match the system")
+        self.scheme = None
+        if scheme is not None:
+            if not verify_scheme(scf_from_onf(self), scheme):
+                raise InvariantError("declared scheme does not match the system")
+            self.scheme = scheme
 
     @property
     def rank(self) -> int:
@@ -107,7 +109,9 @@ def scf_from_onf(o: OkuboSystem) -> SchlesingerTuple:
         for i in o.block_range(j):
             rows[i] = list(o.a.rows[i])
         mats.append(ExactMatrix(n, n, rows))
-    return SchlesingerTuple(o.poles, mats, o.scheme)
+    t = SchlesingerTuple(o.poles, mats)
+    # o's scheme was verified against exactly this tuple when o was built
+    return t if o.scheme is None else _attach_scheme(t, o.scheme)
 
 
 def onf_from_scf(t: SchlesingerTuple) -> OkuboSystem:
@@ -219,19 +223,15 @@ def mc_via_images(o: OkuboSystem, lam) -> OkuboSystem:
             vec[j * n : (j + 1) * n] = list(v)
             cols.append(tuple(vec))
     b = ExactMatrix.from_columns(cols, nrows=pn)
-    restricted = linalg.solve(b, gsum * b)
-    a_new = restricted  # the new coefficient matrix is the restricted sum
-    scheme = None
-    if o.scheme is not None:
-        try:
-            predicted = predicted_scheme(o.scheme, lam)
-        except NotNormalizableError:
-            predicted = None
-        if predicted is not None and predicted.order == a_new.nrows:
-            cand = OkuboSystem(blocks, o.poles, a_new, None)
-            if verify_scheme(scf_from_onf(cand), predicted):
-                scheme = predicted
-    return OkuboSystem(blocks, o.poles, a_new, scheme)
+    # the new coefficient matrix is the restricted sum
+    out = OkuboSystem(blocks, o.poles, linalg.solve(b, gsum * b))
+    if o.scheme is None:
+        return out
+    try:
+        predicted = predicted_scheme(o.scheme, lam)
+    except NotNormalizableError:
+        return out
+    return _transport_scheme(out, predicted)
 
 
 def euler_transform(o: OkuboSystem, lam) -> OkuboSystem:
@@ -248,14 +248,22 @@ def euler_transform(o: OkuboSystem, lam) -> OkuboSystem:
     n = o.rank
     if linalg.rank(o.a.shift(lam)) < n:
         raise EigenvalueCollisionError("-lambda is an eigenvalue of the coefficient matrix")
-    a_new = o.a.shift(lam)
-    scheme = None
-    if o.scheme is not None:
-        scheme = scheme_of_euler(o.scheme, o.block_sizes, lam)
-        cand = OkuboSystem(o.block_sizes, o.poles, a_new, None)
-        if not verify_scheme(scf_from_onf(cand), scheme):
-            scheme = None
-    return OkuboSystem(o.block_sizes, o.poles, a_new, scheme)
+    out = OkuboSystem(o.block_sizes, o.poles, o.a.shift(lam))
+    if o.scheme is None:
+        return out
+    return _transport_scheme(out, scheme_of_euler(o.scheme, o.block_sizes, lam))
+
+
+def _transport_scheme(o: OkuboSystem, predicted: RiemannScheme) -> OkuboSystem:
+    """o carrying the predicted scheme of the operation that built it, when
+    that scheme verifies against o's residues; o itself otherwise.
+
+    o is a freshly built, scheme-less system; the prediction is verified here
+    once and then attached without a second check.
+    """
+    if predicted.order != o.rank or not verify_scheme(scf_from_onf(o), predicted):
+        return o
+    return _attach_scheme(o, predicted)
 
 
 def scheme_of_euler(

@@ -9,7 +9,7 @@ class described by an (eigenvalue, multiplicity) list.
 
 from __future__ import annotations
 
-import itertools
+import copy
 from typing import Optional, Sequence
 
 from . import linalg
@@ -87,6 +87,19 @@ class SchlesingerTuple:
         return f"SchlesingerTuple(p={self.num_points}, n={self.rank})"
 
 
+def _attach_scheme(system, scheme: RiemannScheme):
+    """A copy of a SchlesingerTuple or OkuboSystem carrying `scheme`, which is
+    not verified again.
+
+    Only for a scheme just verified against exactly this system's residues,
+    so that each (system, scheme) pair is verified once.  A scheme from any
+    other source goes through the verifying constructors or with_scheme.
+    """
+    out = copy.copy(system)
+    out.scheme = scheme
+    return out
+
+
 def with_poles(t: SchlesingerTuple, poles: Sequence) -> SchlesingerTuple:
     """Same matrices at relabelled pole positions.
 
@@ -160,11 +173,16 @@ def matrix_tuples_equivalent(
 ) -> bool:
     """Simultaneous conjugacy of two matrix tuples, decided exactly.
 
-    Cheap conjugation invariants first; then the intertwiner space is solved
-    and searched for an invertible element.  The determinant restricted to the
-    space is a polynomial of degree at most n in the basis coefficients, so if
-    it vanishes on the full integer grid {0..n}^k it is identically zero and no
-    invertible intertwiner exists over any extension field.
+    Cheap conjugation invariants first (rank and characteristic polynomial of
+    each matrix); then the intertwiner space is solved and searched for an
+    invertible element.  When no basis element is invertible, the ranks of
+    the powers m^k, k <= n, of each matrix are compared, and then the
+    principal lattice {c in N^k : sum c <= n} of basis coefficients is
+    searched.  The determinant restricted to the space is a polynomial of
+    total degree at most n in the coefficients, and that lattice is
+    unisolvent for such polynomials (Chung-Yao 1977), so if the determinant
+    vanishes on it, it is identically zero and no invertible intertwiner
+    exists over any extension field.
     """
     if len(a_mats) != len(b_mats):
         return False
@@ -187,7 +205,13 @@ def matrix_tuples_equivalent(
     k = len(basis)
     if k == 1:
         return False
-    for coeffs in itertools.product(range(n + 1), repeat=k):
+    for a, b in zip(a_mats, b_mats):
+        a_pow, b_pow = a, b
+        for _ in range(n - 1):
+            a_pow, b_pow = a_pow * a, b_pow * b
+            if linalg.rank(a_pow) != linalg.rank(b_pow):
+                return False
+    for coeffs in _principal_lattice(k, n):
         g = ExactMatrix.zeros(n)
         for c, mat in zip(coeffs, basis):
             if c:
@@ -195,6 +219,16 @@ def matrix_tuples_equivalent(
         if linalg.rank(g) == n:
             return True
     return False
+
+
+def _principal_lattice(k: int, n: int):
+    """The points c of N^k with c_1 + ... + c_k <= n, lexicographically."""
+    if k == 0:
+        yield ()
+        return
+    for c in range(n + 1):
+        for rest in _principal_lattice(k - 1, n - c):
+            yield (c,) + rest
 
 
 def is_equivalent(a: SchlesingerTuple, b: SchlesingerTuple) -> bool:

@@ -43,13 +43,14 @@ from .katz import (
 from .linalg import ExactMatrix
 from .okubo import (
     OkuboSystem,
+    _transport_scheme,
     check_onf_conditions,
     euler_transform,
     pick_generic,
     scf_from_onf,
 )
 from .scalars import GaussianRational, gr
-from .schlesinger import SchlesingerTuple, is_irreducible, verify_scheme
+from .schlesinger import SchlesingerTuple, is_irreducible
 from .spectral import Column, RiemannScheme, canonical_column
 
 
@@ -107,25 +108,20 @@ def extend_direct(o: OkuboSystem, params: ExtensionParams) -> OkuboSystem:
     x = linalg.solve(c, -w)
     y = linalg.solve(c, a.shift(-(params.rho1 + params.rho2)).scale(-1) * c)
     a_hat = linalg.block_matrix([[a, c], [x, y]])
-    blocks = list(o.block_sizes) + [r]
-    poles = list(o.poles) + [params.t_new]
-    scheme = None
-    if o.scheme is not None:
-        try:
-            predicted = scheme_of_extension(
-                o.scheme,
-                params.rho1,
-                params.rho2,
-                block_sizes=o.block_sizes,
-                t_new=params.t_new,
-            )
-        except (NotONFShapeError, InvariantError):
-            predicted = None
-        if predicted is not None and predicted.order == n + r:
-            cand = OkuboSystem(blocks, poles, a_hat, None)
-            if verify_scheme(scf_from_onf(cand), predicted):
-                scheme = predicted
-    return OkuboSystem(blocks, poles, a_hat, scheme)
+    out = OkuboSystem(list(o.block_sizes) + [r], list(o.poles) + [params.t_new], a_hat)
+    if o.scheme is None:
+        return out
+    try:
+        predicted = scheme_of_extension(
+            o.scheme,
+            params.rho1,
+            params.rho2,
+            block_sizes=o.block_sizes,
+            t_new=params.t_new,
+        )
+    except (NotONFShapeError, InvariantError):
+        return out
+    return _transport_scheme(out, predicted)
 
 
 def extend_composite(o: OkuboSystem, params: ExtensionParams) -> SchlesingerTuple:
@@ -193,20 +189,14 @@ def restrict(o: OkuboSystem, params: RestrictionParams) -> OkuboSystem:
             " Euler transformation"
         )
     keep = [k for k in range(ow.rank) if k not in ow.block_range(p)]
-    a_check = ow.a.submatrix(keep, keep)
-    blocks = ow.block_sizes[:-1]
-    poles = ow.poles[:-1]
-    scheme = None
-    if ow.scheme is not None:
-        try:
-            predicted = scheme_of_restriction(ow.scheme, block_sizes=ow.block_sizes)
-        except (NotQ2Error, CRViolatedError, NotONFShapeError, InvariantError):
-            predicted = None
-        if predicted is not None and predicted.order == len(keep):
-            cand = OkuboSystem(blocks, poles, a_check, None)
-            if verify_scheme(scf_from_onf(cand), predicted):
-                scheme = predicted
-    return OkuboSystem(blocks, poles, a_check, scheme)
+    out = OkuboSystem(ow.block_sizes[:-1], ow.poles[:-1], ow.a.submatrix(keep, keep))
+    if ow.scheme is None:
+        return out
+    try:
+        predicted = scheme_of_restriction(ow.scheme, block_sizes=ow.block_sizes)
+    except (NotQ2Error, CRViolatedError, NotONFShapeError, InvariantError):
+        return out
+    return _transport_scheme(out, predicted)
 
 
 def restrict_composite(o: OkuboSystem, params: RestrictionParams) -> SchlesingerTuple:
@@ -235,10 +225,10 @@ def re_composite(
     The net effect replaces the block at j; the rank changes by
     dim IM (A - rho1)(A - rho2) - dim IM A_j.  epsilon must avoid a finite
     exceptional set; when omitted, the smallest positive integer for which
-    every stage is defined is chosen.
+    every stage is defined is chosen, and the run that found it is returned.
     """
     if epsilon is None:
-        epsilon = auto_epsilon_re(o, j, rho1, rho2)
+        return _re_search(o, j, rho1, rho2)[1]
     return _re_stages(o, j, gr(rho1), gr(rho2), gr(epsilon))
 
 
@@ -254,17 +244,23 @@ def _re_stages(o, j, rho1, rho2, eps) -> OkuboSystem:
 def auto_epsilon_re(o, j, rho1, rho2):
     """Smallest positive integer shift making every stage of the
     restriction-of-extension defined."""
+    return _re_search(o, j, rho1, rho2)[0]
+
+
+def _re_search(o, j, rho1, rho2):
     return _first_working_epsilon(lambda eps: _re_stages(o, j, gr(rho1), gr(rho2), eps))
 
 
 def _first_working_epsilon(runner, bound: int = 60):
+    """The first shift eps = 1, 2, ... for which runner(eps) is defined, with
+    the result of that run."""
     for k in range(1, bound):
         eps = gr(k)
         try:
-            runner(eps)
+            result = runner(eps)
         except (NotGenericError, CRViolatedError, DegenerateExtensionError, ZeroRhoError):
             continue
-        return eps
+        return eps, result
     raise NotGenericError("no small integer epsilon makes the pipeline defined")
 
 
@@ -289,10 +285,11 @@ def rere_composite(
 
     Equals a convolution sandwich around a single scalar shift at j (see
     rere_katz_pipeline); the second extension reuses the deleted pole so the
-    pole sets agree on the nose.
+    pole sets agree on the nose.  When epsilon is omitted it is chosen as in
+    re_composite, and the run that found it is returned.
     """
     if epsilon is None:
-        epsilon = auto_epsilon_rere(o, j, rho1, rho2, rho3)
+        return _rere_search(o, j, rho1, rho2, rho3)[1]
     return _rere_stages(o, j, gr(rho1), gr(rho2), gr(rho3), gr(epsilon))
 
 
@@ -312,6 +309,10 @@ def _rere_stages(o, j, rho1, rho2, rho3, eps) -> OkuboSystem:
 
 def auto_epsilon_rere(o, j, rho1, rho2, rho3):
     """Smallest positive integer shift making both rounds defined."""
+    return _rere_search(o, j, rho1, rho2, rho3)[0]
+
+
+def _rere_search(o, j, rho1, rho2, rho3):
     return _first_working_epsilon(
         lambda eps: _rere_stages(o, j, gr(rho1), gr(rho2), gr(rho3), eps)
     )

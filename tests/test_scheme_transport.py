@@ -1,0 +1,191 @@
+"""Each (system, scheme) fact on the scheme-transport path is computed once.
+
+A transported scheme is verified once against the output it is attached to,
+a scheme from outside (constructor, with_scheme, file) is still verified, an
+epsilon search returns the run that found epsilon, and the reduction driver's
+output is unchanged.
+"""
+
+import json
+import random
+import sys
+
+import pytest
+
+from fuchsmc import schlesinger
+from fuchsmc import serialization as ser
+from fuchsmc.cli import main
+from fuchsmc.errors import InvariantError
+from fuchsmc.generate import random_okubo, rigid_family_realization
+from fuchsmc.linalg import rank
+from fuchsmc.okubo import OkuboSystem, onf_from_scf, scf_from_onf
+from fuchsmc.schlesinger import SchlesingerTuple
+from fuchsmc.spectral import RiemannScheme, canonical_column
+from fuchsmc.yokoyama import (
+    auto_epsilon_re,
+    auto_epsilon_rere,
+    re_composite,
+    rere_composite,
+)
+
+
+def rigid_onf(n):
+    return onf_from_scf(rigid_family_realization(n))
+
+
+def wrong_scheme(s: RiemannScheme) -> RiemannScheme:
+    """The same spectral type with the labels at infinity and at the first
+    point moved in opposite directions: still a scheme, not the system's."""
+    cols = [canonical_column([(l + 1, m) for l, m in s.column_at_infinity()])]
+    cols.append(canonical_column([(l - 1, m) for l, m in s.column_at(1)]))
+    cols += list(s.columns[2:])
+    return RiemannScheme(s.poles, cols)
+
+
+def reduction_parameters(o):
+    """Point and parameters the yokoyama driver picks on a rigid system."""
+    cols = o.scheme.tuple_.columns
+    m01 = cols[0][0][1]
+    j = next(
+        j
+        for j in range(1, len(cols))
+        if m01 - cols[j][0][1] + (cols[j][1][1] if len(cols[j]) > 1 else 0) > 0
+    )
+    return j, -cols[0][0][0], -cols[0][1][0], -cols[j][1][0]
+
+
+def test_yokoyama_reduce_verifies_each_scheme_once(tmp_path, monkeypatch, capsys):
+    inp = tmp_path / "rigid4.json"
+    ser.save_system(str(inp), rigid_onf(4))
+    original = schlesinger.verify_scheme
+    seen = []
+
+    def counting(t, s):
+        seen.append((t.poles, t.matrices, s))
+        return original(t, s)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fuchsmc") and getattr(module, "verify_scheme", None) is original:
+            monkeypatch.setattr(module, "verify_scheme", counting)
+    assert main(["reduce", "--input", str(inp), "--mode", "yokoyama"]) == 0
+    assert "reached rank 1" in capsys.readouterr().out
+    assert seen
+    assert len(set(seen)) == len(seen)
+
+
+class TestSearchReturnsTheWinningRun:
+    @staticmethod
+    def same(a: OkuboSystem, b: OkuboSystem):
+        assert a.a == b.a
+        assert a.block_sizes == b.block_sizes
+        assert a.poles == b.poles
+        assert a.scheme == b.scheme
+
+    def test_re_composite_random(self):
+        rng = random.Random(47)
+        done = 0
+        while done < 3:
+            o = random_okubo(rng, rng.randint(1, 3))
+            j = rng.randint(1, o.num_points)
+            rho1, rho2 = rng.randint(1, 3), rng.randint(1, 3)
+            if rank(o.a.shift(-rho1) * o.a.shift(-rho2)) == 0:
+                continue
+            eps = auto_epsilon_re(o, j, rho1, rho2)
+            self.same(re_composite(o, j, rho1, rho2), re_composite(o, j, rho1, rho2, eps))
+            done += 1
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_with_schemes_on_the_rigid_family(self, n):
+        o = rigid_onf(n)
+        j, rho1, rho2, rho3 = reduction_parameters(o)
+        eps = auto_epsilon_rere(o, j, rho1, rho2, rho3)
+        got = rere_composite(o, j, rho1, rho2, rho3)
+        assert got.scheme is not None
+        self.same(got, rere_composite(o, j, rho1, rho2, rho3, eps))
+        eps = auto_epsilon_re(o, j, rho1, rho2)
+        self.same(re_composite(o, j, rho1, rho2), re_composite(o, j, rho1, rho2, eps))
+
+
+class TestOutsideSchemesAreStillVerified:
+    def test_constructors_and_with_scheme(self):
+        o = rigid_onf(3)
+        bad = wrong_scheme(o.scheme)
+        t = scf_from_onf(o)
+        with pytest.raises(InvariantError):
+            OkuboSystem(o.block_sizes, o.poles, o.a, bad)
+        with pytest.raises(InvariantError):
+            o.with_scheme(bad)
+        with pytest.raises(InvariantError):
+            SchlesingerTuple(t.poles, t.matrices, bad)
+        with pytest.raises(InvariantError):
+            t.with_scheme(bad)
+
+    def test_scf_from_onf_keeps_the_scheme(self):
+        o = rigid_onf(3)
+        assert scf_from_onf(o).scheme == o.scheme
+        assert scf_from_onf(o.with_scheme(None)).scheme is None
+
+    def test_mismatched_file_exits_3(self, tmp_path, capsys):
+        o = rigid_onf(3)
+        data = ser.onf_to_json(o)
+        data["scheme"] = ser.scheme_to_json(wrong_scheme(o.scheme))
+        inp = tmp_path / "bad.json"
+        inp.write_text(json.dumps(data))
+        assert main(["reduce", "--input", str(inp), "--mode", "yokoyama"]) == 3
+        assert "invariant breach" in capsys.readouterr().err
+
+
+# `fuchsmc reduce` stdout on the rigid family, recorded before schemes were
+# verified once and epsilon searches returned their run.
+GOLDEN_REDUCE = {
+    (3, "katz"): """\
+step 0: rank 3, idx 2, type 111,21,111
+step 1: rank 2, idx 2, type 11,11,11
+step 2: rank 1, idx 2, type 1,1,1
+reached rank 1
+""",
+    (3, "yokoyama"): """\
+step 0: rank 3, idx 2, type 111,21,111
+step 1: rank 2, idx 2, type 11,11,11
+step 2: rank 1, idx 2, type 1,1
+reached rank 1
+""",
+    (4, "katz"): """\
+step 0: rank 4, idx 2, type 1111,31,1111
+step 1: rank 3, idx 2, type 111,21,111
+step 2: rank 2, idx 2, type 11,11,11
+step 3: rank 1, idx 2, type 1,1,1
+reached rank 1
+""",
+    (4, "yokoyama"): """\
+step 0: rank 4, idx 2, type 1111,31,1111
+step 1: rank 3, idx 2, type 111,21,111
+step 2: rank 2, idx 2, type 11,11,11
+step 3: rank 1, idx 2, type 1,1
+reached rank 1
+""",
+    (5, "katz"): """\
+step 0: rank 5, idx 2, type 11111,41,11111
+step 1: rank 4, idx 2, type 1111,31,1111
+step 2: rank 3, idx 2, type 111,21,111
+step 3: rank 2, idx 2, type 11,11,11
+step 4: rank 1, idx 2, type 1,1,1
+reached rank 1
+""",
+    (5, "yokoyama"): """\
+step 0: rank 5, idx 2, type 11111,41,11111
+step 1: rank 4, idx 2, type 1111,31,1111
+step 2: rank 3, idx 2, type 111,21,111
+step 3: rank 2, idx 2, type 11,11,11
+step 4: rank 1, idx 2, type 1,1
+reached rank 1
+""",
+}
+
+
+@pytest.mark.parametrize("n,mode", sorted(GOLDEN_REDUCE))
+def test_reduce_output_is_unchanged(tmp_path, capsys, n, mode):
+    inp = tmp_path / f"rigid{n}.json"
+    ser.save_system(str(inp), rigid_onf(n))
+    assert main(["reduce", "--input", str(inp), "--mode", mode]) == 0
+    assert capsys.readouterr().out == GOLDEN_REDUCE[(n, mode)]

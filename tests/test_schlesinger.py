@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from fuchsmc.schlesinger import (
     is_equivalent,
     is_irreducible,
     matches_conjugacy_class,
+    matrix_tuples_equivalent,
     residue_at_infinity,
     verify_scheme,
     with_poles,
@@ -123,6 +125,33 @@ class TestEquivalence:
         jordan = SchlesingerTuple([0], [E([[1, 1], [0, 1]])])
         diag = SchlesingerTuple([0], [ExactMatrix.identity(2)])
         assert not is_equivalent(jordan, diag)
+
+    def test_invertible_intertwiner_only_as_a_combination(self):
+        # the intertwiners are spanned by E12 and E21, both singular
+        a, b = E([[1, 0], [0, 2]]), E([[2, 0], [0, 1]])
+        assert matrix_tuples_equivalent([a], [b])
+
+    @pytest.mark.parametrize(
+        "a_sizes,b_sizes", [((2, 2), (3, 1)), ((2, 2, 2), (3, 2, 1))]
+    )
+    def test_nilpotent_jordan_types_rejected_quickly(self, a_sizes, b_sizes):
+        # same rank, characteristic polynomial and intertwiner dimension
+        # pattern; only the ranks of the squares tell them apart
+        def nilpotent(sizes):
+            n = sum(sizes)
+            rows = [[0] * n for _ in range(n)]
+            start = 0
+            for size in sizes:
+                for i in range(start, start + size - 1):
+                    rows[i][i + 1] = 1
+                start += size
+            return E(rows)
+
+        a, b = nilpotent(a_sizes), nilpotent(b_sizes)
+        zero = ExactMatrix.zeros(a.nrows)
+        t0 = time.perf_counter()
+        assert not matrix_tuples_equivalent([a, zero], [b, zero])
+        assert time.perf_counter() - t0 < 5
 
 
 class TestIndexOfRigidity:
