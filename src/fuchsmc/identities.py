@@ -35,13 +35,11 @@ from .spectral import d_max, katz_reduce, lemma_ineq_holds, ord_of
 from .yokoyama import (
     ExtensionParams,
     RestrictionParams,
-    auto_epsilon_re,
-    auto_epsilon_rere,
+    _re_search,
+    _rere_search,
     extend_composite,
     extend_direct,
-    re_composite,
     re_katz_pipeline,
-    rere_composite,
     rere_katz_pipeline,
     restrict,
 )
@@ -201,8 +199,7 @@ def run_yokoyama_suite(seed: int, count: int, bound_n: int = 4) -> SuiteReport:
 
         j = rng.randint(1, p)
         try:
-            eps = auto_epsilon_re(o, j, rho1, rho2)
-            lhs = re_composite(o, j, rho1, rho2, eps)
+            eps, lhs = _re_search(o, j, rho1, rho2)
             rhs = re_katz_pipeline(o, j, rho1, rho2, eps)
             ok = lhs.rank == rhs.rank and matrix_tuples_equivalent(
                 scf_from_onf(lhs).matrices, rhs.matrices
@@ -221,10 +218,9 @@ def run_yokoyama_suite(seed: int, count: int, bound_n: int = 4) -> SuiteReport:
             rho3 = gr(rng.randint(1, 3 + attempt))
             rho2b = gr(rng.randint(1, 3 + attempt)) if attempt else rho2
             try:
-                eps2 = auto_epsilon_rere(o, j, rho1, rho2b, rho3)
+                eps2, lhs2 = _rere_search(o, j, rho1, rho2b, rho3)
             except NotGenericError:
                 continue
-            lhs2 = rere_composite(o, j, rho1, rho2b, rho3, eps2)
             rhs2 = rere_katz_pipeline(o, j, rho1, rho3, eps2)
             ok = lhs2.rank == rhs2.rank and is_equivalent(scf_from_onf(lhs2), rhs2)
             rep.add(name, "double restriction-of-extension identity", ok, f"j={j}")

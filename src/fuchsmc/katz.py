@@ -51,6 +51,9 @@ def addition(t: SchlesingerTuple, mu: Sequence) -> SchlesingerTuple:
     mu = [gr(x) for x in mu]
     if len(mu) != t.num_points:
         raise LengthMismatchError("one shift per finite point required")
+    if all(c.is_zero() for c in mu):
+        # the same tuple; rebuilding it would only verify its scheme again
+        return t
     mats = [m.shift(c) for m, c in zip(t.matrices, mu)]
     scheme = None
     if t.scheme is not None:

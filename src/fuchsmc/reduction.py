@@ -1,0 +1,285 @@
+"""The reduction driver: Katz's and Yokoyama's reductions are one loop
+(report the stage, stop at rank 1 or at a basic type, else take one step)
+with different steps: `mc_max`, restriction-of-extension rounds on a system
+or on its scheme, or the precomputed `katz_reduce` chain of a bare type."""
+
+from __future__ import annotations
+
+from itertools import count
+from typing import Iterator
+
+from .errors import (
+    CalculusError,
+    CRViolatedError,
+    EigenvalueCollisionError,
+    InvariantError,
+    NotGenericError,
+    SchemeUnavailableError,
+)
+from .katz import mc_max
+from .okubo import (
+    OkuboSystem,
+    euler_transform,
+    onf_from_scf,
+    pick_generic,
+    scf_from_onf,
+    scheme_of_euler,
+)
+from .scalars import gr
+from .schlesinger import (
+    SchlesingerTuple,
+    _attach_scheme,
+    index_of_rigidity,
+    infer_scheme,
+    is_irreducible,
+)
+from .spectral import (
+    BASIC_TABLE_IDX0,
+    PartitionTuple,
+    RiemannScheme,
+    canonical_type,
+    d_max,
+    enumerate_basic,
+    format_spectral_type,
+    idx_spec,
+    katz_reduce,
+    ord_of,
+    parse_spectral_type,
+)
+from .yokoyama import (
+    RestrictionParams,
+    rere_composite,
+    restrict,
+    scheme_of_extension,
+    scheme_of_restriction,
+)
+
+
+def idx_of(system) -> int:
+    """Index of rigidity of a residue tuple or a normal-form system."""
+    t = scf_from_onf(system) if isinstance(system, OkuboSystem) else system
+    return index_of_rigidity(t)
+
+
+def reduction_lines(source, mode: str, level: str) -> Iterator[str]:
+    """The lines of `fuchsmc reduce`, produced as the reduction runs, for a
+    spectral type (either mode) or a system; mode is "katz" or "yokoyama",
+    level "matrix" or "scheme".  A failing precondition raises before the
+    first line, a failing step after the lines of the stages before it."""
+    if isinstance(source, PartitionTuple):
+        return _type_reduction(source)
+    if level == "matrix":
+        return _katz_reduction(source) if mode == "katz" else _yokoyama_reduction(source)
+    if source.scheme is None:
+        raise SchemeUnavailableError("scheme-level reduction needs a declared scheme")
+    if mode == "katz":
+        return _type_reduction(source.scheme.spectral_type())
+    o = source if isinstance(source, OkuboSystem) else onf_from_scf(source)
+    stage = _type_stage(source.scheme.spectral_type(), (source.scheme, list(o.block_sizes)))
+    return _reduce(stage, _scheme_step)
+
+
+def _reduce(stage, step) -> Iterator[str]:
+    """The reduction loop.  A stage is (rank, idx, spectral type m, state);
+    step(state, m) takes one reduction step from it and returns the next
+    stage, or None when no reduction point is left."""
+    for k in count():
+        rank, idx, m, state = stage
+        yield f"step {k}: rank {rank}, idx {idx}, type {format_spectral_type(m)}"
+        if rank == 1:
+            yield "reached rank 1"
+            return
+        if d_max(m) <= 0:
+            yield _name_basic(m)
+            return
+        stage = step(state, m)
+        if stage is None:
+            # the minimal normal-form stage of a non-rigid chain: name the
+            # basic type underneath it
+            yield f"minimal normal-form stage reached: {format_spectral_type(m)}"
+            yield _name_basic(katz_reduce(m)[0])
+            return
+
+
+def _name_basic(m: PartitionTuple) -> str:
+    """Locate a basic type inside the enumeration and name it."""
+    idx = idx_spec(m)
+    cand = canonical_type(m)
+    listed = enumerate_basic(idx, ord_of(m), m.num_points)
+    for k, b in enumerate(listed):
+        if canonical_type(b) != cand:
+            continue
+        label = ""
+        for fam, text, *_ in BASIC_TABLE_IDX0:
+            if canonical_type(parse_spectral_type(text)) == cand:
+                label = f" ({fam})"
+        return f"basic #{k} of idx {idx}: {format_spectral_type(b)}{label}"
+    return f"basic (unlisted at these bounds): {format_spectral_type(cand)}"
+
+
+def _type_stage(m: PartitionTuple, state=None):
+    return ord_of(m), idx_spec(m), m, state
+
+
+def _system_stage(system, idx0: int):
+    """The stage of a system reached by a matrix-level step, which must carry
+    its transported scheme and keep the index of rigidity."""
+    if system.scheme is None:
+        raise InvariantError("scheme transport failed during reduction")
+    if idx_of(system) != idx0:
+        raise InvariantError("rigidity index drifted during reduction")
+    return system.rank, idx0, system.scheme.spectral_type(), system
+
+
+def _type_reduction(m: PartitionTuple) -> Iterator[str]:
+    # at the level of bare types both modes walk the same defect sequence
+    chain = iter(katz_reduce(m)[1])
+    return _reduce(_type_stage(m), lambda *_: _type_stage(next(chain)))
+
+
+def _katz_reduction(system) -> Iterator[str]:
+    t = scf_from_onf(system) if isinstance(system, OkuboSystem) else system
+    if t.scheme is None:
+        # infer_scheme has verified the scheme against t
+        t = _attach_scheme(t, infer_scheme(t))
+    if not is_irreducible(t):
+        raise CalculusError("reduction requires an irreducible system")
+    idx0 = index_of_rigidity(t)
+    return _reduce(
+        (t.rank, idx0, t.scheme.spectral_type(), t),
+        lambda system, m: _system_stage(mc_max(system), idx0),
+    )
+
+
+def _yokoyama_reduction(system) -> Iterator[str]:
+    o = onf_from_scf(system) if isinstance(system, SchlesingerTuple) else system
+    if o.scheme is None:
+        raise SchemeUnavailableError("the reduction driver needs a declared scheme")
+    idx0 = idx_of(o)
+
+    def step(o, m):
+        move = _yokoyama_move(o.scheme, m)
+        if move is None:
+            return None
+        return _system_stage(_attempt_rere(o, *move) if move else _restrict_with_shift(o), idx0)
+
+    return _reduce((o.rank, idx0, o.scheme.spectral_type(), o), step)
+
+
+def _scheme_step(state, m):
+    s, blocks = state
+    move = _yokoyama_move(s, m)
+    if move is None:
+        return None
+    s, blocks = _rere_scheme_step(s, blocks, *move) if move else _restriction_scheme_step(s, blocks)
+    return _type_stage(s.spectral_type(), (s, blocks))
+
+
+def _yokoyama_move(s: RiemannScheme, m: PartitionTuple):
+    """The next Yokoyama step from the stage with scheme s and type m: () for
+    a shifted restriction of the last block, (j, rho1, rho2, rho3) for two
+    extension/restriction rounds at the reduction point j, None when no
+    reduction point is left."""
+    inf_col = s.column_at_infinity()
+    if len(inf_col) < 2:
+        raise SchemeUnavailableError("need at least two parts at infinity")
+    if len(inf_col) == 2:
+        # the coefficient matrix already satisfies the quadratic relation:
+        # the system is an extension, so one shifted restriction reduces it
+        return ()
+    j = _reduction_point(m)
+    if j is None:
+        return None
+    col_j = s.column_at(j)
+    rho3 = -col_j[1][0] if len(col_j) > 1 else pick_generic([0])
+    return j, -inf_col[0][0], -inf_col[1][0], rho3
+
+
+def _reduction_point(m: PartitionTuple):
+    """Smallest finite point index with positive two-slot defect, or None."""
+    cols = m.columns
+    m01 = cols[0][0][1]
+    for j in range(1, len(cols)):
+        mj1 = cols[j][0][1]
+        mj2 = cols[j][1][1] if len(cols[j]) > 1 else 0
+        if m01 - mj1 + mj2 > 0:
+            return j
+    return None
+
+
+def _restrict_with_shift(o: OkuboSystem) -> OkuboSystem:
+    """Generic Euler shift followed by deleting the last block."""
+    p = o.num_points
+    inf_col = o.scheme.column_at_infinity()
+    mu1, mu2 = -inf_col[0][0], -inf_col[1][0]
+    for k in range(0, 40):
+        eps = gr(k)
+        try:
+            shifted = o if k == 0 else euler_transform(o, eps)
+            return restrict(shifted, RestrictionParams(mu1 + eps, mu2 + eps, p))
+        except (CRViolatedError, EigenvalueCollisionError):
+            continue
+    raise NotGenericError("no small shift unlocks the restriction")
+
+
+def _attempt_rere(o, j, rho1, rho2, rho3):
+    # fall back to a fresh third parameter when the drawn one is blocked
+    for third in [rho3] + [gr(k) for k in range(1, 12)]:
+        try:
+            return rere_composite(o, j, rho1, rho2, third)
+        except NotGenericError as exc:
+            blocked = exc
+    raise blocked
+
+
+def _restriction_scheme_step(s, blocks):
+    inf_col = s.column_at_infinity()
+    mu_sum = -(inf_col[0][0] + inf_col[1][0])
+    forbidden = [label - mu_sum for label, _ in s.column_at(len(blocks))]
+    eps = pick_generic([gr(0)] + forbidden + [-l for l, _ in inf_col])
+    shifted = scheme_of_euler(s, blocks, eps)
+    return scheme_of_restriction(shifted, block_sizes=blocks), blocks[:-1]
+
+
+def _rere_scheme_step(s, blocks, j, rho1, rho2, rho3):
+    """One two-round extension/restriction step on labelled data only."""
+    col_j = s.column_at(j)
+    # known exceptional values; later stages may reject more, hence the retry
+    forbidden = [gr(0), -rho1, -rho2, -(rho1 + rho2 + rho3)]
+    forbidden += [label - rho1 - rho2 for label, _ in col_j]
+    tried = set()
+    for _ in range(24):
+        eps = pick_generic(forbidden + sorted(tried, key=lambda g: g.sort_key()))
+        tried.add(eps)
+        try:
+            return _rere_scheme_once(s, blocks, j, rho1, rho2, rho3, eps)
+        except CalculusError:
+            continue
+    raise NotGenericError("no small shift makes the scheme-level step defined")
+
+
+def _rere_scheme_once(s, blocks, j, rho1, rho2, rho3, eps):
+    s1 = scheme_of_extension(s, rho1, rho2, block_sizes=blocks)
+    b1 = blocks + [s1.order - s.order]
+    s2 = scheme_of_euler(s1, b1, eps)
+    s2, b2 = _swap_scheme_cols(s2, b1, j, len(b1))
+    s3 = scheme_of_restriction(s2, block_sizes=b2)
+    b3 = b2[:-1]
+
+    rho1p = rho1 + eps
+    rho2p = rho1 + rho2 + rho3 + eps
+    s4 = scheme_of_extension(s3, rho1p, rho2p, block_sizes=b3)
+    b4 = b3 + [s4.order - s3.order]
+    s5, b5 = _swap_scheme_cols(s4, b4, j, len(b4))
+    s6 = scheme_of_restriction(s5, block_sizes=b5)
+    return s6, b5[:-1]
+
+
+def _swap_scheme_cols(s, blocks, i, j):
+    cols = list(s.columns)
+    poles = list(s.poles)
+    blocks = list(blocks)
+    cols[i], cols[j] = cols[j], cols[i]
+    poles[i - 1], poles[j - 1] = poles[j - 1], poles[i - 1]
+    blocks[i - 1], blocks[j - 1] = blocks[j - 1], blocks[i - 1]
+    return RiemannScheme(poles, cols), blocks

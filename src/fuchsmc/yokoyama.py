@@ -34,6 +34,7 @@ from .errors import (
     ZeroRhoError,
 )
 from .katz import (
+    _split_slot,
     addition,
     append_infinity_pole,
     drop_trailing_zero_pole,
@@ -375,8 +376,8 @@ def scheme_of_extension(
     if block_sizes is not None and len(block_sizes) != p:
         raise NotONFShapeError("one block size per finite point required")
     inf_col = list(s.column_at_infinity())
-    m1, rest = _take_valued(inf_col, -rho1)
-    m2, rest = _take_valued(rest, -rho2)
+    m1, rest = _split_slot(inf_col, -rho1)
+    m2, rest = _split_slot(rest, -rho2)
     n_hat = 2 * n - m1 - m2
     new_inf = canonical_column([(-rho1, n - m2), (-rho2, n - m1)])
     cols = [new_inf]
@@ -394,19 +395,6 @@ def scheme_of_extension(
         raise DuplicatePoleError(f"pole {t_new} already present")
     poles = list(s.poles) + [t_new]
     return RiemannScheme(poles, cols)
-
-
-def _take_valued(col, value):
-    """Largest-multiplicity entry with the given label, removed from the rest."""
-    best = -1
-    best_i = None
-    for i, (label, mult) in enumerate(col):
-        if label == value and mult > best:
-            best = mult
-            best_i = i
-    if best_i is None:
-        return 0, list(col)
-    return col[best_i][1], [e for i, e in enumerate(col) if i != best_i]
 
 
 def scheme_of_restriction(

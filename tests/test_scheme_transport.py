@@ -16,10 +16,15 @@ from fuchsmc import schlesinger
 from fuchsmc import serialization as ser
 from fuchsmc.cli import main
 from fuchsmc.errors import InvariantError
-from fuchsmc.generate import random_okubo, rigid_family_realization
-from fuchsmc.linalg import rank
+from fuchsmc.generate import (
+    find_basic_2x2_tuple,
+    random_okubo,
+    rigid_family_realization,
+)
+from fuchsmc.katz import middle_convolution
+from fuchsmc.linalg import ExactMatrix, rank
 from fuchsmc.okubo import OkuboSystem, onf_from_scf, scf_from_onf
-from fuchsmc.schlesinger import SchlesingerTuple
+from fuchsmc.schlesinger import SchlesingerTuple, infer_scheme
 from fuchsmc.spectral import RiemannScheme, canonical_column
 from fuchsmc.yokoyama import (
     auto_epsilon_re,
@@ -40,6 +45,22 @@ def wrong_scheme(s: RiemannScheme) -> RiemannScheme:
     cols.append(canonical_column([(l - 1, m) for l, m in s.column_at(1)]))
     cols += list(s.columns[2:])
     return RiemannScheme(s.poles, cols)
+
+
+def verify_scheme_keys(monkeypatch):
+    """The (poles, matrices, scheme) key of every verify_scheme call made
+    through any fuchsmc binding while the test runs."""
+    original = schlesinger.verify_scheme
+    seen = []
+
+    def counting(t, s):
+        seen.append((t.poles, t.matrices, s))
+        return original(t, s)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fuchsmc") and getattr(module, "verify_scheme", None) is original:
+            monkeypatch.setattr(module, "verify_scheme", counting)
+    return seen
 
 
 def reduction_parameters(o):
@@ -68,6 +89,18 @@ def test_yokoyama_reduce_verifies_each_scheme_once(tmp_path, monkeypatch, capsys
         if name.startswith("fuchsmc") and getattr(module, "verify_scheme", None) is original:
             monkeypatch.setattr(module, "verify_scheme", counting)
     assert main(["reduce", "--input", str(inp), "--mode", "yokoyama"]) == 0
+    assert "reached rank 1" in capsys.readouterr().out
+    assert seen
+    assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "inferred"])
+def test_katz_reduce_verifies_each_scheme_once(tmp_path, monkeypatch, capsys, declared):
+    t = rigid_family_realization(4)
+    inp = tmp_path / "rigid4.json"
+    ser.save_system(str(inp), t if declared else t.with_scheme(None))
+    seen = verify_scheme_keys(monkeypatch)
+    assert main(["reduce", "--input", str(inp), "--mode", "katz"]) == 0
     assert "reached rank 1" in capsys.readouterr().out
     assert seen
     assert len(set(seen)) == len(seen)
@@ -189,3 +222,98 @@ def test_reduce_output_is_unchanged(tmp_path, capsys, n, mode):
     ser.save_system(str(inp), rigid_onf(n))
     assert main(["reduce", "--input", str(inp), "--mode", mode]) == 0
     assert capsys.readouterr().out == GOLDEN_REDUCE[(n, mode)]
+
+
+def basic_bridge():
+    """The rank-three system one convolution above the D4 basic tuple."""
+    return middle_convolution(find_basic_2x2_tuple(), 5)
+
+
+# `fuchsmc reduce` on the paths the table above does not cover: bare types,
+# the Yokoyama scheme level, both basic-type endings and an inferred scheme.
+# Each entry: input (type text, or a function building the system), flags,
+# exit code, stdout.
+GOLDEN_REDUCE_PATHS = {
+    "type 11111,41,11111": (
+        "11111,41,11111", ["--level", "scheme"], 0, GOLDEN_REDUCE[(5, "katz")]
+    ),
+    "type 22,22,22,211": (
+        "22,22,22,211",
+        ["--level", "scheme"],
+        0,
+        """\
+step 0: rank 4, idx -2, type 22,22,22,211
+basic #3 of idx -2: 211,22,22,22
+""",
+    ),
+    "type 22,22,22,22,22": (
+        "22,22,22,22,22",
+        ["--level", "scheme"],
+        0,
+        """\
+step 0: rank 4, idx -8, type 22,22,22,22,22
+basic (unlisted at these bounds): 22,22,22,22,22
+""",
+    ),
+    # the chain fails before its first step is printed
+    "type 2,11,11": ("2,11,11", ["--level", "scheme"], 1, ""),
+    **{
+        f"scheme yokoyama rigid {n}": (
+            lambda n=n: rigid_onf(n),
+            ["--level", "scheme", "--mode", "yokoyama"],
+            0,
+            GOLDEN_REDUCE[(n, "yokoyama")],
+        )
+        for n in (3, 4, 5)
+    },
+    "katz basic D4": (
+        basic_bridge,
+        ["--mode", "katz"],
+        0,
+        """\
+step 0: rank 3, idx 0, type 111,21,21,21
+step 1: rank 2, idx 0, type 11,11,11,11
+basic #0 of idx 0: 11,11,11,11 (D4t)
+""",
+    ),
+    "yokoyama minimal stage": (
+        lambda: onf_from_scf(basic_bridge()),
+        ["--mode", "yokoyama"],
+        0,
+        """\
+step 0: rank 3, idx 0, type 111,21,21,21
+minimal normal-form stage reached: 111,21,21,21
+basic #0 of idx 0: 11,11,11,11 (D4t)
+""",
+    ),
+    "katz rigid 4 without scheme": (
+        lambda: rigid_family_realization(4).with_scheme(None),
+        ["--mode", "katz"],
+        0,
+        GOLDEN_REDUCE[(4, "katz")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REDUCE_PATHS))
+def test_reduce_paths_output_is_unchanged(tmp_path, capsys, case):
+    source, flags, code, out = GOLDEN_REDUCE_PATHS[case]
+    inp = tmp_path / "input"
+    if isinstance(source, str):
+        inp.write_text(source)
+    else:
+        ser.save_system(str(inp), source())
+    assert main(["reduce", "--input", str(inp), *flags]) == code
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("level", ["matrix", "scheme"])
+def test_one_part_at_infinity_is_a_precondition_error(tmp_path, capsys, level):
+    # a scalar coefficient matrix: the residue at infinity has one eigenvalue
+    o = OkuboSystem([1, 1], [0, 1], ExactMatrix.from_rows([[2, 0], [0, 2]]))
+    inp = tmp_path / "scalar.json"
+    ser.save_system(str(inp), o.with_scheme(infer_scheme(scf_from_onf(o))))
+    assert main(["reduce", "--input", str(inp), "--mode", "yokoyama", "--level", level]) == 1
+    out, err = capsys.readouterr()
+    assert out == "step 0: rank 2, idx 4, type 2,11,11\n"
+    assert "need at least two parts at infinity" in err
