@@ -311,6 +311,12 @@ def mc_max(t: SchlesingerTuple) -> SchlesingerTuple:
         raise SchemeUnavailableError("reduction step needs a declared scheme")
     if not is_irreducible(t):
         raise NotIrreducibleError("reduction step requires an irreducible tuple")
+    return _mc_max(t)
+
+
+def _mc_max(t: SchlesingerTuple) -> SchlesingerTuple:
+    """`mc_max` on a scheme-carrying tuple whose irreducibility the caller
+    has just checked."""
     m = t.scheme.tuple_
     tau = _nonzero_slot_choice(m)
     cols = m.columns

@@ -5,6 +5,23 @@ form with its canonical pivot structure, kernel/image bases read off from it,
 commutant dimensions, the dimension of a generated matrix algebra, and the
 space of intertwiners between two matrix tuples.
 
+The n^2-wide systems behind the last three are the expensive part, so the
+predicates built on them try an exact certificate first, and solve the
+n^2-wide system only when it does not decide:
+
+- `commutant_dim` reads the dimension off the characteristic polynomial
+  (division-free, `modular.berkowitz`), its square-free decomposition and the
+  ranks of (m - lam)^j; it solves the Sylvester system only for a repeated
+  factor of degree >= 2 (`_commutant_dim_sylvester`);
+- `spin_conjugacy` decides simultaneous conjugacy on the n-dimensional
+  image of the intertwiners under X -> X e_1, when e_1 is cyclic and that
+  image has dimension <= 1;
+- irreducibility is certified mod p by Norton's test (`fuchsmc.modular`),
+  and `generated_algebra_dim` is its fallback.
+
+Each certificate is either a proof over Q(i) or returns "undecided"; none
+changes what a predicate returns, only how fast.
+
 All of them run on one fraction-free elimination kernel over the Gaussian
 integers Z[i] (rows of Python ints, denominators cleared row by row, every
 row kept primitive).  `_add_row` reduces one row against an echelon basis
@@ -27,6 +44,8 @@ from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from . import modular
+from .modular import dot
 from .errors import NonSquareError, SizeMismatchError
 from .scalars import ONE, ZERO, GaussianRational, gr
 
@@ -483,9 +502,15 @@ def complete_to_basis(span_cols: ExactMatrix) -> tuple[list[int], list[int]]:
 # -- Gaussian integer matrices -------------------------------------------------
 
 
-def _int_matrices(mats: Sequence[ExactMatrix]) -> list[IntMatrix]:
-    """The matrices scaled by one common lcm of all their denominators."""
-    den = lcm(*(q.denominator for m in mats for r in m.rows for x in r for q in (x.re, x.im)))
+def _denominator(mats: Sequence[ExactMatrix]) -> int:
+    """The lcm of all denominators of the matrices' entries."""
+    return lcm(*(q.denominator for m in mats for r in m.rows for x in r for q in (x.re, x.im)))
+
+
+def _int_matrices(mats: Sequence[ExactMatrix], den: int | None = None) -> list[IntMatrix]:
+    """The matrices scaled by one common lcm of all their denominators (or
+    by `den`, a multiple of it)."""
+    den = _denominator(mats) if den is None else den
     return [
         (
             [[x.re.numerator * (den // x.re.denominator) for x in r] for r in m.rows],
@@ -553,13 +578,75 @@ def _sylvester_rows(a: IntMatrix, b: IntMatrix) -> list[IntRow]:
 
 
 def commutant_dim(m: ExactMatrix) -> int:
-    """Dimension of the centralizer {X : mX = Xm} inside full matrix space."""
+    """Dimension of the centralizer {X : mX = Xm} inside full matrix space.
+
+    Read off the characteristic polynomial chi instead of solving the n^2
+    Sylvester equations.  The dimension is sum over the eigenvalues lam of
+    sum_j w_j^2, where w_j = nullity((m - lam)^j) - nullity((m - lam)^(j-1))
+    are the Weyr counts: the number of Jordan blocks of size >= j, so that
+    sum_j w_j^2 = sum over pairs of blocks of the smaller size (Frobenius).
+    With the square-free decomposition chi = prod_k q_k^k (Yun):
+
+    - a simple eigenvalue has w_1 = 1, so q_1 contributes deg q_1; when chi
+      is square-free mod a prime of Z[i] it is square-free, and the answer
+      is n without any decomposition;
+    - a linear q_k, k >= 2, gives lam in Q(i); its Weyr counts come from
+      the ranks of the powers of m - lam, in the integer kernel.
+
+    A q_k of degree >= 2 with k >= 2 has eigenvalues outside Q(i) whose
+    Jordan structures need not agree; only then the Sylvester system is
+    solved (`_commutant_dim_sylvester`).
+    """
     if not m.is_square():
         raise NonSquareError("commutant of a non-square matrix")
-    # c*m has the commutant of m, so the system is built from an integer multiple
+    n = m.nrows
+    if n == 1:
+        return 1
+    # c*m has the commutant of m, so everything runs on an integer multiple
+    (a,) = _int_matrices([m])
+    chi = modular.berkowitz(*a)
+    if modular.is_squarefree(*chi):
+        return n
+    factors = modular.squarefree_decomposition([GaussianRational(x, y) for x, y in zip(*chi)])
+    if any(k > 1 and len(q) > 2 for k, q in factors):
+        return _commutant_dim_sylvester(m)
+    total = 0
+    for k, q in factors:
+        if k == 1:
+            total += len(q) - 1
+            continue
+        # chi is monic over Z[i], so its roots in Q(i) are Gaussian integers
+        lam = -q[0]
+        shifted = tuple(
+            [[x - c * (i == j) for j, x in enumerate(r)] for i, r in enumerate(part)]
+            for part, c in zip(a, (lam.re.numerator, lam.im.numerator))
+        )
+        power, prev = shifted, 0
+        while prev < k:
+            nullity = n - len(_echelon(zip(*power), n)[0])
+            total += (nullity - prev) ** 2
+            prev = nullity
+            if prev < k:
+                power = _gaussian_matmul(shifted, power)
+    return total
+
+
+def _commutant_dim_sylvester(m: ExactMatrix) -> int:
+    """The commutant dimension as n^2 minus the rank of the Sylvester system
+    mX - Xm = 0: the fallback of `commutant_dim` and its test oracle."""
     (a,) = _int_matrices([m])
     n = m.nrows
     return n * n - len(_echelon(_sylvester_rows(a, a), n * n)[0])
+
+
+def _gaussian_apply(m: IntMatrix, v: IntRow) -> IntRow:
+    (mre, mim), (vre, vim) = m, v
+    re = [dot(r, vre) for r in mre]
+    im = [dot(r, vim) for r in mre]
+    if any(map(any, mim)):
+        re = [x - dot(r, vim) for x, r in zip(re, mim)]
+        im = [x + dot(r, vre) for x, r in zip(im, mim)]
+    return re, im
 
 
 def solve_sylvester_space(
@@ -621,6 +708,77 @@ def _combined(gens: list[tuple[int, IntRow]], coeffs: IntRow) -> IntRow:
             re = [s - ci * y for s, y in zip(re, vim)]
             im = [s + ci * x for s, x in zip(im, vre)]
     return _primitive(re, im)
+
+
+def spin_conjugacy(
+    a_list: Sequence[ExactMatrix], b_list: Sequence[ExactMatrix]
+) -> bool | None:
+    """Whether some invertible X has X a_j = b_j X for every j, decided on
+    the spin basis of e_1; None when that basis does not decide.
+
+    Spin e_1 under the a_j to S = (s_0 = e_1, s_1, ...), each s_k = a_g s_parent,
+    and record the word M_k = b_g M_parent (M_0 = 1).  If e_1 is cyclic, an
+    intertwiner X is fixed by u = X e_1, as X s_k = M_k u; so X -> X e_1
+    embeds Hom(a, b) into Q(i)^n.  Each image a_g s_k outside the spanning
+    tree, written as sum_l c_l s_l, gives the n equations
+    (sum_l c_l M_l - b_g M_k) u = 0, and together they cut out the image.
+    Rank n leaves Hom = 0: not conjugate.  Rank n - 1 leaves one candidate
+    u, the value of an intertwiner exactly when it solves every edge's
+    equations; that intertwiner, X = [M_k u] S^-1, is invertible exactly
+    when the M_k u are independent.  Any other outcome (e_1 not cyclic, or
+    Hom of dimension >= 2) returns None.  Everything runs over Z[i], each
+    pair (a_j, b_j) scaled by a common constant, which keeps the
+    intertwiners.
+    """
+    n = a_list[0].nrows
+    pairs = [_int_matrices([a, b]) for a, b in zip(a_list, b_list)]
+    e1 = ([1] + [0] * (n - 1), [0] * n)
+    pivots: list[int] = []
+    echelon: list[IntRow] = []
+    _add_row(pivots, echelon, e1)
+    spin, words = [e1], _int_matrices([ExactMatrix.identity(n)])
+    edges = []  # (k, g, a_g s_k) off the spanning tree
+    for k, s in enumerate(spin):  # spin grows while it is walked
+        for g, (a, b) in enumerate(pairs):
+            w = _gaussian_apply(a, s)
+            if len(spin) < n and _add_row(pivots, echelon, w):
+                spin.append(w)
+                words.append(_gaussian_matmul(b, words[k]))
+            else:
+                edges.append((k, g, w))
+    if len(spin) < n:
+        return None
+    # [S | W] reduced: row l is (d_l e_l | d_l c_l) for the coordinates c of
+    # the edge images on S, d_l a real integer; d scales every c integral
+    cols = spin + [w for _, _, w in edges]
+    aug = (([c[0][i] for c in cols], [c[1][i] for c in cols]) for i in range(n))
+    _, rows = _reduced(aug, len(cols))
+    d = lcm(*(re[l] for l, (re, _) in enumerate(rows)))
+    # edge e's equations are the combination d c_l M_l - d b_g M_k
+    coeffs = [
+        (
+            [re[n + e] * (d // re[l]) for l, (re, _) in enumerate(rows)] + [-d],
+            [im[n + e] * (d // re[l]) for l, (re, im) in enumerate(rows)] + [0],
+        )
+        for e in range(len(edges))
+    ]
+    flat_words = [(0, _flat(m)) for m in words]
+    pivots, echelon = [], []
+    for (k, g, _), c in zip(edges, coeffs):
+        target = (0, _flat(_gaussian_matmul(pairs[g][1], words[k])))
+        for row in zip(*_unflat(_combined(flat_words + [target], c), n)):
+            _add_row(pivots, echelon, row)
+        if len(pivots) >= n - 1:
+            break
+    if len(pivots) != n - 1:
+        return False if len(pivots) == n else None
+    ((_, u),) = _kernel_rows(echelon, n)
+    ys = [(0, _gaussian_apply(m, u)) for m in words]
+    for (k, g, _), c in zip(edges, coeffs):
+        residual = _combined(ys + [(0, _gaussian_apply(pairs[g][1], ys[k][1]))], c)
+        if any(residual[0]) or any(residual[1]):
+            return False
+    return len(_echelon((y for _, y in ys), n)[0]) == n
 
 
 def generated_algebra_dim(mats: Sequence[ExactMatrix], size: int | None = None) -> int:
@@ -691,20 +849,22 @@ def largest_invariant_subspace(a: ExactMatrix, basis: Sequence[Vector]) -> list[
 
 
 def char_poly(m: ExactMatrix) -> list[GaussianRational]:
-    """Coefficients [c_0, ..., c_{n-1}, 1] of det(xI - m), low degree first."""
+    """Coefficients [c_0, ..., c_{n-1}, 1] of det(xI - m), low degree first.
+
+    Division-free (Berkowitz) on the integer multiple d*m, then rescaled:
+    the coefficient of x^(n-k) of det(xI - m) is d^-k times that of
+    det(xI - d*m).
+    """
     if not m.is_square():
         raise NonSquareError("characteristic polynomial of a non-square matrix")
     n = m.nrows
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    mk = ExactMatrix.identity(n)
-    for k in range(1, n + 1):
-        mk = m * mk
-        c = -(mk.trace() / k)
-        coeffs[n - k] = c
-        if k < n:
-            mk = mk.shift(c)
-    return coeffs
+    den = _denominator([m])
+    cre, cim = modular.berkowitz(*_int_matrices([m], den)[0])
+    scales = [den ** (n - k) for k in range(n + 1)]
+    return [
+        GaussianRational(Fraction(x, d), Fraction(y, d)) if x or y else ZERO
+        for x, y, d in zip(cre, cim, scales)
+    ]
 
 
 def eval_poly(coeffs: Sequence[GaussianRational], x: GaussianRational) -> GaussianRational:

@@ -16,7 +16,7 @@ from .errors import (
     NotGenericError,
     SchemeUnavailableError,
 )
-from .katz import mc_max
+from .katz import _mc_max, mc_max
 from .okubo import (
     OkuboSystem,
     euler_transform,
@@ -145,9 +145,10 @@ def _katz_reduction(system) -> Iterator[str]:
     if not is_irreducible(t):
         raise CalculusError("reduction requires an irreducible system")
     idx0 = index_of_rigidity(t)
+    # t was just checked; every later step checks its own input
     return _reduce(
         (t.rank, idx0, t.scheme.spectral_type(), t),
-        lambda system, m: _system_stage(mc_max(system), idx0),
+        lambda system, m: _system_stage((_mc_max if system is t else mc_max)(system), idx0),
     )
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 from typing import Optional, Sequence
 
-from . import linalg
+from . import linalg, modular
 from .errors import (
     DuplicatePoleError,
     InvariantError,
@@ -151,9 +151,25 @@ def _genericity_flags(mats: Sequence[ExactMatrix]) -> tuple[bool, ...]:
 
 def is_irreducible(t: SchlesingerTuple) -> bool:
     """No common invariant subspace, by the Burnside criterion: the algebra
-    generated by the residues is the full matrix algebra."""
-    n = t.rank
-    return linalg.generated_algebra_dim(list(t.matrices), size=n) == n * n
+    generated by the residues is the full matrix algebra.
+
+    Norton's test mod a prime (`modular.full_matrix_algebra`) is tried
+    first.  Its success is a proof: reduction mod p can only lower the
+    algebra's dimension, and the test shows the reduced algebra is all of
+    M_n(F_p).  It decides nothing on a reducible tuple, or when the random
+    algebra elements it draws have no eigenvalue of nullity one; only then
+    the span closure runs (`_is_irreducible_by_closure`).
+    """
+    if t.rank == 1 or modular.full_matrix_algebra(t.matrices):
+        return True
+    return _is_irreducible_by_closure(t.matrices)
+
+
+def _is_irreducible_by_closure(mats: Sequence[ExactMatrix]) -> bool:
+    """The Burnside span closure: the fallback of `is_irreducible` and its
+    test oracle."""
+    n = mats[0].nrows
+    return linalg.generated_algebra_dim(list(mats), size=n) == n * n
 
 
 def index_of_rigidity(t: SchlesingerTuple) -> int:
@@ -174,15 +190,12 @@ def matrix_tuples_equivalent(
     """Simultaneous conjugacy of two matrix tuples, decided exactly.
 
     Cheap conjugation invariants first (rank and characteristic polynomial of
-    each matrix); then the intertwiner space is solved and searched for an
-    invertible element.  When no basis element is invertible, the ranks of
-    the powers m^k, k <= n, of each matrix are compared, and then the
-    principal lattice {c in N^k : sum c <= n} of basis coefficients is
-    searched.  The determinant restricted to the space is a polynomial of
-    total degree at most n in the coefficients, and that lattice is
-    unisolvent for such polynomials (Chung-Yao 1977), so if the determinant
-    vanishes on it, it is identically zero and no invertible intertwiner
-    exists over any extension field.
+    each matrix).  Then the intertwiners are read through the spin basis of
+    e_1 (`linalg.spin_conjugacy`): when e_1 is cyclic for the a_j, an
+    intertwiner is fixed by its value on e_1, so n unknowns replace n^2, and
+    a space of dimension 0 or 1 decides the question exactly.  When e_1 is
+    not cyclic, or the intertwiners form a space of dimension >= 2, the full
+    intertwiner space is solved (`_equivalent_by_sylvester`).
     """
     if len(a_mats) != len(b_mats):
         return False
@@ -196,6 +209,28 @@ def matrix_tuples_equivalent(
             return False
         if linalg.char_poly(a) != linalg.char_poly(b):
             return False
+    verdict = linalg.spin_conjugacy(a_mats, b_mats)
+    if verdict is not None:
+        return verdict
+    return _equivalent_by_sylvester(a_mats, b_mats)
+
+
+def _equivalent_by_sylvester(
+    a_mats: Sequence[ExactMatrix], b_mats: Sequence[ExactMatrix]
+) -> bool:
+    """Simultaneous conjugacy from a basis of the whole intertwiner space:
+    the fallback of `matrix_tuples_equivalent` and its test oracle.
+
+    The basis is searched for an invertible element.  When there is none,
+    the ranks of the powers m^k, k <= n, of each matrix are compared, and
+    then the principal lattice {c in N^k : sum c <= n} of basis coefficients
+    is searched.  The determinant restricted to the space is a polynomial of
+    total degree at most n in the coefficients, and that lattice is
+    unisolvent for such polynomials (Chung-Yao 1977), so if the determinant
+    vanishes on it, it is identically zero and no invertible intertwiner
+    exists over any extension field.
+    """
+    n = a_mats[0].nrows
     basis = linalg.solve_sylvester_space(list(a_mats), list(b_mats))
     if not basis:
         return False

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fuchsmc import linalg
 from fuchsmc.errors import NonSquareError, SizeMismatchError
 from fuchsmc.linalg import (
     ExactMatrix,
+    _commutant_dim_sylvester,
     char_poly,
     commutant_dim,
     complete_to_basis,
@@ -21,7 +23,8 @@ from fuchsmc.linalg import (
     solve,
     solve_sylvester_space,
 )
-from fuchsmc.scalars import ZERO, gr
+from fuchsmc.modular import PRIMES
+from fuchsmc.scalars import ONE, ZERO, gr
 from fuchsmc.schlesinger import build_L
 
 E = ExactMatrix.from_rows
@@ -240,6 +243,19 @@ class TestCharPoly:
             acc = acc + power.scale(c)
             power = power * m
         assert acc.is_zero()
+
+
+def oracle_char_poly(m):
+    """Faddeev-LeVerrier: c_(n-k) = -tr(m M_k) / k, M_(k+1) = m M_k + c_(n-k)."""
+    n = m.nrows
+    coeffs = [ZERO] * n + [ONE]
+    mk = ExactMatrix.identity(n)
+    for k in range(1, n + 1):
+        mk = m * mk
+        c = -(mk.trace() / k)
+        coeffs[n - k] = c
+        mk = mk.shift(c)
+    return coeffs
 
 
 # -- oracle: textbook Gauss-Jordan on pairs of Fractions ---------------------------
@@ -578,3 +594,76 @@ class TestIntertwinersAgainstOracle:
         else:
             b_list = [data.draw(matrices(n, n)) for _ in range(count)]
         assert solve_sylvester_space(a_list, b_list) == oracle_intertwiners(a_list, b_list)
+
+
+# -- certificates against the closures they replace -------------------------------
+#
+# char_poly is division-free, and commutant_dim reads the commutant off the
+# characteristic polynomial; the Sylvester solve stays as the fallback and is
+# the oracle here.
+
+P = PRIMES[0]
+
+
+def derogatory_two_eigenvalues(data):
+    """Two distinct eigenvalues of equal multiplicity k + 1, each with two
+    Jordan blocks: the square-free factor of multiplicity k + 1 has degree
+    two, which forces the fallback."""
+    k = data.draw(st.integers(1, 2))
+    return data.draw(st.permutations([(k, "2"), (1, "2"), (k, "-1/3+i"), (1, "-1/3+i")]))
+
+
+class TestCertificatesAgainstOracle:
+    @example(E([[G(1), G(Fraction(1, P))], [G(0), G(Fraction(1, P), 1)]]))
+    @example(E([[G("1/2-3i")]]))
+    @given(gaussian_matrices(max_size=5, square=True))
+    @settings(max_examples=80, deadline=None)
+    def test_char_poly_is_faddeev_leverrier(self, m):
+        assert char_poly(m) == oracle_char_poly(m)
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_commutant_gaussian_entries(self, n, data):
+        m = data.draw(matrices(n, n))
+        assert commutant_dim(m) == _commutant_dim_sylvester(m)
+
+    @given(st.integers(1, 5).flatmap(jordan_blocks), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_commutant_nilpotent_and_repeated_blocks(self, blocks, data):
+        j = jordan_sum([(k, "0" if data.draw(st.booleans()) else lam) for k, lam in blocks])
+        m = conjugated(j, data.draw(matrices(j.nrows, j.nrows)))
+        assert commutant_dim(m) == _commutant_dim_sylvester(m)
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_commutant_falls_back_on_two_multiple_eigenvalues(self, data):
+        blocks = derogatory_two_eigenvalues(data)
+        j = jordan_sum(blocks)
+        m = conjugated(j, data.draw(matrices(j.nrows, j.nrows)))
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return _commutant_dim_sylvester(x)
+
+        linalg._commutant_dim_sylvester, saved = counting, linalg._commutant_dim_sylvester
+        try:
+            got = commutant_dim(m)
+        finally:
+            linalg._commutant_dim_sylvester = saved
+        assert calls == [m]
+        assert got == jordan_commutant_dim(blocks) == _commutant_dim_sylvester(m)
+
+    @pytest.mark.parametrize("den", [P, P * PRIMES[1], P * P])
+    def test_commutant_with_the_prime_as_denominator(self, den):
+        # the square-free test runs on the integer multiple, so no denominator
+        # can spoil it
+        q = G(Fraction(1, den))
+        for m in [
+            E([[q, G(0)], [G(0), q]]),
+            E([[q, G(1)], [G(0), q]]),
+            E([[q, G(2), G(0)], [G(0), q, G(0)], [G(0), G(0), G(3)]]),
+            E([[q, q], [q, G(1)]]),
+            E([[q, G(0), G(1)], [G(0), q, G(0)], [G(0), G(0), G(1) + q]]),
+        ]:
+            assert commutant_dim(m) == _commutant_dim_sylvester(m)

@@ -47,20 +47,25 @@ def wrong_scheme(s: RiemannScheme) -> RiemannScheme:
     return RiemannScheme(s.poles, cols)
 
 
-def verify_scheme_keys(monkeypatch):
-    """The (poles, matrices, scheme) key of every verify_scheme call made
-    through any fuchsmc binding while the test runs."""
-    original = schlesinger.verify_scheme
+def call_keys(monkeypatch, name, key):
+    """key(*args) of every call of schlesinger.<name> made through any
+    fuchsmc binding while the test runs."""
+    original = getattr(schlesinger, name)
     seen = []
 
-    def counting(t, s):
-        seen.append((t.poles, t.matrices, s))
-        return original(t, s)
+    def counting(*args):
+        seen.append(key(*args))
+        return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("fuchsmc") and getattr(module, "verify_scheme", None) is original:
-            monkeypatch.setattr(module, "verify_scheme", counting)
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("fuchsmc") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
     return seen
+
+
+def verify_scheme_keys(monkeypatch):
+    """The (poles, matrices, scheme) key of every verify_scheme call."""
+    return call_keys(monkeypatch, "verify_scheme", lambda t, s: (t.poles, t.matrices, s))
 
 
 def reduction_parameters(o):
@@ -103,6 +108,18 @@ def test_katz_reduce_verifies_each_scheme_once(tmp_path, monkeypatch, capsys, de
     assert main(["reduce", "--input", str(inp), "--mode", "katz"]) == 0
     assert "reached rank 1" in capsys.readouterr().out
     assert seen
+    assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_katz_reduce_checks_each_tuple_irreducible_once(tmp_path, monkeypatch, capsys, n):
+    # the driver checks its input; the first mc_max step does not check it again
+    inp = tmp_path / f"rigid{n}.json"
+    ser.save_system(str(inp), rigid_family_realization(n))
+    seen = call_keys(monkeypatch, "is_irreducible", lambda t: (t.poles, t.matrices))
+    assert main(["reduce", "--input", str(inp), "--mode", "katz"]) == 0
+    assert "reached rank 1" in capsys.readouterr().out
+    assert len(seen) == n - 1
     assert len(set(seen)) == len(seen)
 
 

@@ -1,18 +1,25 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fuchsmc import linalg, modular, schlesinger
 from fuchsmc.errors import (
     DuplicatePoleError,
     PartitionSizeMismatchError,
     PointMismatchError,
     SchemeUnavailableError,
 )
-from fuchsmc.linalg import ExactMatrix, commutant_dim, inverse, rank
+from fuchsmc.generate import random_schlesinger
+from fuchsmc.linalg import ExactMatrix, block_matrix, commutant_dim, inverse, rank
 from fuchsmc.scalars import gr
 from fuchsmc.schlesinger import (
     SchlesingerTuple,
+    _equivalent_by_sylvester,
+    _is_irreducible_by_closure,
     build_L,
     check_star_conditions,
     index_of_rigidity,
@@ -270,3 +277,202 @@ class TestInferScheme:
 def test_commutant_dim_of_class_representative_formula():
     parts = [(gr(1), 2), (gr(2), 1), (gr(3), 1)]
     assert commutant_dim(build_L(parts)) == 4 + 1 + 1
+
+
+# -- certificates against the closures they replace ---------------------------------
+#
+# is_irreducible tries Norton's test mod p before the Burnside closure, and
+# matrix_tuples_equivalent the spin basis of e_1 before the full intertwiner
+# space; the closures stay as the fallbacks and are the oracles here.
+
+P = modular.PRIMES[0]
+seeds = st.integers(0, 10_000)
+
+
+def random_matrix(rng, n, den=1, gaussian=True):
+    """Entries in [-3, 3] (+ [-3, 3] i) over den, zero about a third of the time."""
+    def entry():
+        if rng.random() < 0.3:
+            return gr(0)
+        im = Fraction(rng.randint(-3, 3), den) if gaussian and rng.random() < 0.5 else 0
+        return gr(Fraction(rng.randint(-3, 3), den), im)
+
+    return ExactMatrix(n, n, [[entry() for _ in range(n)] for _ in range(n)])
+
+
+def random_invertible(rng, n):
+    while True:
+        g = random_matrix(rng, n)
+        if rank(g) == n:
+            return g
+
+
+def conjugate_all(mats, g):
+    gi = inverse(g)
+    return [g * m * gi for m in mats]
+
+
+def block_triangular(rng, n, k, count, den=1):
+    """Residues with the common invariant subspace spanned by e_1..e_k and a
+    nonzero corner in the first one: reducible, usually indecomposable."""
+    mats = []
+    for i in range(count):
+        m = random_matrix(rng, n, den)
+        rows = [[gr(0) if r >= k and c < k else m[r, c] for c in range(n)] for r in range(n)]
+        if i == 0:
+            rows[0][k] = gr(1)
+        mats.append(ExactMatrix(n, n, rows))
+    return mats
+
+
+def counted(monkeypatch, name):
+    """Calls of the fallback schlesinger.<name> while the test runs."""
+    original = getattr(schlesinger, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(schlesinger, name, counting)
+    return calls
+
+
+def nilpotent(sizes):
+    n = sum(sizes)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size - 1):
+            rows[i][i + 1] = 1
+        start += size
+    return E(rows)
+
+
+class TestIrreducibilityCertificate:
+    @given(seeds, st.integers(2, 4), st.integers(1, 3), st.sampled_from([1, 2, P]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_tuples(self, seed, n, count, den):
+        rng = random.Random(seed)
+        mats = [random_matrix(rng, n, den) for _ in range(count)]
+        t = SchlesingerTuple(range(count), mats)
+        assert is_irreducible(t) == _is_irreducible_by_closure(mats)
+
+    @given(seeds, st.integers(2, 4), st.integers(1, 3), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_reducible_indecomposable(self, seed, n, count, conjugate):
+        rng = random.Random(seed)
+        mats = block_triangular(rng, n, rng.randint(1, n - 1), count)
+        if conjugate:
+            mats = conjugate_all(mats, random_invertible(rng, n))
+        assert not _is_irreducible_by_closure(mats)
+        assert not is_irreducible(SchlesingerTuple(range(count), mats))
+
+    def test_prime_denominator_moves_to_the_next_prime(self):
+        q = gr(Fraction(1, P))
+        mats = [E([[0, q], [0, 0]]), E([[0, 0], [q, 0]])]
+        assert modular.reduce_matrices(mats, P) is None
+        assert modular.full_matrix_algebra(mats)
+        assert is_irreducible(SchlesingerTuple([0, 1], mats))
+
+    def test_no_usable_prime_falls_back(self, monkeypatch):
+        den = 1
+        for p in modular.PRIMES:
+            den *= p
+        q = gr(Fraction(1, den))
+        mats = [E([[0, q], [0, 0]]), E([[0, 0], [q, 0]])]
+        assert not modular.full_matrix_algebra(mats)
+        calls = counted(monkeypatch, "_is_irreducible_by_closure")
+        assert is_irreducible(SchlesingerTuple([0, 1], mats))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 1), (2, 2, 2), (3, 2, 1)])
+    def test_nilpotent_probes(self, sizes):
+        a = nilpotent(sizes)
+        zero = ExactMatrix.zeros(a.nrows)
+        for mats in ([a, a.transpose()], [a, zero], [a, a.transpose(), a * a]):
+            t = SchlesingerTuple(range(len(mats)), mats)
+            assert is_irreducible(t) == _is_irreducible_by_closure(mats)
+
+
+class TestEquivalenceCertificate:
+    @given(seeds, st.integers(1, 4), st.integers(1, 3), st.sampled_from([1, P]))
+    @settings(max_examples=50, deadline=None)
+    def test_conjugates(self, seed, n, count, den):
+        rng = random.Random(seed)
+        a = [random_matrix(rng, n, den) for _ in range(count)]
+        b = conjugate_all(a, random_invertible(rng, n))
+        assert matrix_tuples_equivalent(a, b) == _equivalent_by_sylvester(a, b)
+
+    @given(seeds, st.integers(2, 4), st.integers(2, 3))
+    @settings(max_examples=50, deadline=None)
+    def test_each_matrix_conjugated_on_its_own(self, seed, n, count):
+        # every cheap invariant agrees; the tuples are usually not conjugate
+        rng = random.Random(seed)
+        a = [random_matrix(rng, n) for _ in range(count)]
+        b = [conjugate_all([m], random_invertible(rng, n))[0] for m in a]
+        assert matrix_tuples_equivalent(a, b) == _equivalent_by_sylvester(a, b)
+
+    @given(seeds, st.integers(2, 4), st.integers(1, 3), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_reducible_indecomposable_against_its_split(self, seed, n, count, same):
+        rng = random.Random(seed)
+        k = rng.randint(1, n - 1)
+        a = block_triangular(rng, n, k, count)
+        # the same diagonal blocks without the corner
+        split = [
+            ExactMatrix(n, n, [[m[r, c] if (r < k) == (c < k) else gr(0) for c in range(n)] for r in range(n)])
+            for m in a
+        ]
+        g = random_invertible(rng, n)
+        a = conjugate_all(a, g)
+        b = conjugate_all(a if same else split, random_invertible(rng, n))
+        assert matrix_tuples_equivalent(a, b) == _equivalent_by_sylvester(a, b)
+
+    @given(seeds, st.integers(1, 2), st.integers(1, 2))
+    @settings(max_examples=20, deadline=None)
+    def test_direct_sum_falls_back(self, seed, n, count):
+        # Hom(a + a, a + a) has dimension 4: the spin basis does not decide
+        rng = random.Random(seed)
+        base = [random_matrix(rng, n) for _ in range(count)]
+        zero = ExactMatrix.zeros(n)
+        a = [block_matrix([[m, zero], [zero, m]]) for m in base]
+        a = conjugate_all(a, random_invertible(rng, 2 * n))
+        b = conjugate_all(a, random_invertible(rng, 2 * n))
+        assert linalg.spin_conjugacy(a, b) is None
+        assert matrix_tuples_equivalent(a, b)
+
+    @given(seeds, st.integers(2, 4), st.integers(1, 3), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_e1_not_cyclic_falls_back(self, seed, n, count, conjugate):
+        # e_1 spans an invariant line of every a_j
+        rng = random.Random(seed)
+        a = block_triangular(rng, n, 1, count)
+        b = conjugate_all(a, random_invertible(rng, n)) if conjugate else [
+            conjugate_all([m], random_invertible(rng, n))[0] for m in a
+        ]
+        assert linalg.spin_conjugacy(a, b) is None
+        assert matrix_tuples_equivalent(a, b) == _equivalent_by_sylvester(a, b)
+
+    @pytest.mark.parametrize(
+        "a_sizes,b_sizes", [((2, 2), (3, 1)), ((2, 2, 2), (3, 2, 1)), ((2, 1), (2, 1))]
+    )
+    def test_nilpotent_probes(self, a_sizes, b_sizes):
+        a, b = nilpotent(a_sizes), nilpotent(b_sizes)
+        zero = ExactMatrix.zeros(a.nrows)
+        g = E([[1 if i <= j else 0 for j in range(a.nrows)] for i in range(a.nrows)])
+        for first, second in ([a, a.transpose()], [b, b.transpose()]), ([a, zero], [b, zero]):
+            other = conjugate_all(second, g)
+            assert matrix_tuples_equivalent(first, other) == _equivalent_by_sylvester(first, other)
+
+
+def test_certificates_decide_generic_tuples():
+    rng = random.Random(0)
+    for n, p in [(2, 2), (3, 2), (3, 3), (4, 3)]:
+        t = random_schlesinger(rng, n, p)
+        assert modular.full_matrix_algebra(t.matrices)
+        conj = conjugate_all(t.matrices, random_invertible(rng, n))
+        assert linalg.spin_conjugacy(t.matrices, conj) is True
+        apart = [conjugate_all([m], random_invertible(rng, n))[0] for m in t.matrices]
+        assert _equivalent_by_sylvester(t.matrices, apart) is False
+        assert linalg.spin_conjugacy(t.matrices, apart) is False
