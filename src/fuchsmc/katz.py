@@ -93,12 +93,14 @@ class ConvolutionData:
         overlap = len(k_basis) + len(l_basis) - len(span_basis)
         if overlap < 0 or len(span_basis) + len(complement_basis) != pn:
             raise InvariantError("subspace dimensions do not add up")
+        spans = [
+            (name, ExactMatrix.from_columns(list(basis), nrows=pn))
+            for name, basis in (("kernel", k_basis), ("sum-kernel", l_basis))
+            if basis
+        ]
         for g in big_matrices:
-            for name, basis in (("kernel", k_basis), ("sum-kernel", l_basis)):
-                if basis and not linalg.span_contains(
-                    ExactMatrix.from_columns(list(basis), nrows=pn),
-                    ExactMatrix.from_columns([g.apply(v) for v in basis], nrows=pn),
-                ):
+            for name, span in spans:
+                if not linalg.span_contains(span, g * span):
                     raise InvariantError(f"{name} subspace is not invariant")
 
 
@@ -150,11 +152,10 @@ def middle_convolution(t: SchlesingerTuple, lam) -> SchlesingerTuple:
     q = len(cd.complement_basis)
     if q == 0:
         raise PreconditionFailError("middle convolution collapsed to rank zero")
-    comp_cols = [_std_vector(pn, i) for i in cd.complement_basis]
-    basis = ExactMatrix.from_columns(list(cd.span_basis) + comp_cols, nrows=pn)
+    comp_mat = ExactMatrix.identity(pn).submatrix(range(pn), cd.complement_basis)
+    basis = ExactMatrix.from_columns(list(cd.span_basis), nrows=pn).hstack(comp_mat)
     basis_inv = linalg.inverse(basis)
     s = len(cd.span_basis)
-    comp_mat = ExactMatrix.from_columns(comp_cols, nrows=pn)
     mats = []
     for g in cd.big_matrices:
         coords = basis_inv * (g * comp_mat)
@@ -162,12 +163,6 @@ def middle_convolution(t: SchlesingerTuple, lam) -> SchlesingerTuple:
     out = SchlesingerTuple(t.poles, mats)
     scheme = _transported_scheme(t, lam, out)
     return out if scheme is None else _attach_scheme(out, scheme)
-
-
-def _std_vector(n: int, i: int) -> Vector:
-    v = [ZERO] * n
-    v[i] = gr(1)
-    return tuple(v)
 
 
 def _transported_scheme(t, lam, result) -> Optional[RiemannScheme]:

@@ -5,6 +5,15 @@ form with its canonical pivot structure, kernel/image bases read off from it,
 commutant dimensions, the dimension of a generated matrix algebra, and the
 space of intertwiners between two matrix tuples.
 
+An `ExactMatrix` is one positive integer `den` and two tuples of int rows,
+`re` and `im`: the matrix is (re + i*im)/den.  The triple is kept reduced
+(no prime divides den and every numerator, and the zero matrix has den 1),
+so each value has exactly one stored form, equality and hashing compare
+ints, and den is the lcm of the entry denominators.  Sums, products,
+scaling, stacking and transposes run on the stored ints; `GaussianRational`
+appears only at the edge: entries, columns, `rows`, `trace`, the result of
+`apply` and the constructor.
+
 The n^2-wide systems behind the last three are the expensive part, so the
 predicates built on them try an exact certificate first, and solve the
 n^2-wide system only when it does not decide:
@@ -22,13 +31,15 @@ n^2-wide system only when it does not decide:
 Each certificate is either a proof over Q(i) or returns "undecided"; none
 changes what a predicate returns, only how fast.
 
-All of them run on one fraction-free elimination kernel over the Gaussian
-integers Z[i] (rows of Python ints, denominators cleared row by row, every
-row kept primitive).  `_add_row` reduces one row against an echelon basis
-and is the only pivot loop: `_echelon` feeds it the rows of a matrix, and
-the Burnside span closure feeds it one product at a time.  Rank, pivot
-columns and span tests read the pivots; rref, kernel, solve and inverse
-divide each reduced row by one entry, once, at the end.
+All of them run on one Gaussian-integer product, `_gaussian_matmul` (also
+under `ExactMatrix.__mul__`), and one fraction-free elimination kernel over
+Z[i]: a row is a pair of int sequences, and a matrix's rows enter as they
+are stored, since scaling by den changes no row space.  `_add_row` reduces
+one row against an echelon basis and is the only pivot loop: `_echelon`
+feeds it the rows of a matrix, and the Burnside span closure feeds it one
+product at a time.  Rank, pivot columns and span tests read the pivots;
+rref, kernel, solve and inverse divide each reduced row by one entry, once,
+at the end.
 
 All values are immutable after construction and all operations are pure, so
 concurrent use is safe.  Kernel and image bases are the rref-canonical ones
@@ -40,27 +51,36 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import modular
 from .modular import dot
 from .errors import NonSquareError, SizeMismatchError
-from .scalars import ONE, ZERO, GaussianRational, gr
+from .scalars import ZERO, GaussianRational, gr
 
 Vector = tuple[GaussianRational, ...]
+IntRow = tuple[list[int], list[int]]
+IntMatrix = tuple[list[list[int]], list[list[int]]]  # real and imaginary parts
 
 
 class ExactMatrix:
-    __slots__ = ("nrows", "ncols", "rows")
+    """The matrix (re + i*im)/den, reduced (see the module docstring)."""
+
+    __slots__ = ("nrows", "ncols", "den", "re", "im")
 
     def __init__(self, nrows: int, ncols: int, rows: Sequence[Sequence]):
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise SizeMismatchError("matrix data does not match declared shape")
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = tuple(tuple(gr(x) for x in r) for r in rows)
+        entries = [[_integer_pair(x) for x in r] for r in rows]
+        # the lcm of the entry denominators leaves the triple reduced: a prime
+        # power exactly dividing it exactly divides some entry's denominator,
+        # and that entry's numerator is prime to it
+        den = lcm(*(d for r in entries for d, _, _ in r))
+        self.nrows, self.ncols, self.den = nrows, ncols, den
+        self.re = tuple(tuple(x * (den // d) for d, x, _ in r) for r in entries)
+        self.im = tuple(tuple(y * (den // d) for d, _, y in r) for r in entries)
 
     # -- constructors ---------------------------------------------------------
 
@@ -75,7 +95,7 @@ class ExactMatrix:
         if not cols:
             if nrows is None:
                 raise SizeMismatchError("empty column list needs an explicit row count")
-            return ExactMatrix(nrows, 0, [[] for _ in range(nrows)])
+            return ExactMatrix.zeros(nrows, 0)
         n = len(cols[0])
         if any(len(c) != n for c in cols):
             raise SizeMismatchError("columns of unequal length")
@@ -84,13 +104,13 @@ class ExactMatrix:
     @staticmethod
     def zeros(nrows: int, ncols: int | None = None) -> "ExactMatrix":
         ncols = nrows if ncols is None else ncols
-        return ExactMatrix(nrows, ncols, [[ZERO] * ncols for _ in range(nrows)])
+        zero = ((0,) * ncols,) * nrows
+        return _matrix(nrows, ncols, 1, zero, zero)
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(
-            n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
+        ones = [[int(i == j) for j in range(n)] for i in range(n)]
+        return _matrix(n, n, 1, ones, ((0,) * n,) * n)
 
     @staticmethod
     def diagonal(values: Sequence) -> "ExactMatrix":
@@ -102,9 +122,16 @@ class ExactMatrix:
 
     # -- basic structure ------------------------------------------------------
 
+    @property
+    def rows(self) -> tuple[Vector, ...]:
+        """The entries as Gaussian rationals, row by row (built on each read)."""
+        return tuple(
+            tuple(_scalar(x, y, self.den) for x, y in zip(r, s)) for r, s in zip(self.re, self.im)
+        )
+
     def __getitem__(self, ij) -> GaussianRational:
         i, j = ij
-        return self.rows[i][j]
+        return _scalar(self.re[i][j], self.im[i][j], self.den)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -112,94 +139,89 @@ class ExactMatrix:
         return (
             self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.den == other.den
+            and self.re == other.re
+            and self.im == other.im
         )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.rows))
+        return hash((self.nrows, self.ncols, self.den, self.re, self.im))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"ExactMatrix({self.nrows}x{self.ncols}: {body})"
 
     def is_zero(self) -> bool:
-        return all(not x for r in self.rows for x in r)
+        return not any(map(any, self.re + self.im))
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
+        return tuple(_scalar(r[j], s[j], self.den) for r, s in zip(self.re, self.im))
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.ncols,
-            self.nrows,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-        )
+        re, im = ([[r[j] for r in part] for j in range(self.ncols)] for part in (self.re, self.im))
+        return _stored(self.ncols, self.nrows, self.den, re, im)
 
     def trace(self) -> GaussianRational:
         if not self.is_square():
             raise NonSquareError("trace of a non-square matrix")
-        t = ZERO
-        for i in range(self.nrows):
-            t = t + self.rows[i][i]
-        return t
+        return _scalar(
+            sum(r[i] for i, r in enumerate(self.re)), sum(r[i] for i, r in enumerate(self.im)), self.den
+        )
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
-        return ExactMatrix(
-            len(row_idx),
-            len(col_idx),
-            [[self.rows[i][j] for j in col_idx] for i in row_idx],
-        )
+        re, im = ([[part[i][j] for j in col_idx] for i in row_idx] for part in (self.re, self.im))
+        return _matrix(len(row_idx), len(col_idx), self.den, re, im)
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix(
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise SizeMismatchError("shape mismatch")
+        den = lcm(self.den, other.den)
+        (are, aim), (bre, bim) = _scaled(self, den), _scaled(other, den)
+        return _matrix(
             self.nrows,
             self.ncols,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
+            den,
+            [[x + y for x, y in zip(r, s)] for r, s in zip(are, bre)],
+            [[x + y for x, y in zip(r, s)] for r, s in zip(aim, bim)],
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix(
-            self.nrows,
-            self.ncols,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        return self + other.scale(-1)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.nrows, self.ncols, [[-a for a in r] for r in self.rows]
-        )
+        return self.scale(-1)
 
     def scale(self, c) -> "ExactMatrix":
-        c = gr(c)
-        return ExactMatrix(
-            self.nrows, self.ncols, [[c * a for a in r] for r in self.rows]
+        d, cr, ci = _integer_pair(c)
+        # (x + yi)(cr + ci i) = (x cr - y ci) + (x ci + y cr)i
+        return _matrix(
+            self.nrows,
+            self.ncols,
+            self.den * d,
+            [[x * cr - y * ci for x, y in zip(r, s)] for r, s in zip(self.re, self.im)],
+            [[x * ci + y * cr for x, y in zip(r, s)] for r, s in zip(self.re, self.im)],
         )
 
     def shift(self, c) -> "ExactMatrix":
         """self + c * identity."""
         if not self.is_square():
             raise NonSquareError("shift of a non-square matrix")
-        c = gr(c)
-        rows = [list(r) for r in self.rows]
-        for i in range(self.nrows):
-            rows[i][i] = rows[i][i] + c
-        return ExactMatrix(self.nrows, self.ncols, rows)
+        d, cr, ci = _integer_pair(c)
+        den = lcm(self.den, d)
+        k, t = den // self.den, den // d
+        re, im = (
+            [[x * k + v * t * (i == j) for j, x in enumerate(r)] for i, r in enumerate(part)]
+            for part, v in ((self.re, cr), (self.im, ci))
+        )
+        return _matrix(self.nrows, self.ncols, den, re, im)
 
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
@@ -207,16 +229,10 @@ class ExactMatrix:
                 raise SizeMismatchError(
                     f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
                 )
-            bt = other.rows
-            out = []
-            for arow in self.rows:
-                acc = [ZERO] * other.ncols
-                for k, a in enumerate(arow):
-                    if a:
-                        brow = bt[k]
-                        acc = [s + a * b if b else s for s, b in zip(acc, brow)]
-                out.append(acc)
-            return ExactMatrix(self.nrows, other.ncols, out)
+            if not self.ncols:
+                return ExactMatrix.zeros(self.nrows, other.ncols)
+            re, im = _gaussian_matmul((self.re, self.im), (other.re, other.im))
+            return _matrix(self.nrows, other.ncols, self.den * other.den, re, im)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -225,72 +241,99 @@ class ExactMatrix:
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
             raise SizeMismatchError("vector length does not match column count")
-        out = [ZERO] * self.nrows
-        for i, row in enumerate(self.rows):
-            acc = ZERO
-            for a, x in zip(row, v):
-                if a and x:
-                    acc = acc + a * x
-            out[i] = acc
-        return tuple(out)
-
-    def _same_shape(self, other: "ExactMatrix"):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise SizeMismatchError("shape mismatch")
+        u = ExactMatrix(1, self.ncols, [v])
+        re, im = _gaussian_apply((self.re, self.im), (u.re[0], u.im[0]))
+        return tuple(_scalar(x, y, self.den * u.den) for x, y in zip(re, im))
 
     # -- stacking -------------------------------------------------------------
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.nrows != other.nrows:
             raise SizeMismatchError("hstack row mismatch")
-        return ExactMatrix(
-            self.nrows,
-            self.ncols + other.ncols,
-            [ra + rb for ra, rb in zip(self.rows, other.rows)],
-        )
+        return block_matrix([[self, other]])
 
     def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.ncols:
             raise SizeMismatchError("vstack column mismatch")
-        return ExactMatrix(
-            self.nrows + other.nrows, self.ncols, self.rows + other.rows
-        )
+        return block_matrix([[self], [other]])
 
 
 def block_matrix(grid: Sequence[Sequence[ExactMatrix]]) -> ExactMatrix:
-    rows = []
+    den = lcm(*(b.den for brow in grid for b in brow))
+    ncols = sum(b.ncols for b in grid[0]) if grid else 0
+    re, im = [], []
     for brow in grid:
         h = brow[0].nrows
         if any(b.nrows != h for b in brow):
             raise SizeMismatchError("ragged block row")
-        for i in range(h):
-            rows.append([x for b in brow for x in b.rows[i]])
-    return ExactMatrix.from_rows(rows)
+        if sum(b.ncols for b in brow) != ncols:
+            raise SizeMismatchError("block rows of unequal width")
+        parts = [_scaled(b, den) for b in brow]
+        re += ([x for bre, _ in parts for x in bre[i]] for i in range(h))
+        im += ([y for _, bim in parts for y in bim[i]] for i in range(h))
+    # reduced blocks over the lcm of their denominators leave the result reduced
+    return _stored(len(re), ncols, den, re, im)
+
+
+# -- the stored form -----------------------------------------------------------
+
+
+def _matrix(nrows: int, ncols: int, den: int, re, im) -> ExactMatrix:
+    """The matrix (re + i*im)/den, den > 0, brought to its reduced form."""
+    g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im)) if den != 1 else 1
+    if g != 1:
+        den //= g
+        re = [[x // g for x in r] for r in re]
+        im = [[y // g for y in r] for r in im]
+    return _stored(nrows, ncols, den, re, im)
+
+
+def _stored(nrows: int, ncols: int, den: int, re, im) -> ExactMatrix:
+    """The matrix (re + i*im)/den from a triple that is already reduced."""
+    m = ExactMatrix.__new__(ExactMatrix)
+    m.nrows, m.ncols, m.den = nrows, ncols, den
+    m.re, m.im = tuple(map(tuple, re)), tuple(map(tuple, im))
+    return m
+
+
+def _scalar(x: int, y: int, den: int) -> GaussianRational:
+    """(x + y i)/den."""
+    if not (x or y):
+        return ZERO
+    return GaussianRational(Fraction(x, den), Fraction(y, den))
+
+
+def _integer_pair(c) -> tuple[int, int, int]:
+    """(d, cr, ci) with gr(c) = (cr + ci i)/d and d > 0."""
+    c = gr(c)
+    d = lcm(c.re.denominator, c.im.denominator)
+    return d, c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator)
+
+
+def _scaled(m: ExactMatrix, den: int) -> IntMatrix:
+    """The numerators of m over `den`, a multiple of m.den."""
+    k = den // m.den
+    if k == 1:
+        return m.re, m.im
+    return [[x * k for x in r] for r in m.re], [[y * k for y in r] for r in m.im]
+
+
+def _common_scale(a: ExactMatrix, b: ExactMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """a and b times one integer, the lcm of their denominators."""
+    den = lcm(a.den, b.den)
+    return _scaled(a, den), _scaled(b, den)
 
 
 # -- elimination kernel --------------------------------------------------------
 #
 # Every elimination runs over the Gaussian integers Z[i].  A row is a pair
-# (re, im) of equal-length lists of Python ints.  A rational row enters scaled
-# by the lcm of its denominators; scaling a row by a nonzero constant changes
-# neither the row space, the pivot columns, the rank nor the kernel.  Rows are
-# kept primitive (the integer gcd of all their parts divided out), so entries
-# stay small without any rational arithmetic.  Results that need rational
-# values divide each row by one of its entries once, at the end.
-
-IntRow = tuple[list[int], list[int]]
-IntMatrix = tuple[list[list[int]], list[list[int]]]  # real and imaginary parts
-
-
-def _int_row(values: Sequence[GaussianRational]) -> IntRow:
-    """The row scaled by the lcm of its denominators, as Gaussian integers."""
-    re = [x.re for x in values]
-    im = [x.im for x in values]
-    den = lcm(*(q.denominator for q in re), *(q.denominator for q in im))
-    return (
-        [q.numerator * (den // q.denominator) for q in re],
-        [q.numerator * (den // q.denominator) for q in im],
-    )
+# (re, im) of equal-length sequences of Python ints; a matrix's rows enter
+# as stored, den times the rational rows, and scaling a row by a nonzero
+# constant changes neither the row space, the pivot columns, the rank nor the
+# kernel.  Rows are kept primitive (the integer gcd of all their parts
+# divided out), so entries stay small without any rational arithmetic.
+# Results that need rational values divide each row by one of its entries
+# once, at the end.
 
 
 def _primitive(re: list[int], im: list[int]) -> IntRow:
@@ -403,27 +446,37 @@ def _kernel_rows(rows: Iterable[IntRow], ncols: int) -> list[tuple[int, IntRow]]
     return out
 
 
-def _divided(row: IntRow, c: int) -> list[GaussianRational]:
-    """The row divided by its entry in column c, as Gaussian rationals."""
-    re, im = _real_at(row, c)
-    den = re[c]
-    return [
-        GaussianRational(Fraction(x, den), Fraction(y, den)) if x or y else ZERO
-        for x, y in zip(re, im)
-    ]
+def _divided(row: IntRow, c: int) -> tuple[int, IntRow]:
+    """(d, v) with v / d the row divided by its entry in column c; d is a
+    nonzero integer, positive at a free column of `_kernel_rows`."""
+    row = _real_at(row, c)
+    return row[0][c], row
 
 
-def _rref(m: ExactMatrix) -> tuple[list[int], list[list[GaussianRational]]]:
-    """Pivot columns and the nonzero rows of the reduced row echelon form."""
-    pivots, rows = _reduced(map(_int_row, m.rows), m.ncols)
+def _stacked(rows: Sequence[tuple[int, IntRow]], ncols: int) -> ExactMatrix:
+    """The matrix whose rows are v / d for (d, v) in rows; (1, zeros) for a zero row."""
+    den = lcm(*(d for d, _ in rows))
+    return _matrix(
+        len(rows),
+        ncols,
+        den,
+        [[x * (den // d) for x in re] for d, (re, _) in rows],
+        [[y * (den // d) for y in im] for d, (_, im) in rows],
+    )
+
+
+def _rref(m: ExactMatrix) -> tuple[list[int], list[tuple[int, IntRow]]]:
+    """Pivot columns and the nonzero rows of the reduced row echelon form,
+    each as (d, v) for the row v / d."""
+    pivots, rows = _reduced(zip(m.re, m.im), m.ncols)
     return pivots, [_divided(row, c) for c, row in zip(pivots, rows)]
 
 
 def rref(m: ExactMatrix) -> tuple[ExactMatrix, list[int]]:
     """The unique reduced row echelon form of m and its pivot columns."""
     pivots, rows = _rref(m)
-    rows += [[ZERO] * m.ncols for _ in range(m.nrows - len(rows))]
-    return ExactMatrix(m.nrows, m.ncols, rows), pivots
+    rows += [(1, ((0,) * m.ncols,) * 2)] * (m.nrows - len(rows))
+    return _stacked(rows, m.ncols), pivots
 
 
 def rank(m: ExactMatrix) -> int:
@@ -437,7 +490,11 @@ def kernel_basis(m: ExactMatrix) -> list[Vector]:
     set to one (in increasing column order) and pivot coordinates read off
     from the reduced rows.
     """
-    return [tuple(_divided(v, f)) for f, v in _kernel_rows(map(_int_row, m.rows), m.ncols)]
+    out = []
+    for f, v in _kernel_rows(zip(m.re, m.im), m.ncols):
+        d, (re, im) = _divided(v, f)
+        out.append(tuple(_scalar(x, y, d) for x, y in zip(re, im)))
+    return out
 
 
 def image_basis(m: ExactMatrix) -> list[Vector]:
@@ -446,7 +503,7 @@ def image_basis(m: ExactMatrix) -> list[Vector]:
 
 
 def independent_columns(m: ExactMatrix) -> list[int]:
-    return _echelon(map(_int_row, m.rows), m.ncols)[0]
+    return _echelon(zip(m.re, m.im), m.ncols)[0]
 
 
 def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -462,10 +519,11 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     for c in pivots:
         if c >= a.ncols:
             raise SizeMismatchError("solve: inconsistent system")
-    out = [[ZERO] * b.ncols for _ in range(a.ncols)]
-    for r, c in enumerate(pivots):
-        out[c] = rows[r][a.ncols :]
-    return ExactMatrix(a.ncols, b.ncols, out)
+    k = a.ncols
+    out = [(1, ((0,) * b.ncols,) * 2)] * k
+    for c, (d, (re, im)) in zip(pivots, rows):
+        out[c] = d, (re[k:], im[k:])
+    return _stacked(out, b.ncols)
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
@@ -475,7 +533,7 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     pivots, rows = _rref(m.hstack(ExactMatrix.identity(n)))
     if pivots[:n] != list(range(n)):
         raise SizeMismatchError("matrix is singular")
-    return ExactMatrix(n, n, [row[n:] for row in rows])
+    return _stacked([(d, (re[n:], im[n:])) for d, (re, im) in rows], n)
 
 
 def span_contains(basis: ExactMatrix, vectors: ExactMatrix) -> bool:
@@ -500,24 +558,6 @@ def complete_to_basis(span_cols: ExactMatrix) -> tuple[list[int], list[int]]:
 
 
 # -- Gaussian integer matrices -------------------------------------------------
-
-
-def _denominator(mats: Sequence[ExactMatrix]) -> int:
-    """The lcm of all denominators of the matrices' entries."""
-    return lcm(*(q.denominator for m in mats for r in m.rows for x in r for q in (x.re, x.im)))
-
-
-def _int_matrices(mats: Sequence[ExactMatrix], den: int | None = None) -> list[IntMatrix]:
-    """The matrices scaled by one common lcm of all their denominators (or
-    by `den`, a multiple of it)."""
-    den = _denominator(mats) if den is None else den
-    return [
-        (
-            [[x.re.numerator * (den // x.re.denominator) for x in r] for r in m.rows],
-            [[x.im.numerator * (den // x.im.denominator) for x in r] for r in m.rows],
-        )
-        for m in mats
-    ]
 
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -590,6 +630,10 @@ def commutant_dim(m: ExactMatrix) -> int:
     - a simple eigenvalue has w_1 = 1, so q_1 contributes deg q_1; when chi
       is square-free mod a prime of Z[i] it is square-free, and the answer
       is n without any decomposition;
+    - when chi = x^z chi' with chi'(0) != 0 and chi' square-free mod that
+      prime (the residues of a convolution are singular, so 0 is their
+      usual repeated eigenvalue), the answer is n - z plus the Weyr sum of
+      0, again without any decomposition;
     - a linear q_k, k >= 2, gives lam in Q(i); its Weyr counts come from
       the ranks of the powers of m - lam, in the integer kernel.
 
@@ -603,10 +647,14 @@ def commutant_dim(m: ExactMatrix) -> int:
     if n == 1:
         return 1
     # c*m has the commutant of m, so everything runs on an integer multiple
-    (a,) = _int_matrices([m])
+    a = m.re, m.im
     chi = modular.berkowitz(*a)
     if modular.is_squarefree(*chi):
         return n
+    # eigenvalue 0 has multiplicity z, the number of zero low coefficients
+    z = next(j for j, (x, y) in enumerate(zip(*chi)) if x or y)
+    if z and modular.is_squarefree(chi[0][z:], chi[1][z:]):
+        return n - z + _weyr_square_sum(a, 0, 0, z)
     factors = modular.squarefree_decomposition([GaussianRational(x, y) for x, y in zip(*chi)])
     if any(k > 1 and len(q) > 2 for k, q in factors):
         return _commutant_dim_sylvester(m)
@@ -617,24 +665,33 @@ def commutant_dim(m: ExactMatrix) -> int:
             continue
         # chi is monic over Z[i], so its roots in Q(i) are Gaussian integers
         lam = -q[0]
-        shifted = tuple(
-            [[x - c * (i == j) for j, x in enumerate(r)] for i, r in enumerate(part)]
-            for part, c in zip(a, (lam.re.numerator, lam.im.numerator))
-        )
-        power, prev = shifted, 0
-        while prev < k:
-            nullity = n - len(_echelon(zip(*power), n)[0])
-            total += (nullity - prev) ** 2
-            prev = nullity
-            if prev < k:
-                power = _gaussian_matmul(shifted, power)
+        total += _weyr_square_sum(a, lam.re.numerator, lam.im.numerator, k)
+    return total
+
+
+def _weyr_square_sum(a: IntMatrix, lr: int, li: int, k: int) -> int:
+    """sum_j w_j^2 over the Weyr counts of the eigenvalue lam = lr + li i of
+    a, of algebraic multiplicity k: w_j is the rise of the nullity of
+    (a - lam)^j, which reaches k."""
+    n = len(a[0])
+    shifted = tuple(
+        [[x - c * (i == j) for j, x in enumerate(r)] for i, r in enumerate(part)]
+        for part, c in zip(a, (lr, li))
+    )
+    power, prev, total = shifted, 0, 0
+    while prev < k:
+        nullity = n - len(_echelon(zip(*power), n)[0])
+        total += (nullity - prev) ** 2
+        prev = nullity
+        if prev < k:
+            power = _gaussian_matmul(shifted, power)
     return total
 
 
 def _commutant_dim_sylvester(m: ExactMatrix) -> int:
     """The commutant dimension as n^2 minus the rank of the Sylvester system
     mX - Xm = 0: the fallback of `commutant_dim` and its test oracle."""
-    (a,) = _int_matrices([m])
+    a = m.re, m.im
     n = m.nrows
     return n * n - len(_echelon(_sylvester_rows(a, a), n * n)[0])
 
@@ -677,7 +734,7 @@ def solve_sylvester_space(
         if not b.is_square() or b.nrows != nb:
             raise SizeMismatchError("intertwiner: right sizes differ")
 
-    pairs = [_int_matrices([a, b]) for a, b in zip(a_list, b_list)]
+    pairs = [_common_scale(a, b) for a, b in zip(a_list, b_list)]
     gens = _kernel_rows(_sylvester_rows(*pairs[0]), nb * na)
     for a, b in pairs[1:]:
         if not gens:
@@ -691,8 +748,8 @@ def solve_sylvester_space(
         gens = [(gens[f][0], _combined(gens, c)) for f, c in _kernel_rows(rows, len(gens))]
     out = []
     for f, v in gens:
-        entries = _divided(v, f)
-        out.append(ExactMatrix(nb, na, [entries[i * na : (i + 1) * na] for i in range(nb)]))
+        d, g = _divided(v, f)
+        out.append(_matrix(nb, na, d, *_unflat(g, na)))
     return out
 
 
@@ -731,12 +788,13 @@ def spin_conjugacy(
     intertwiners.
     """
     n = a_list[0].nrows
-    pairs = [_int_matrices([a, b]) for a, b in zip(a_list, b_list)]
+    pairs = [_common_scale(a, b) for a, b in zip(a_list, b_list)]
     e1 = ([1] + [0] * (n - 1), [0] * n)
     pivots: list[int] = []
     echelon: list[IntRow] = []
     _add_row(pivots, echelon, e1)
-    spin, words = [e1], _int_matrices([ExactMatrix.identity(n)])
+    one = ExactMatrix.identity(n)
+    spin, words = [e1], [(one.re, one.im)]
     edges = []  # (k, g, a_g s_k) off the spanning tree
     for k, s in enumerate(spin):  # spin grows while it is walked
         for g, (a, b) in enumerate(pairs):
@@ -798,11 +856,12 @@ def generated_algebra_dim(mats: Sequence[ExactMatrix], size: int | None = None) 
         if size is None:
             raise SizeMismatchError("empty generator list needs an explicit size")
         n = size
-    gens = [_int_matrices([m])[0] for m in mats]
+    gens = [(m.re, m.im) for m in mats]
     full = n * n
     pivots: list[int] = []
     basis: list[IntRow] = []
-    (ident,) = _int_matrices([ExactMatrix.identity(n)])
+    one = ExactMatrix.identity(n)
+    ident = one.re, one.im
     _add_row(pivots, basis, _flat(ident))
     frontier = [ident]
     while frontier and len(pivots) < full:
@@ -851,20 +910,15 @@ def largest_invariant_subspace(a: ExactMatrix, basis: Sequence[Vector]) -> list[
 def char_poly(m: ExactMatrix) -> list[GaussianRational]:
     """Coefficients [c_0, ..., c_{n-1}, 1] of det(xI - m), low degree first.
 
-    Division-free (Berkowitz) on the integer multiple d*m, then rescaled:
+    Division-free (Berkowitz) on the stored integer multiple d*m, then rescaled:
     the coefficient of x^(n-k) of det(xI - m) is d^-k times that of
     det(xI - d*m).
     """
     if not m.is_square():
         raise NonSquareError("characteristic polynomial of a non-square matrix")
     n = m.nrows
-    den = _denominator([m])
-    cre, cim = modular.berkowitz(*_int_matrices([m], den)[0])
-    scales = [den ** (n - k) for k in range(n + 1)]
-    return [
-        GaussianRational(Fraction(x, d), Fraction(y, d)) if x or y else ZERO
-        for x, y, d in zip(cre, cim, scales)
-    ]
+    cre, cim = modular.berkowitz(m.re, m.im)
+    return [_scalar(x, y, m.den ** (n - k)) for k, (x, y) in enumerate(zip(cre, cim))]
 
 
 def eval_poly(coeffs: Sequence[GaussianRational], x: GaussianRational) -> GaussianRational:

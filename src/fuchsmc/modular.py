@@ -203,18 +203,15 @@ def roots(f: list[int], p: int) -> list[int]:
 
 def reduce_matrices(mats, p: int) -> Optional[list[list[list[int]]]]:
     """The ExactMatrix list mod p with i -> iota, or None when p divides a
-    denominator."""
-    if any(q.denominator % p == 0 for m in mats for r in m.rows for x in r for q in (x.re, x.im)):
+    denominator (that is, the stored common denominator)."""
+    if any(m.den % p == 0 for m in mats):
         return None
     iota = sqrt_minus_one(p)
-    return [
-        [[(_residue(x.re, p) + iota * _residue(x.im, p)) % p for x in r] for r in m.rows]
-        for m in mats
-    ]
-
-
-def _residue(q, p: int) -> int:
-    return q.numerator * pow(q.denominator, -1, p)
+    out = []
+    for m in mats:
+        inv = pow(m.den, -1, p)
+        out.append([[(x + iota * y) * inv % p for x, y in zip(r, s)] for r, s in zip(m.re, m.im)])
+    return out
 
 
 def _insert(pivots: list[int], rows: list[list[int]], v: list[int], p: int) -> bool:

@@ -104,11 +104,12 @@ def scf_from_onf(o: OkuboSystem) -> SchlesingerTuple:
     """Residue tuple of the system: A_j is block row j of A, zero elsewhere."""
     n = o.rank
     mats = []
+    # row n of `padded` is zero: residue j takes block row j of A and that
+    # zero row everywhere else
+    padded = o.a.vstack(ExactMatrix.zeros(1, n))
     for j in range(1, o.num_points + 1):
-        rows = [[ZERO] * n for _ in range(n)]
-        for i in o.block_range(j):
-            rows[i] = list(o.a.rows[i])
-        mats.append(ExactMatrix(n, n, rows))
+        r = o.block_range(j)
+        mats.append(padded.submatrix([i if i in r else n for i in range(n)], range(n)))
     t = SchlesingerTuple(o.poles, mats)
     # o's scheme was verified against exactly this tuple when o was built
     return t if o.scheme is None else _attach_scheme(t, o.scheme)

@@ -2,8 +2,9 @@
 
 The whole library computes over this field.  Rationals are
 fractions.Fraction, which keeps them reduced with positive denominators, so
-equality is structural.  The elimination loops do not run on these values:
-they work on Gaussian integers (see linalg).
+equality is structural.  Matrices do not hold these values: they store
+Gaussian integers over one common denominator and build a scalar only when
+an entry leaves the matrix (see linalg).
 
 Text grammar (used by every file format):
 

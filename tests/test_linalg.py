@@ -1,15 +1,22 @@
+import hashlib
+import json
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuchsmc import linalg
-from fuchsmc.errors import NonSquareError, SizeMismatchError
+from fuchsmc.errors import NonSquareError, PreconditionFailError, SizeMismatchError
+from fuchsmc.generate import random_schlesinger
+from fuchsmc.katz import convolution, middle_convolution
 from fuchsmc.linalg import (
     ExactMatrix,
     _commutant_dim_sylvester,
+    block_matrix,
     char_poly,
     commutant_dim,
     complete_to_basis,
@@ -24,8 +31,10 @@ from fuchsmc.linalg import (
     solve_sylvester_space,
 )
 from fuchsmc.modular import PRIMES
-from fuchsmc.scalars import ONE, ZERO, gr
-from fuchsmc.schlesinger import build_L
+from fuchsmc.okubo import onf_from_scf
+from fuchsmc.scalars import ONE, ZERO, GaussianRational, format_scalar, gr
+from fuchsmc.schlesinger import SchlesingerTuple, build_L
+from fuchsmc.serialization import system_to_json
 
 E = ExactMatrix.from_rows
 
@@ -667,3 +676,191 @@ class TestCertificatesAgainstOracle:
             E([[q, G(0), G(1)], [G(0), q, G(0)], [G(0), G(0), G(1) + q]]),
         ]:
             assert commutant_dim(m) == _commutant_dim_sylvester(m)
+
+
+class TestCommutantOfSingularMatrices:
+    """Singular matrices, where chi = x^z chi': the split of the x^z factor
+    against the Sylvester oracle, on either side of its square-free test."""
+
+    @given(st.integers(0, 10_000), st.sampled_from(["1/2", "-1/3+i", "2i"]))
+    @settings(max_examples=12, deadline=None)
+    def test_convolution_residues(self, seed, lam):
+        t = random_schlesinger(random.Random(seed), 2, 3)
+        for m in convolution(t, gr(lam)).big_matrices:
+            assert m.nrows - rank(m) >= 2  # eigenvalue 0 repeats
+            assert commutant_dim(m) == _commutant_dim_sylvester(m)
+        try:
+            mc = middle_convolution(t, gr(lam))
+        except PreconditionFailError:
+            return
+        for m in mc.matrices:
+            assert commutant_dim(m) == _commutant_dim_sylvester(m)
+
+    @given(
+        st.lists(st.integers(1, 2), min_size=1, max_size=2),
+        st.lists(st.integers(1, 2), min_size=2, max_size=2),
+        st.sampled_from(["3", "-1/2+i"]),
+        st.data(),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_singular_with_a_repeated_nonzero_eigenvalue(self, zero_sizes, lam_sizes, lam, data):
+        blocks = [(k, "0") for k in zero_sizes] + [(k, lam) for k in lam_sizes]
+        j = jordan_sum(data.draw(st.permutations(blocks)))
+        m = conjugated(j, data.draw(matrices(j.nrows, j.nrows)))
+        assert commutant_dim(m) == _commutant_dim_sylvester(m) == jordan_commutant_dim(blocks)
+
+    def test_square_free_cofactor_skips_the_decomposition(self, monkeypatch):
+        # chi = x^3 (x - 2)(x + 1/2 - i): 0 is the only repeated eigenvalue
+        blocks = [(2, "0"), (1, "0"), (1, "2"), (1, "-1/2+i")]
+        g = E([[1, 2, 0, 0, 1], [0, 1, G("i"), 0, 0], [1, 0, 1, 3, 0], [0, 0, 0, 1, 2], [2, 0, 0, 0, 1]])
+        m = conjugated(jordan_sum(blocks), g)
+        assert m != jordan_sum(blocks)
+
+        def refuse(f):
+            raise AssertionError("square-free decomposition reached")
+
+        monkeypatch.setattr(linalg.modular, "squarefree_decomposition", refuse)
+        assert commutant_dim(m) == jordan_commutant_dim(blocks) == _commutant_dim_sylvester(m)
+
+
+# -- the stored form ---------------------------------------------------------------
+#
+# A matrix is stored as ints: (re + i im)/den, reduced.  Each result is read
+# back as Fraction pairs and compared with the same operation done on the
+# Fraction pairs of its inputs, with `_cmul` above as the only product.
+
+
+def _cadd(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def pair_rows(rows):
+    return [[(gr(x).re, gr(x).im) for x in r] for r in rows]
+
+
+def pair_matmul(a, b):
+    return [
+        [reduce(_cadd, (_cmul(x, b[k][j]) for k, x in enumerate(r)), (0, 0)) for j in range(len(b[0]))]
+        for r in a
+    ]
+
+
+def stored_pairs(m):
+    """The entries of m as Fraction pairs, computed from the stored ints."""
+    assert len(m.re) == len(m.im) == m.nrows
+    assert all(len(r) == len(s) == m.ncols for r, s in zip(m.re, m.im))
+    return [[(Fraction(x, m.den), Fraction(y, m.den)) for x, y in zip(r, s)] for r, s in zip(m.re, m.im)]
+
+
+def assert_reduced(m):
+    numerators = [x for part in (m.re, m.im) for r in part for x in r]
+    assert type(m.den) is int and m.den > 0
+    assert all(type(x) is int for x in numerators)
+    assert math.gcd(m.den, *numerators) == 1
+    if not any(numerators):
+        assert m.den == 1
+
+
+def row_lists(nrows, ncols):
+    return st.lists(st.lists(gaussians, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+
+
+nonzero_gaussians = gaussians.filter(bool)
+
+
+class TestStoredForm:
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), gaussians, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_results_match_fraction_pairs(self, nrows, ncols, k, c, data):
+        ra, rb = data.draw(row_lists(nrows, ncols)), data.draw(row_lists(nrows, ncols))
+        rm = data.draw(row_lists(ncols, k))
+        a, b, m = ExactMatrix(nrows, ncols, ra), ExactMatrix(nrows, ncols, rb), ExactMatrix(ncols, k, rm)
+        A, B, M = pair_rows(ra), pair_rows(rb), pair_rows(rm)
+        C = (c.re, c.im)
+        ri = data.draw(st.lists(st.integers(0, nrows - 1), max_size=3))
+        ci = data.draw(st.lists(st.integers(0, ncols - 1), max_size=3))
+        results = {
+            "constructor": (a, A),
+            "from_rows": (E(ra), A),
+            "from_columns": (ExactMatrix.from_columns([tuple(r[j] for r in ra) for j in range(ncols)]), A),
+            "sum": (a + b, [[_cadd(x, y) for x, y in zip(r, s)] for r, s in zip(A, B)]),
+            "difference": (a - b, [[_cadd(x, (-y[0], -y[1])) for x, y in zip(r, s)] for r, s in zip(A, B)]),
+            "negation": (-a, [[(-x[0], -x[1]) for x in r] for r in A]),
+            "scale": (a.scale(c), [[_cmul(C, x) for x in r] for r in A]),
+            "left scalar product": (c * a, [[_cmul(C, x) for x in r] for r in A]),
+            "product": (a * m, pair_matmul(A, M)),
+            "transpose": (a.transpose(), [list(col) for col in zip(*A)]),
+            "submatrix": (a.submatrix(ri, ci), [[A[i][j] for j in ci] for i in ri]),
+            "hstack": (a.hstack(b), [r + s for r, s in zip(A, B)]),
+            "vstack": (a.vstack(b), A + B),
+            "block_matrix": (
+                block_matrix([[a, b], [b, a]]),
+                [r + s for r, s in zip(A, B)] + [s + r for r, s in zip(A, B)],
+            ),
+            "zeros": (ExactMatrix.zeros(nrows, ncols), [[(0, 0)] * ncols] * nrows),
+            "identity": (ExactMatrix.identity(nrows), [[(int(i == j), 0) for j in range(nrows)] for i in range(nrows)]),
+            "diagonal": (
+                ExactMatrix.diagonal(ra[0]),
+                [[A[0][i] if i == j else (0, 0) for j in range(ncols)] for i in range(ncols)],
+            ),
+        }
+        if nrows == ncols:
+            results["shift"] = (a.shift(c), [[_cadd(x, C) if i == j else x for j, x in enumerate(r)] for i, r in enumerate(A)])
+        for name, (got, want) in results.items():
+            assert_reduced(got)
+            assert stored_pairs(got) == want, name
+        # the scalar edge reads the same entries
+        assert [[(x.re, x.im) for x in r] for r in a.rows] == A
+        assert [[(a[i, j].re, a[i, j].im) for j in range(ncols)] for i in range(nrows)] == A
+        assert [[(x.re, x.im) for x in a.column(j)] for j in range(ncols)] == [list(col) for col in zip(*A)]
+        v = data.draw(st.lists(gaussians, min_size=ncols, max_size=ncols))
+        assert [(x.re, x.im) for x in a.apply(v)] == [r[0] for r in pair_matmul(A, pair_rows([[x] for x in v]))]
+        if nrows == ncols:
+            t = a.trace()
+            assert (t.re, t.im) == reduce(_cadd, (A[i][i] for i in range(nrows)))
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), nonzero_gaussians, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_stored_form_per_value(self, nrows, ncols, k, c, data):
+        rows = data.draw(row_lists(nrows, ncols))
+        m = E(rows)
+        b = data.draw(matrices(ncols, k))
+        product = ExactMatrix(nrows, k, [[gr(x, y) for x, y in r] for r in pair_matmul(pair_rows(rows), pair_rows(b.rows))])
+        same = [
+            (m, ExactMatrix.from_columns([tuple(r[j] for r in rows) for j in range(ncols)])),
+            (m, ExactMatrix.identity(nrows) * m),
+            (m, m * ExactMatrix.identity(ncols)),
+            (m, m.scale(c).scale(c.inverse())),
+            (m, (m + m).scale(gr("1/2"))),
+            (m, m.transpose().transpose()),
+            (m, ExactMatrix.from_rows(m.rows)),
+            (product, m * b),
+            (ExactMatrix.zeros(nrows, ncols), m - m),
+            (ExactMatrix.zeros(nrows, ncols), m.scale(0)),
+        ]
+        for want, got in same:
+            assert_reduced(got)
+            assert (got.den, got.re, got.im) == (want.den, want.re, want.im)
+            assert got == want and hash(got) == hash(want)
+        assert (m - m).den == 1
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_system_json_formats_the_fraction_pairs(self, n, p, data):
+        rows = [data.draw(row_lists(n, n)) for _ in range(p)]
+        t = SchlesingerTuple(list(range(p)), [ExactMatrix(n, n, r) for r in rows])
+        want = [[[format_scalar(GaussianRational(x, y)) for x, y in r] for r in pair_rows(m)] for m in rows]
+        assert system_to_json(t)["matrices"] == want
+
+    def test_system_json_is_unchanged(self):
+        # sha256 of the sorted-key JSON, recorded before matrices were stored as ints
+        t = random_schlesinger(random.Random(3), 3, 3)
+        mc = middle_convolution(t, gr("1/3+2i"))
+        digests = [
+            hashlib.sha256(json.dumps(system_to_json(s), sort_keys=True).encode()).hexdigest()
+            for s in (mc, onf_from_scf(mc))
+        ]
+        assert digests == [
+            "987ed7f3491bdd2827a4daadbfe083befd46fb9e561307782d38194dc0ff962c",
+            "f2e781d1473b77ce3a3b081d513df3cf0296118a90008b233303b84937b4d302",
+        ]
