@@ -20,8 +20,9 @@ n^2-wide system only when it does not decide:
 
 - `commutant_dim` reads the dimension off the characteristic polynomial
   (division-free, `modular.berkowitz`), its square-free decomposition and the
-  ranks of (m - lam)^j; it solves the Sylvester system only for a repeated
-  factor of degree >= 2 (`_commutant_dim_sylvester`);
+  nullities of (m - lam)^j (`nullity_chain`, which forms no power); it solves
+  the Sylvester system only for a repeated factor of degree >= 2
+  (`_commutant_dim_sylvester`);
 - `spin_conjugacy` decides simultaneous conjugacy on the n-dimensional
   image of the intertwiners under X -> X e_1, when e_1 is cyclic and that
   image has dimension <= 1;
@@ -51,9 +52,9 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import modular
 from .modular import dot
@@ -635,7 +636,7 @@ def commutant_dim(m: ExactMatrix) -> int:
       usual repeated eigenvalue), the answer is n - z plus the Weyr sum of
       0, again without any decomposition;
     - a linear q_k, k >= 2, gives lam in Q(i); its Weyr counts come from
-      the ranks of the powers of m - lam, in the integer kernel.
+      `nullity_chain` over lam repeated, which forms no power of m - lam.
 
     A q_k of degree >= 2 with k >= 2 has eigenvalues outside Q(i) whose
     Jordan structures need not agree; only then the Sylvester system is
@@ -654,38 +655,66 @@ def commutant_dim(m: ExactMatrix) -> int:
     # eigenvalue 0 has multiplicity z, the number of zero low coefficients
     z = next(j for j, (x, y) in enumerate(zip(*chi)) if x or y)
     if z and modular.is_squarefree(chi[0][z:], chi[1][z:]):
-        return n - z + _weyr_square_sum(a, 0, 0, z)
-    factors = modular.squarefree_decomposition([GaussianRational(x, y) for x, y in zip(*chi)])
-    if any(k > 1 and len(q) > 2 for k, q in factors):
-        return _commutant_dim_sylvester(m)
-    total = 0
-    for k, q in factors:
-        if k == 1:
-            total += len(q) - 1
-            continue
-        # chi is monic over Z[i], so its roots in Q(i) are Gaussian integers
-        lam = -q[0]
-        total += _weyr_square_sum(a, lam.re.numerator, lam.im.numerator, k)
+        total, repeated = n - z, [(0, z)]
+    else:
+        factors = modular.squarefree_decomposition([GaussianRational(x, y) for x, y in zip(*chi)])
+        if any(k > 1 and len(q) > 2 for k, q in factors):
+            return _commutant_dim_sylvester(m)
+        total = sum(len(q) - 1 for k, q in factors if k == 1)
+        # chi is that of den * m, so -q[0] / den is an eigenvalue of m
+        repeated = [(-q[0] / m.den, k) for k, q in factors if k > 1]
+    for lam, k in repeated:  # sum_j w_j^2; the nullity reaches k by j = k
+        prev = 0
+        for nullity in nullity_chain(m, repeat(lam, k)):
+            total += (nullity - prev) ** 2
+            prev = nullity
+            if prev == k:
+                break
     return total
 
 
-def _weyr_square_sum(a: IntMatrix, lr: int, li: int, k: int) -> int:
-    """sum_j w_j^2 over the Weyr counts of the eigenvalue lam = lr + li i of
-    a, of algebraic multiplicity k: w_j is the rise of the nullity of
-    (a - lam)^j, which reaches k."""
-    n = len(a[0])
-    shifted = tuple(
-        [[x - c * (i == j) for j, x in enumerate(r)] for i, r in enumerate(part)]
-        for part, c in zip(a, (lr, li))
-    )
-    power, prev, total = shifted, 0, 0
-    while prev < k:
-        nullity = n - len(_echelon(zip(*power), n)[0])
-        total += (nullity - prev) ** 2
-        prev = nullity
-        if prev < k:
-            power = _gaussian_matmul(shifted, power)
-    return total
+def nullity_chain(m: ExactMatrix, shifts: Iterable) -> Iterator[int]:
+    """Yield nullity((m - c_1)...(m - c_k)) for k = 1, 2, ..., one shift c_k
+    at a time, without forming any product.
+
+    With P_0 = 1 and P_k = P_(k-1)(m - c_k), every row of P_k is a row of
+    P_(k-1) times m - c_k, so rowspace(P_k) = rowspace(P_(k-1)) (m - c_k)
+    and nullity(P_k) = n - dim rowspace(P_k).  The chain keeps a primitive
+    Z[i] echelon basis of rowspace(P_(k-1)), multiplies only its r <= n rows
+    by the stored integer rows of m (A/d) and echelonises the images again;
+    with c_k = c/e, the image of a row v, times d e, is e vA - d c v.  The
+    basis never grows, and a scheme column lists its largest multiplicity
+    first, so it is soon small; once it is empty the nullity stays n and
+    nothing more is computed.  Over lam repeated, the rises of the chain are
+    the Weyr counts of lam (Gantmacher, Theory of Matrices I, ch. VI).
+    """
+    if not m.is_square():
+        raise NonSquareError("nullity chain of a non-square matrix")
+    n, d = m.nrows, m.den
+    basis = last = None  # no basis yet: the rows of P_0 = 1
+    for c in shifts:
+        if basis is None or basis:
+            if c is not last:  # a repeated shift is converted once
+                e, cr, ci = _integer_pair(c)
+                dr, di, last = d * cr, d * ci, c
+            if basis is None:  # the rows of e A - d c
+                rows = []
+                for i, (xre, xim) in enumerate(zip(m.re, m.im)):
+                    re, im = [e * x for x in xre], [e * y for y in xim]
+                    re[i] -= dr
+                    im[i] -= di
+                    rows.append((re, im))
+            else:  # e vA - d c v for each basis row v
+                images = _gaussian_matmul(([re for re, _ in basis], [im for _, im in basis]), (m.re, m.im))
+                rows = (
+                    (
+                        [e * x - dr * u + di * w for x, u, w in zip(xre, vre, vim)],
+                        [e * y - dr * w - di * u for y, u, w in zip(xim, vre, vim)],
+                    )
+                    for xre, xim, (vre, vim) in zip(*images, basis)
+                )
+            basis = _echelon(rows, n)[1]
+        yield n - len(basis)
 
 
 def _commutant_dim_sylvester(m: ExactMatrix) -> int:

@@ -245,7 +245,9 @@ def _restriction_scheme_step(s, blocks):
 def _rere_scheme_step(s, blocks, j, rho1, rho2, rho3):
     """One two-round extension/restriction step on labelled data only."""
     col_j = s.column_at(j)
-    # known exceptional values; later stages may reject more, hence the retry
+    # known exceptional values; a restriction may still find mu1 + mu2 among
+    # the labels of its deleted block, the one error another eps can cure,
+    # hence the retry on CRViolatedError (anything else propagates)
     forbidden = [gr(0), -rho1, -rho2, -(rho1 + rho2 + rho3)]
     forbidden += [label - rho1 - rho2 for label, _ in col_j]
     tried = set()
@@ -254,7 +256,7 @@ def _rere_scheme_step(s, blocks, j, rho1, rho2, rho3):
         tried.add(eps)
         try:
             return _rere_scheme_once(s, blocks, j, rho1, rho2, rho3, eps)
-        except CalculusError:
+        except CRViolatedError:
             continue
     raise NotGenericError("no small shift makes the scheme-level step defined")
 

@@ -10,6 +10,8 @@ class described by an (eigenvalue, multiplicity) list.
 from __future__ import annotations
 
 import copy
+from itertools import repeat
+from math import isqrt
 from typing import Optional, Sequence
 
 from . import linalg, modular
@@ -222,13 +224,14 @@ def _equivalent_by_sylvester(
     the fallback of `matrix_tuples_equivalent` and its test oracle.
 
     The basis is searched for an invertible element.  When there is none,
-    the ranks of the powers m^k, k <= n, of each matrix are compared, and
-    then the principal lattice {c in N^k : sum c <= n} of basis coefficients
-    is searched.  The determinant restricted to the space is a polynomial of
-    total degree at most n in the coefficients, and that lattice is
-    unisolvent for such polynomials (Chung-Yao 1977), so if the determinant
-    vanishes on it, it is identically zero and no invertible intertwiner
-    exists over any extension field.
+    the nullities of the powers m^k, k <= n, of each matrix are compared
+    (`linalg.nullity_chain`), and then the principal lattice
+    {c in N^k : sum c <= n} of basis coefficients is searched.  The
+    determinant restricted to the space is a polynomial of total degree at
+    most n in the coefficients, and that lattice is unisolvent for such
+    polynomials (Chung-Yao 1977), so if the determinant vanishes on it, it
+    is identically zero and no invertible intertwiner exists over any
+    extension field.
     """
     n = a_mats[0].nrows
     basis = linalg.solve_sylvester_space(list(a_mats), list(b_mats))
@@ -241,11 +244,9 @@ def _equivalent_by_sylvester(
     if k == 1:
         return False
     for a, b in zip(a_mats, b_mats):
-        a_pow, b_pow = a, b
-        for _ in range(n - 1):
-            a_pow, b_pow = a_pow * a, b_pow * b
-            if linalg.rank(a_pow) != linalg.rank(b_pow):
-                return False
+        chains = linalg.nullity_chain(a, repeat(0, n)), linalg.nullity_chain(b, repeat(0, n))
+        if any(x != y for x, y in zip(*chains)):
+            return False
     for coeffs in _principal_lattice(k, n):
         g = ExactMatrix.zeros(n)
         for c, mat in zip(coeffs, basis):
@@ -306,18 +307,20 @@ def build_L(parts: Sequence[tuple]) -> ExactMatrix:
 
 def matches_conjugacy_class(m: ExactMatrix, parts: Sequence[tuple]) -> bool:
     """Whether m lies in the class of the normalized representative with the
-    given parts, decided by kernel ranks of the shifted products."""
+    given parts: the nullity of each prefix product (m - c_1)...(m - c_k) of
+    the canonical column must be m_1 + ... + m_k.  The nullities come from
+    `linalg.nullity_chain`, which forms none of the products and stops at
+    the first prefix that fails."""
     if not m.is_square():
         raise NonSquareError("class membership needs a square matrix")
     entries = canonical_column([(gr(l), int(mult)) for l, mult in parts])
     if sum(mult for _, mult in entries) != m.nrows:
         raise PartitionSizeMismatchError("multiplicities must sum to the matrix size")
-    prod = ExactMatrix.identity(m.nrows)
+    chain = linalg.nullity_chain(m, (label for label, _ in entries))
     total = 0
-    for label, mult in entries:
-        prod = prod * m.shift(-label)
+    for (_, mult), nullity in zip(entries, chain):
         total += mult
-        if m.nrows - linalg.rank(prod) != total:
+        if nullity != total:
             return False
     return True
 
@@ -364,17 +367,15 @@ def _class_column(m: ExactMatrix) -> Column:
         )
     entries = []
     for lam, alg_mult in roots:
-        shifted = m.shift(-lam)
         prev = 0
-        power = ExactMatrix.identity(n)
-        while prev < alg_mult:
-            power = power * shifted
-            ker = n - linalg.rank(power)
+        for ker in linalg.nullity_chain(m, repeat(lam, alg_mult)):
             part = ker - prev
             if part <= 0:
                 raise SchemeUnavailableError("inconsistent kernel filtration")
             entries.append((lam, part))
             prev = ker
+            if prev >= alg_mult:
+                break
     return canonical_column(entries)
 
 
@@ -535,9 +536,9 @@ def _gaussian_primes_above(p: int):
         return [(1, 1)]
     if p % 4 == 3:
         return [(p, 0)]
-    for a in range(1, int(p**0.5) + 1):
+    for a in range(1, isqrt(p) + 1):
         b2 = p - a * a
-        b = int(b2**0.5)
+        b = isqrt(b2)
         if b * b == b2:
             return [(a, b), (a, -b)]
     raise InvariantError(f"no two-square decomposition found for prime {p}")

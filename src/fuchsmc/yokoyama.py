@@ -26,7 +26,6 @@ from .errors import (
     DegenerateExtensionError,
     DuplicatePoleError,
     IndexRangeError,
-    InvariantError,
     NotGenericError,
     NotIrreducibleError,
     NotONFShapeError,
@@ -120,7 +119,7 @@ def extend_direct(o: OkuboSystem, params: ExtensionParams) -> OkuboSystem:
             block_sizes=o.block_sizes,
             t_new=params.t_new,
         )
-    except (NotONFShapeError, InvariantError):
+    except NotONFShapeError:
         return out
     return _transport_scheme(out, predicted)
 
@@ -195,7 +194,7 @@ def restrict(o: OkuboSystem, params: RestrictionParams) -> OkuboSystem:
         return out
     try:
         predicted = scheme_of_restriction(ow.scheme, block_sizes=ow.block_sizes)
-    except (NotQ2Error, CRViolatedError, NotONFShapeError, InvariantError):
+    except (NotQ2Error, CRViolatedError, NotONFShapeError):
         return out
     return _transport_scheme(out, predicted)
 

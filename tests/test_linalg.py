@@ -33,8 +33,9 @@ from fuchsmc.linalg import (
 from fuchsmc.modular import PRIMES
 from fuchsmc.okubo import onf_from_scf
 from fuchsmc.scalars import ONE, ZERO, GaussianRational, format_scalar, gr
-from fuchsmc.schlesinger import SchlesingerTuple, build_L
+from fuchsmc.schlesinger import SchlesingerTuple, build_L, matches_conjugacy_class
 from fuchsmc.serialization import system_to_json
+from fuchsmc.spectral import canonical_column
 
 E = ExactMatrix.from_rows
 
@@ -721,6 +722,127 @@ class TestCommutantOfSingularMatrices:
 
         monkeypatch.setattr(linalg.modular, "squarefree_decomposition", refuse)
         assert commutant_dim(m) == jordan_commutant_dim(blocks) == _commutant_dim_sylvester(m)
+
+
+# -- the nullity chain against explicit products ------------------------------------
+#
+# nullity_chain never forms (m - c_1)...(m - c_k); the oracle forms every prefix
+# product with ExactMatrix arithmetic and ranks it by the Fraction-pair rref.
+
+
+def oracle_nullities(m, shifts):
+    n = m.nrows
+    prod = ExactMatrix.identity(n)
+    out = []
+    for c in shifts:
+        prod = prod * m.shift(-c)
+        out.append(n - len(oracle_rref(prod)[1]))
+    return out
+
+
+def oracle_matches_class(m, parts):
+    """Class membership from the explicit prefix products of the column."""
+    entries = canonical_column([(gr(l), k) for l, k in parts])
+    totals = [sum(k for _, k in entries[: i + 1]) for i in range(len(entries))]
+    return oracle_nullities(m, [l for l, _ in entries]) == totals
+
+
+@st.composite
+def derogatory_with_shifts(draw):
+    """(m, shifts): a conjugate of a Jordan sum whose eigenvalues repeat
+    (nilpotent blocks at 0 included), real or Gaussian, scaled so that
+    den > 1 is common, and shifts that mix its eigenvalues, repeated, with
+    near misses (an eigenvalue plus i) and arbitrary Gaussian rationals;
+    long enough, often, for the chain to reach nullity n and go on."""
+    n = draw(st.integers(1, 5))
+    real = draw(st.booleans())
+    sizes = draw(st.sampled_from(compositions(n)))
+    labels = ["0", "2", "-1/2"] + ([] if real else ["1+i"])
+    blocks = [(k, draw(st.sampled_from(labels))) for k in sizes]
+    scale = draw(st.sampled_from([gr(1), gr(Fraction(1, 3))] + ([] if real else [gr("1/2+i")])))
+    j = jordan_sum(blocks).scale(scale)
+    m = conjugated(j, draw(matrices(n, n, rationals if real else gaussians)))
+    eigen = st.sampled_from([gr(lam) * scale for k, lam in blocks for _ in range(k)])
+    shift = st.one_of(eigen, eigen.map(lambda c: c + gr("i")), gaussians)
+    return m, draw(st.lists(shift, max_size=2 * n + 2))
+
+
+class TestNullityChainAgainstOracle:
+    @example((jordan_sum([(3, "0")]), [gr(0)] * 5))
+    @example((jordan_sum([(2, "1+i"), (1, "1+i")]).scale(gr(Fraction(1, 6))), [gr("1/6+1/6i")] * 4))
+    @example((E([[G("1/2"), G(1)], [G(0), G("1/2")]]), [gr(3), gr("1/2+i"), gr("1/2"), gr("1/2")]))
+    @example((ExactMatrix.zeros(3), [gr(0), gr(1)]))
+    @example((E([[-1, 1, 0], [-1, 1, 0], [0, 0, 0]]), [gr("i"), gr(0)]))  # real m, Gaussian rows
+    @example((  # Gaussian rows of a proper subspace, times a Gaussian shift
+        conjugated(jordan_sum([(2, "i"), (1, "2")]), E([[1, G("i"), 0], [0, 1, 2], [G("1+i"), 0, 1]])),
+        [gr(2), gr("i"), gr("i")],
+    ))
+    @given(derogatory_with_shifts())
+    @settings(max_examples=150, deadline=None)
+    def test_prefix_nullities(self, case):
+        m, shifts = case
+        assert list(linalg.nullity_chain(m, shifts)) == oracle_nullities(m, shifts)
+
+    @given(st.integers(1, 5).flatmap(jordan_blocks), st.integers(0, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_empty_basis_tail(self, blocks, extra, data):
+        # every eigenvalue at its full multiplicity kills the product; the
+        # nullity then stays n whatever comes after
+        j = jordan_sum(blocks)
+        m = conjugated(j, data.draw(matrices(j.nrows, j.nrows)))
+        eigen = data.draw(st.permutations([gr(lam) for k, lam in blocks for _ in range(k)]))
+        shifts = eigen + data.draw(st.lists(gaussians, min_size=extra, max_size=extra))
+        got = list(linalg.nullity_chain(m, shifts))
+        assert got == oracle_nullities(m, shifts)
+        assert got[len(eigen) - 1 :] == [m.nrows] * (extra + 1)
+
+    def test_lazy(self):
+        # a generator: shifts are read one step at a time, and a consumer that
+        # stops early leaves the rest unread
+        read = []
+
+        def shifts():
+            for c in (gr(0), gr(1), gr(2)):
+                read.append(c)
+                yield c
+
+        chain = linalg.nullity_chain(jordan_sum([(2, "0"), (1, "1")]), shifts())
+        assert next(chain) == 1 and read == [gr(0)]
+        assert next(chain) == 2 and read == [gr(0), gr(1)]
+
+    def test_non_square_rejected(self):
+        with pytest.raises(NonSquareError):
+            next(linalg.nullity_chain(ExactMatrix.zeros(2, 3), [gr(0)]))
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["0", "3", "-1/2", "2i", "1-i"]), st.integers(1, 3)),
+            min_size=1, max_size=4,
+        ).filter(lambda parts: sum(k for _, k in parts) <= 6),
+        st.sampled_from(["same", "merged", "split", "relabelled"]),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_class_membership(self, parts, variant, data):
+        # conjugates of build_L against their own part list and against
+        # altered lists of the same size, true and false alike
+        parts = [(gr(lam), k) for lam, k in parts]
+        n = sum(k for _, k in parts)
+        m = conjugated(build_L(parts), data.draw(matrices(n, n)))
+        if variant == "merged" and len(parts) > 1:
+            (l0, k0), (l1, k1), *rest = parts
+            parts = [(l0, k0 + k1)] + rest
+        elif variant == "split" and any(k > 1 for _, k in parts):
+            i = next(i for i, (_, k) in enumerate(parts) if k > 1)
+            l, k = parts[i]
+            parts = parts[:i] + [(l, k - 1), (l, 1)] + parts[i + 1 :]
+        elif variant == "relabelled":
+            l, k = parts[0]
+            parts = [(l + data.draw(st.sampled_from([gr(1), gr("i"), gr("-1/2")])), k)] + parts[1:]
+        want = oracle_matches_class(m, parts)
+        if variant == "same":
+            assert want
+        assert matches_conjugacy_class(m, parts) == want
 
 
 # -- the stored form ---------------------------------------------------------------

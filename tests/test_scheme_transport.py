@@ -12,10 +12,10 @@ import sys
 
 import pytest
 
-from fuchsmc import schlesinger
+from fuchsmc import reduction, schlesinger, yokoyama
 from fuchsmc import serialization as ser
 from fuchsmc.cli import main
-from fuchsmc.errors import InvariantError
+from fuchsmc.errors import CRViolatedError, InvariantError
 from fuchsmc.generate import (
     find_basic_2x2_tuple,
     random_okubo,
@@ -24,13 +24,18 @@ from fuchsmc.generate import (
 from fuchsmc.katz import middle_convolution
 from fuchsmc.linalg import ExactMatrix, rank
 from fuchsmc.okubo import OkuboSystem, onf_from_scf, scf_from_onf
+from fuchsmc.scalars import gr
 from fuchsmc.schlesinger import SchlesingerTuple, infer_scheme
 from fuchsmc.spectral import RiemannScheme, canonical_column
 from fuchsmc.yokoyama import (
+    ExtensionParams,
+    RestrictionParams,
     auto_epsilon_re,
     auto_epsilon_rere,
+    extend_direct,
     re_composite,
     rere_composite,
+    restrict,
 )
 
 
@@ -183,6 +188,59 @@ class TestOutsideSchemesAreStillVerified:
         inp.write_text(json.dumps(data))
         assert main(["reduce", "--input", str(inp), "--mode", "yokoyama"]) == 3
         assert "invariant breach" in capsys.readouterr().err
+
+
+class TestInvariantErrorsPropagate:
+    """A failed theorem-backed check inside scheme transport is a bug, not a
+    reason to drop the scheme or to retry with another shift."""
+
+    @staticmethod
+    def breach(*args, **kwargs):
+        raise InvariantError("injected")
+
+    def test_extend_direct(self, monkeypatch):
+        o = rigid_onf(3)
+        params = ExtensionParams(1, 2, 7)
+        assert extend_direct(o, params).scheme is not None
+        monkeypatch.setattr(yokoyama, "scheme_of_extension", self.breach)
+        with pytest.raises(InvariantError, match="injected"):
+            extend_direct(o, params)
+
+    def test_restrict(self, monkeypatch):
+        o = OkuboSystem([1], [0], ExactMatrix.from_rows([[3]]), RiemannScheme([0], [[(gr(-3), 1)], [(gr(3), 1)]]))
+        ext = extend_direct(o, ExtensionParams(1, 5, 1))
+        params = RestrictionParams(1, 5, 2)
+        assert restrict(ext, params).scheme is not None
+        monkeypatch.setattr(yokoyama, "scheme_of_restriction", self.breach)
+        with pytest.raises(InvariantError, match="injected"):
+            restrict(ext, params)
+
+    def test_scheme_level_step_retries_only_genericity(self, monkeypatch):
+        o = rigid_onf(4)
+        args = (o.scheme, list(o.block_sizes), *reduction_parameters(o))
+        want = reduction._rere_scheme_step(*args)
+        once, calls = reduction._rere_scheme_once, []
+
+        def failing(error):
+            def attempt(*a):
+                calls.append(a[-1])
+                if len(calls) == 1:
+                    raise error("injected")
+                return once(*a)
+
+            return attempt
+
+        # a shift that collides is retried with the next one
+        monkeypatch.setattr(reduction, "_rere_scheme_once", failing(CRViolatedError))
+        got = reduction._rere_scheme_step(*args)
+        assert len(calls) == 2 and calls[0] != calls[1]
+        assert got[1] == want[1] and got[0].spectral_type() == want[0].spectral_type()
+        # an invariant breach is not
+        calls.clear()
+        monkeypatch.setattr(reduction, "_rere_scheme_once", failing(InvariantError))
+        with pytest.raises(InvariantError, match="injected"):
+            reduction._rere_scheme_step(*args)
+        assert len(calls) == 1
 
 
 # `fuchsmc reduce` stdout on the rigid family, recorded before schemes were

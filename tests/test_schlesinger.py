@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +17,9 @@ from fuchsmc.errors import (
     PointMismatchError,
     SchemeUnavailableError,
 )
-from fuchsmc.generate import random_schlesinger
+from fuchsmc.generate import random_schlesinger, rigid_family_realization
 from fuchsmc.linalg import ExactMatrix, block_matrix, commutant_dim, inverse, rank
+from fuchsmc.okubo import onf_from_scf, scf_from_onf
 from fuchsmc.scalars import gr
 from fuchsmc.schlesinger import (
     SchlesingerTuple,
@@ -243,6 +248,39 @@ class TestVerifyScheme:
             for label, mult in col:
                 total = total + label * gr(mult)
         assert total.is_zero()
+
+    def test_rigid_normal_form_forms_no_product_and_no_rank(self, monkeypatch):
+        # every prefix of every column is checked by the nullity chain, on the
+        # stored ints: no ExactMatrix product and no rank call
+        o = onf_from_scf(rigid_family_realization(5))
+        t, s = scf_from_onf(o), o.scheme
+        chains, products, ranks = [], [], []
+        chain, rank_of = linalg.nullity_chain, linalg.rank
+
+        def counting_chain(m, shifts):
+            chains.append(m)
+            return chain(m, shifts)
+
+        def counting_rank(m):
+            ranks.append(m)
+            return rank_of(m)
+
+        def refused_product(a, b):
+            products.append((a, b))
+            raise AssertionError("ExactMatrix product formed")
+
+        monkeypatch.setattr(linalg, "nullity_chain", counting_chain)
+        monkeypatch.setattr(linalg, "rank", counting_rank)
+        monkeypatch.setattr(ExactMatrix, "__mul__", refused_product)
+        # the same type, labels at infinity and at the first point moved apart
+        wrong = s.replace_columns(
+            [[(l + 1, k) for l, k in s.column_at_infinity()], [(l - 1, k) for l, k in s.column_at(1)]]
+            + list(s.columns[2:])
+        )
+        assert verify_scheme(t, s)
+        assert not verify_scheme(t, wrong)
+        assert products == [] and ranks == []
+        assert len(chains) >= t.num_points + 1
 
 
 class TestInferScheme:
@@ -476,3 +514,34 @@ def test_certificates_decide_generic_tuples():
         apart = [conjugate_all([m], random_invertible(rng, n))[0] for m in t.matrices]
         assert _equivalent_by_sylvester(t.matrices, apart) is False
         assert linalg.spin_conjugacy(t.matrices, apart) is False
+
+
+# -- two-square decompositions ---------------------------------------------------
+
+
+TWO_SQUARE_B = 2**60 + 50  # 1 + b^2 is prime; float sqrt(1 + b^2 - 1) rounds to 2^60
+
+
+def test_two_square_split_is_exact():
+    # the split runs in a child process with a time limit, so that a float
+    # square root that misses a = 1 (and then loops for about 2^60 steps)
+    # fails this test instead of hanging the suite
+    p = 1 + TWO_SQUARE_B**2
+    src = str(Path(schlesinger.__file__).resolve().parents[1])
+    code = f"from fuchsmc.schlesinger import _gaussian_primes_above as f; print(f({p}))"
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    try:
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"no two-square split of {p} within 20 s")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str([(1, TWO_SQUARE_B), (1, -TWO_SQUARE_B)])
+
+
+@pytest.mark.parametrize(
+    "p,want", [(2, [(1, 1)]), (7, [(7, 0)]), (5, [(1, 2), (1, -2)]), (13, [(2, 3), (2, -3)])]
+)
+def test_two_square_split_small_primes(p, want):
+    assert schlesinger._gaussian_primes_above(p) == want
