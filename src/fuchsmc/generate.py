@@ -12,7 +12,7 @@ import random
 from typing import Optional
 
 from . import linalg
-from .errors import CalculusError, SchemeUnavailableError
+from .errors import CalculusError, InvariantError, SchemeUnavailableError
 from .katz import middle_convolution, addition
 from .linalg import ExactMatrix
 from .okubo import OkuboSystem, check_onf_conditions, pick_generic
@@ -156,7 +156,8 @@ def rigid_family_realization(n: int) -> SchlesingerTuple:
             mu2 = pick_generic(forbidden + [gr(0)])
             t = addition(t, [0, mu2])
         t = _raise_rank(t, rigid_family_type(k + 1))
-    assert is_irreducible(t)
+    if not is_irreducible(t):
+        raise InvariantError(f"the rank-{n} rigid family realization is reducible")
     return t
 
 

@@ -906,12 +906,35 @@ def generated_algebra_dim(mats: Sequence[ExactMatrix], size: int | None = None) 
     return len(pivots)
 
 
+def row_spin_dim(c: ExactMatrix, a: ExactMatrix) -> int:
+    """Dimension of the smallest space of row vectors that contains the rows
+    of c and is closed under v -> v a: the rank of the observability matrix
+    [c; c a; c a^2; ...].
+
+    Its kernel is the largest a-invariant subspace inside ker c, so that
+    subspace is zero exactly when the dimension is a.nrows.  Each row that
+    enters the echelon basis is multiplied by a once; both run on the
+    stored Z[i] rows, since scaling c or a changes no span.
+    """
+    if not a.is_square() or c.ncols != a.nrows:
+        raise SizeMismatchError("row spin needs a square a with as many rows as c has columns")
+    pivots: list[int] = []
+    basis: list[IntRow] = []
+    frontier = [row for row in zip(c.re, c.im) if _add_row(pivots, basis, row)]
+    while frontier and len(pivots) < a.nrows:
+        images = _gaussian_matmul(([re for re, _ in frontier], [im for _, im in frontier]), (a.re, a.im))
+        frontier = [row for row in zip(*images) if _add_row(pivots, basis, row)]
+    return len(pivots)
+
+
 def largest_invariant_subspace(a: ExactMatrix, basis: Sequence[Vector]) -> list[Vector]:
     """Largest a-invariant subspace contained in the span of `basis`.
 
     Fixpoint of U <- {x in U : a x in U}, starting from the given span.  Exact
     and stable under field extension since every step is cut out by linear
-    conditions over the base field.
+    conditions over the base field.  The genericity tests decide the same
+    question by one rank (`row_spin_dim`); this fixpoint is their test
+    oracle.
     """
     if not basis:
         return []

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from bisect import bisect
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .scalars import ZERO
 
@@ -268,48 +268,86 @@ def spin_dim(v: list[int], mats: Sequence[list[list[int]]], p: int) -> int:
 # -- Norton's irreducibility test --------------------------------------------------------
 
 
-def full_matrix_algebra(mats) -> bool:
+def reduce_scalar(c, p: int) -> Optional[int]:
+    """A Gaussian rational mod p with i -> iota, or None when p divides a
+    denominator."""
+    if c.re.denominator % p == 0 or c.im.denominator % p == 0:
+        return None
+    re = c.re.numerator * pow(c.re.denominator, -1, p)
+    im = c.im.numerator * pow(c.im.denominator, -1, p)
+    return (re + sqrt_minus_one(p) * im) % p
+
+
+def full_matrix_algebra(mats, hints: Iterable[tuple] = ()) -> bool:
     """A proof that the unital algebra the ExactMatrix list generates over
     Q(i) is the full matrix algebra M_n; False means "not proven".
 
     Norton's test (Holt and Rees, J. Austral. Math. Soc. A 57, 1994) mod p:
-    take theta, a seeded random combination of the generators and their
-    pairwise products, and a root lam of its characteristic polynomial with
-    nullity(theta - lam) = 1, spanned by v, and ker(theta^T - lam) spanned
-    by w.  A proper invariant subspace U either meets ker(theta - lam), and
-    then contains v, or theta - lam is singular on the quotient, and then
-    its annihilator contains w.  So if v spins to F_p^n under the residues
-    and w under their transposes, the algebra mod p acts absolutely
-    irreducibly and is M_n(F_p) by Burnside.  Reduction mod p can only lower
-    a dimension, so the algebra over Q(i) has dimension n^2 as well.
+    take theta in the algebra and lam with nullity(theta - lam) = 1, v
+    spanning ker(theta - lam) and w spanning ker(theta^T - lam).  A proper
+    invariant subspace U either meets ker(theta - lam), and then contains
+    v, or theta - lam is singular on the quotient, and then its annihilator
+    contains w.  So if v spins to F_p^n under the residues and w under their
+    transposes, the algebra mod p acts absolutely irreducibly and is
+    M_n(F_p) by Burnside.  Reduction mod p can only lower a dimension, so
+    the algebra over Q(i) has dimension n^2 as well.
 
-    The first prime of PRIMES that divides no denominator is used.  Every
-    other outcome (no nullity-one root in THETA_TRIES draws, or a proper
-    spin, which may be an artefact of the reduction) proves nothing.
+    The first prime of PRIMES that divides no denominator is used.  The
+    pairs (theta, lam) of `hints` (an ExactMatrix of the algebra and a
+    Gaussian rational, such as a residue and a simple eigenvalue its scheme
+    declares) are tried first, and need no characteristic polynomial.  A
+    hint only proposes lam: the nullity is checked mod p, and a hint whose
+    lam or theta has a denominator p divides, or whose nullity is not 1, is
+    passed over.  The first hint of nullity one decides the hints: both
+    spins full proves the claim, and a proper spin leaves it to the random
+    path.  That path draws theta as a seeded random combination of the
+    generators and their pairwise products, and lam as a root of its
+    characteristic polynomial with nullity one.  Every other outcome (no
+    nullity-one root in THETA_TRIES draws, or a proper spin, which may be
+    an artefact of the reduction) proves nothing.
     """
     for p in PRIMES:
         red = reduce_matrices(mats, p)
-        if red is None:
-            continue
-        n = len(red[0])
-        cols = [list(zip(*m)) for m in red]
-        products = [(a, cb) for i, a in enumerate(red) for cb in cols[i + 1 :]]
-        words = red + [[[dot(r, c) % p for c in cb] for r in a] for a, cb in products]
-        rng = random.Random(0)
-        for _ in range(THETA_TRIES):
-            coeffs = [rng.randrange(1, p) for _ in words]
-            theta = [
-                [sum(c * w[i][j] for c, w in zip(coeffs, words)) % p for j in range(n)]
-                for i in range(n)
-            ]
-            chi = [c % p for c in berkowitz(theta, [[0] * n] * n)[0]]
-            for lam in roots(chi, p):
-                shifted = [
-                    [(x - lam * (i == j)) % p for j, x in enumerate(r)] for i, r in enumerate(theta)
-                ]
-                v = kernel(shifted, p)
-                if len(v) == 1:
-                    (w,) = kernel(list(zip(*shifted)), p)
-                    return spin_dim(v[0], red, p) == n and spin_dim(w, cols, p) == n
+        if red is not None:
+            break
+    else:
         return False
+    n = len(red[0])
+    cols = [list(zip(*m)) for m in red]
+    for theta, lam in hints:
+        theta, lam = reduce_matrices([theta], p), reduce_scalar(lam, p)
+        if theta is None or lam is None:
+            continue
+        verdict = _norton(theta[0], lam, red, cols, p)
+        if verdict:
+            return True
+        if verdict is False:
+            break
+    products = [(a, cb) for i, a in enumerate(red) for cb in cols[i + 1 :]]
+    words = red + [[[dot(r, c) % p for c in cb] for r in a] for a, cb in products]
+    rng = random.Random(0)
+    for _ in range(THETA_TRIES):
+        coeffs = [rng.randrange(1, p) for _ in words]
+        theta = [
+            [sum(c * w[i][j] for c, w in zip(coeffs, words)) % p for j in range(n)]
+            for i in range(n)
+        ]
+        chi = [c % p for c in berkowitz(theta, [[0] * n] * n)[0]]
+        for lam in roots(chi, p):
+            verdict = _norton(theta, lam, red, cols, p)
+            if verdict is not None:
+                return verdict
     return False
+
+
+def _norton(theta, lam: int, red, cols, p: int) -> Optional[bool]:
+    """Whether the kernel vectors of theta - lam and its transpose spin to
+    F_p^n under `red` and under their transposes `cols`; None when the
+    nullity of theta - lam is not 1."""
+    n = len(theta)
+    shifted = [[(x - lam * (i == j)) % p for j, x in enumerate(r)] for i, r in enumerate(theta)]
+    v = kernel(shifted, p)
+    if len(v) != 1:
+        return None
+    (w,) = kernel(list(zip(*shifted)), p)
+    return spin_dim(v[0], red, p) == n and spin_dim(w, cols, p) == n

@@ -140,19 +140,23 @@ def onf_from_scf(t: SchlesingerTuple) -> OkuboSystem:
     total = t.matrices[0]
     for m in t.matrices[1:]:
         total = total + m
-    a = ginv * total * g
-    scheme = t.scheme
-    return OkuboSystem(blocks, t.poles, a, scheme)
+    o = OkuboSystem(blocks, t.poles, ginv * total * g)
+    # block row j of a is g^-1 A_j g, since g^-1 A_k g maps into block k: each
+    # residue is conjugate to t's, so t's verified scheme carries over exactly
+    return o if t.scheme is None else _attach_scheme(o, t.scheme)
 
 
 def check_onf_conditions(o: OkuboSystem) -> bool:
     """Full rank of A plus per-block kernel/image genericity.
 
-    The per-block tests quantify over all scalar shifts; each reduces to the
-    invariant-subspace fixpoint on the diagonal block against the other
-    blocks' rows (columns for the transposed test), so the decision is exact.
-    This is a code path independent of the residue-tuple genericity test, and
-    equivalent to it.
+    The per-block tests quantify over all scalar shifts; each asks that no
+    nonzero invariant subspace of the diagonal block lie in the kernel of
+    the other blocks' rows in its column strip (of their columns in its row
+    strip, for the transposed test).  That subspace is the kernel of the
+    observability matrix [C; C a; C a^2; ...], so each test is one rank
+    (`linalg.row_spin_dim`), and the decision is exact.  This is a code
+    path independent of the residue-tuple genericity test, and equivalent
+    to it.
     """
     n = o.rank
     if linalg.rank(o.a) != n:
@@ -178,8 +182,7 @@ def _block_condition(aii: ExactMatrix, strip: ExactMatrix) -> bool:
     # pinned to the zero subspace, matching the tuple-level convention
     if strip.nrows == 0:
         return True
-    basis = linalg.kernel_basis(strip)
-    return len(linalg.largest_invariant_subspace(aii, basis)) == 0
+    return linalg.row_spin_dim(strip, aii) == aii.nrows
 
 
 def mc_via_images(o: OkuboSystem, lam) -> OkuboSystem:

@@ -125,10 +125,9 @@ def check_star_conditions(t: SchlesingerTuple) -> tuple[tuple[bool, ...], tuple[
     The kernel condition at i holds when no nonzero vector of
     W_i = intersection of ker A_nu (nu != i) is an eigenvector of A_i,
     i.e. the largest A_i-invariant subspace of W_i vanishes.  The image
-    condition is the same test after transposing every matrix.  Both are
-    decided exactly by an invariant-subspace fixpoint, which is stable under
-    field extension.  For a single-point tuple the intersection over the empty
-    index set is taken to be zero, so both conditions hold vacuously.
+    condition is the same test after transposing every matrix.  For a
+    single-point tuple the intersection over the empty index set is taken
+    to be zero, so both conditions hold vacuously.
     """
     star = _genericity_flags(t.matrices)
     starstar = _genericity_flags([m.transpose() for m in t.matrices])
@@ -136,6 +135,15 @@ def check_star_conditions(t: SchlesingerTuple) -> tuple[tuple[bool, ...], tuple[
 
 
 def _genericity_flags(mats: Sequence[ExactMatrix]) -> tuple[bool, ...]:
+    """Per i, whether no nonzero A_i-invariant subspace lies in the common
+    kernel of the other matrices.
+
+    With C the other matrices stacked, the largest A_i-invariant subspace of
+    ker C is the kernel of [C; C A_i; C A_i^2; ...], whose rows are those of
+    C spun under right multiplication by A_i (`linalg.row_spin_dim`).  The
+    condition holds exactly when they span all n coordinates, a rank, which
+    is exact and stable under field extension.
+    """
     n = mats[0].nrows
     flags = []
     for i in range(len(mats)):
@@ -146,8 +154,7 @@ def _genericity_flags(mats: Sequence[ExactMatrix]) -> tuple[bool, ...]:
         stacked = others[0]
         for m in others[1:]:
             stacked = stacked.vstack(m)
-        w = linalg.kernel_basis(stacked)
-        flags.append(len(linalg.largest_invariant_subspace(mats[i], w)) == 0)
+        flags.append(linalg.row_spin_dim(stacked, mats[i]) == n)
     return tuple(flags)
 
 
@@ -158,13 +165,32 @@ def is_irreducible(t: SchlesingerTuple) -> bool:
     Norton's test mod a prime (`modular.full_matrix_algebra`) is tried
     first.  Its success is a proof: reduction mod p can only lower the
     algebra's dimension, and the test shows the reduced algebra is all of
-    M_n(F_p).  It decides nothing on a reducible tuple, or when the random
-    algebra elements it draws have no eigenvalue of nullity one; only then
-    the span closure runs (`_is_irreducible_by_closure`).
+    M_n(F_p).  When the tuple carries a scheme, the test starts from the
+    residue of the first column with a simple label lam (multiplicity one,
+    no other part with that label) and that lam, so no characteristic
+    polynomial or root is needed; the scheme only proposes lam, and the
+    test checks nullity(residue - lam) = 1 mod p itself.  Otherwise, or
+    when that does not prove it, random algebra elements are drawn.  The
+    test decides nothing on a reducible tuple, or when no element it tries
+    has an eigenvalue of nullity one; only then the span closure runs
+    (`_is_irreducible_by_closure`).
     """
-    if t.rank == 1 or modular.full_matrix_algebra(t.matrices):
+    if t.rank == 1 or modular.full_matrix_algebra(t.matrices, _norton_hints(t)):
         return True
     return _is_irreducible_by_closure(t.matrices)
+
+
+def _norton_hints(t: SchlesingerTuple):
+    """(residue, lam) for each column of t's scheme, infinity first, that has
+    a simple label lam: a part of multiplicity one whose label no other
+    part of the column repeats.  Residues are built only when reached."""
+    if t.scheme is None:
+        return
+    for j, col in enumerate(t.scheme.columns):
+        labels = [label for label, _ in col]
+        lam = next((label for label, mult in col if mult == 1 and labels.count(label) == 1), None)
+        if lam is not None:
+            yield (residue_at_infinity(t) if j == 0 else t.matrices[j - 1]), lam
 
 
 def _is_irreducible_by_closure(mats: Sequence[ExactMatrix]) -> bool:
@@ -316,9 +342,15 @@ def matches_conjugacy_class(m: ExactMatrix, parts: Sequence[tuple]) -> bool:
     entries = canonical_column([(gr(l), int(mult)) for l, mult in parts])
     if sum(mult for _, mult in entries) != m.nrows:
         raise PartitionSizeMismatchError("multiplicities must sum to the matrix size")
-    chain = linalg.nullity_chain(m, (label for label, _ in entries))
+    return _in_class(m, entries)
+
+
+def _in_class(m: ExactMatrix, column: Column) -> bool:
+    """`matches_conjugacy_class` on a canonical column whose multiplicities
+    sum to the size of m, such as a column of a RiemannScheme."""
+    chain = linalg.nullity_chain(m, (label for label, _ in column))
     total = 0
-    for (_, mult), nullity in zip(entries, chain):
+    for (_, mult), nullity in zip(column, chain):
         total += mult
         if nullity != total:
             return False
@@ -326,15 +358,18 @@ def matches_conjugacy_class(m: ExactMatrix, parts: Sequence[tuple]) -> bool:
 
 
 def verify_scheme(t: SchlesingerTuple, s: RiemannScheme) -> bool:
-    """Check the declared scheme column-by-column against the residues."""
+    """Check the declared scheme column-by-column against the residues.
+
+    A scheme's columns are canonical and all sum to its order, so each one
+    goes to the class test as it is."""
     if s.poles != t.poles:
         raise PointMismatchError("scheme points disagree with the tuple's poles")
     if s.order != t.rank:
         return False
-    if not matches_conjugacy_class(residue_at_infinity(t), list(s.column_at_infinity())):
+    if not _in_class(residue_at_infinity(t), s.column_at_infinity()):
         return False
     for j, mat in enumerate(t.matrices, start=1):
-        if not matches_conjugacy_class(mat, list(s.column_at(j))):
+        if not _in_class(mat, s.column_at(j)):
             return False
     return True
 

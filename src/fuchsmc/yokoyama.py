@@ -50,7 +50,7 @@ from .okubo import (
     scf_from_onf,
 )
 from .scalars import GaussianRational, gr
-from .schlesinger import SchlesingerTuple, is_irreducible
+from .schlesinger import SchlesingerTuple, _attach_scheme, is_irreducible
 from .spectral import Column, RiemannScheme, canonical_column
 
 
@@ -156,11 +156,13 @@ def swap_blocks(o: OkuboSystem, i: int, j: int) -> OkuboSystem:
     a = o.a.submatrix(idx, idx)
     blocks = [o.block_sizes[b - 1] for b in order]
     poles = [o.poles[b - 1] for b in order]
-    scheme = None
-    if o.scheme is not None:
-        cols = [o.scheme.column_at_infinity()] + [o.scheme.column_at(b) for b in order]
-        scheme = RiemannScheme(poles, cols)
-    return OkuboSystem(blocks, poles, a, scheme)
+    out = OkuboSystem(blocks, poles, a)
+    if o.scheme is None:
+        return out
+    # the swap conjugates by a permutation matrix, so every residue keeps its
+    # class and o's verified scheme carries over with its columns permuted
+    cols = [o.scheme.column_at_infinity()] + [o.scheme.column_at(b) for b in order]
+    return _attach_scheme(out, RiemannScheme(poles, cols))
 
 
 def restrict(o: OkuboSystem, params: RestrictionParams) -> OkuboSystem:

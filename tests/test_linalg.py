@@ -767,6 +767,28 @@ def derogatory_with_shifts(draw):
     return m, draw(st.lists(shift, max_size=2 * n + 2))
 
 
+class TestRowSpinAgainstOracle:
+    @given(derogatory_with_shifts(), st.integers(1, 3), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_observability_rank(self, case, nrows, data):
+        a = case[0]
+        n = a.nrows
+        c = data.draw(matrices(nrows, n))
+        blocks, power = [], c
+        for _ in range(n):
+            blocks.append(power)
+            power = power * a
+        observability = reduce(ExactMatrix.vstack, blocks)
+        got = linalg.row_spin_dim(c, a)
+        assert got == len(oracle_rref(observability)[1])
+        # its kernel is the largest a-invariant subspace inside ker c
+        assert n - got == len(linalg.largest_invariant_subspace(a, kernel_basis(c)))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(SizeMismatchError):
+            linalg.row_spin_dim(ExactMatrix.zeros(1, 3), ExactMatrix.identity(2))
+
+
 class TestNullityChainAgainstOracle:
     @example((jordan_sum([(3, "0")]), [gr(0)] * 5))
     @example((jordan_sum([(2, "1+i"), (1, "1+i")]).scale(gr(Fraction(1, 6))), [gr("1/6+1/6i")] * 4))

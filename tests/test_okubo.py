@@ -1,6 +1,9 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuchsmc.errors import (
     ConditionsFailError,
@@ -8,9 +11,10 @@ from fuchsmc.errors import (
     NotOkuboConvertibleError,
     PreconditionFailError,
 )
-from fuchsmc.generate import random_okubo, random_scheme_tuple
+from fuchsmc import linalg
+from fuchsmc.generate import random_composition, random_okubo, random_scheme_tuple
 from fuchsmc.katz import middle_convolution
-from fuchsmc.linalg import ExactMatrix, rank
+from fuchsmc.linalg import ExactMatrix, kernel_basis, largest_invariant_subspace, rank
 from fuchsmc.okubo import (
     OkuboSystem,
     check_onf_conditions,
@@ -97,6 +101,121 @@ class TestConditions:
             o = OkuboSystem(blocks, list(range(len(blocks))), random_matrix(rng, n))
             star, starstar = check_star_conditions(scf_from_onf(o))
             assert check_onf_conditions(o) == (all(star) and all(starstar))
+
+
+# -- genericity as an observability rank, against the invariant-subspace fixpoint
+
+
+def fixpoint_flags(mats):
+    """Per i, whether the largest A_i-invariant subspace of the common kernel
+    of the other matrices is zero, by `largest_invariant_subspace`."""
+    flags = []
+    for i, a in enumerate(mats):
+        others = [m for k, m in enumerate(mats) if k != i]
+        if not others:
+            flags.append(True)
+            continue
+        stacked = functools.reduce(ExactMatrix.vstack, others)
+        flags.append(not largest_invariant_subspace(a, kernel_basis(stacked)))
+    return tuple(flags)
+
+
+def onf_conditions_by_fixpoint(o):
+    n = o.rank
+    if rank(o.a) != n:
+        return False
+    for i in range(1, o.num_points + 1):
+        rng = o.block_range(i)
+        others = [r for r in range(n) if r not in rng]
+        aii = o.a.submatrix(rng, rng)
+        for a, strip in (
+            (aii, o.a.submatrix(others, rng)),
+            (aii.transpose(), o.a.submatrix(rng, others).transpose()),
+        ):
+            if strip.nrows and largest_invariant_subspace(a, kernel_basis(strip)):
+                return False
+    return True
+
+
+def sparse_rows(rng, n, zeros):
+    def entry():
+        if rng.random() < zeros:
+            return gr(0)
+        return gr(rng.randint(-3, 3), rng.randint(-2, 2) if rng.random() < 0.3 else 0)
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def invertible(rng, n):
+    while True:
+        g = ExactMatrix(n, n, sparse_rows(rng, n, 0.3))
+        if rank(g) == n:
+            return g
+
+
+def planted_onf(rng, n, plant):
+    """A normal-form system with sparse entries, conjugated by a random
+    block-diagonal matrix (which keeps the shape and the conditions).  With
+    `plant`, the first coordinate of a random block is an eigenvector of
+    its diagonal block that the rest of its column strip kills (or the same
+    for the row strip), so the conditions fail."""
+    blocks = random_composition(rng, n, min_parts=2)
+    rows = sparse_rows(rng, n, rng.choice([0.2, 0.5]))
+    if plant:
+        k = sum(blocks[: rng.randrange(len(blocks))])
+        rows[k][k] = gr(rng.randint(1, 3))
+        by_column = rng.random() < 0.5
+        for r in range(n):
+            if r != k:
+                if by_column:
+                    rows[r][k] = gr(0)
+                else:
+                    rows[k][r] = gr(0)
+    g = linalg.block_matrix(
+        [
+            [invertible(rng, b) if i == j else ExactMatrix.zeros(b, c) for j, c in enumerate(blocks)]
+            for i, b in enumerate(blocks)
+        ]
+    )
+    return OkuboSystem(blocks, list(range(len(blocks))), linalg.inverse(g) * ExactMatrix(n, n, rows) * g)
+
+
+class TestGenericityAgainstFixpoint:
+    @given(st.integers(0, 10_000), st.integers(2, 5), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_onf_conditions(self, seed, n, plant):
+        o = planted_onf(random.Random(seed), n, plant)
+        want = onf_conditions_by_fixpoint(o)
+        assert check_onf_conditions(o) == want
+        assert not (plant and want)
+
+    @given(st.integers(0, 10_000), st.integers(2, 5), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_star_conditions(self, seed, n, plant):
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            mats = list(scf_from_onf(planted_onf(rng, n, plant)).matrices)
+        else:
+            # any tuple; with `plant`, e_1 is an eigenvector of one residue
+            # killed by all the others, then everything is conjugated
+            mats = [sparse_rows(rng, n, 0.4) for _ in range(rng.randint(1, 3))]
+            if plant:
+                i = rng.randrange(len(mats))
+                for k, rows in enumerate(mats):
+                    for r in range(n):
+                        rows[r][0] = gr(rng.randint(1, 3)) if (k, r) == (i, 0) else gr(0)
+            g = invertible(rng, n)
+            mats = [linalg.inverse(g) * ExactMatrix(n, n, rows) * g for rows in mats]
+        t = SchlesingerTuple(range(len(mats)), mats)
+        star, starstar = check_star_conditions(t)
+        assert star == fixpoint_flags(mats)
+        assert starstar == fixpoint_flags([m.transpose() for m in mats])
+        if plant and len(mats) > 1:
+            assert not (all(star) and all(starstar))
+
+    def test_both_verdicts_occur(self):
+        verdicts = {check_onf_conditions(planted_onf(random.Random(s), 3, False)) for s in range(40)}
+        assert verdicts == {True, False}
 
 
 class TestImageRealization:

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from fuchsmc import reduction, schlesinger, yokoyama
+from fuchsmc import generate, modular, reduction, schlesinger, yokoyama
 from fuchsmc import serialization as ser
 from fuchsmc.cli import main
 from fuchsmc.errors import CRViolatedError, InvariantError
@@ -128,6 +128,51 @@ def test_katz_reduce_checks_each_tuple_irreducible_once(tmp_path, monkeypatch, c
     assert len(set(seen)) == len(seen)
 
 
+def test_yokoyama_reduce_proves_each_fact_cheaply(tmp_path, monkeypatch, capsys):
+    # restrict's irreducibility precondition is decided from the input's
+    # scheme, with no characteristic-polynomial roots, and a block swap
+    # carries its scheme instead of verifying it again
+    inp = tmp_path / "rigid5.json"
+    ser.save_system(str(inp), rigid_onf(5))
+    roots = []
+    original_roots = modular.roots
+    monkeypatch.setattr(modular, "roots", lambda *a: roots.append(a) or original_roots(*a))
+    in_swap, swaps = [], []
+    original_swap = yokoyama.swap_blocks
+
+    def swapping(*args):
+        in_swap.append(True)
+        try:
+            out = original_swap(*args)
+        finally:
+            in_swap.pop()
+        swaps.append(out)
+        return out
+
+    monkeypatch.setattr(yokoyama, "swap_blocks", swapping)
+    checked = call_keys(monkeypatch, "verify_scheme", lambda t, s: bool(in_swap))
+    irreducible = call_keys(monkeypatch, "is_irreducible", lambda t: t.scheme is not None)
+    assert main(["reduce", "--input", str(inp), "--mode", "yokoyama"]) == 0
+    assert capsys.readouterr().out == GOLDEN_REDUCE[(5, "yokoyama")]
+    assert irreducible and all(irreducible)
+    assert roots == []
+    assert checked and not any(checked)
+    swapped = [o for o in swaps if o.scheme is not None]
+    assert swapped
+    for o in swapped:  # the carried scheme is still the system's
+        assert schlesinger.verify_scheme(scf_from_onf(o), o.scheme)
+
+
+def test_onf_from_scf_carries_the_scheme(monkeypatch):
+    t = rigid_family_realization(4)
+    seen = verify_scheme_keys(monkeypatch)
+    o = onf_from_scf(t)
+    assert seen == []
+    assert o.scheme == t.scheme
+    assert schlesinger.verify_scheme(scf_from_onf(o), o.scheme)
+    assert onf_from_scf(t.with_scheme(None)).scheme is None
+
+
 class TestSearchReturnsTheWinningRun:
     @staticmethod
     def same(a: OkuboSystem, b: OkuboSystem):
@@ -214,6 +259,12 @@ class TestInvariantErrorsPropagate:
         monkeypatch.setattr(yokoyama, "scheme_of_restriction", self.breach)
         with pytest.raises(InvariantError, match="injected"):
             restrict(ext, params)
+
+    def test_rigid_family_realization(self, monkeypatch):
+        # a typed error, not an assert, so that it holds under python -O
+        monkeypatch.setattr(generate, "is_irreducible", lambda t: False)
+        with pytest.raises(InvariantError, match="reducible"):
+            rigid_family_realization(3)
 
     def test_scheme_level_step_retries_only_genericity(self, monkeypatch):
         o = rigid_onf(4)

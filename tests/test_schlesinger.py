@@ -5,6 +5,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +18,13 @@ from fuchsmc.errors import (
     PointMismatchError,
     SchemeUnavailableError,
 )
-from fuchsmc.generate import random_schlesinger, rigid_family_realization
+from fuchsmc.generate import random_scheme_tuple, random_schlesinger, rigid_family_realization
 from fuchsmc.linalg import ExactMatrix, block_matrix, commutant_dim, inverse, rank
 from fuchsmc.okubo import onf_from_scf, scf_from_onf
 from fuchsmc.scalars import gr
 from fuchsmc.schlesinger import (
     SchlesingerTuple,
+    _attach_scheme,
     _equivalent_by_sylvester,
     _is_irreducible_by_closure,
     build_L,
@@ -37,7 +39,7 @@ from fuchsmc.schlesinger import (
     verify_scheme,
     with_poles,
 )
-from fuchsmc.spectral import RiemannScheme
+from fuchsmc.spectral import RiemannScheme, canonical_column
 
 E = ExactMatrix.from_rows
 
@@ -431,6 +433,104 @@ class TestIrreducibilityCertificate:
         for mats in ([a, a.transpose()], [a, zero], [a, a.transpose(), a * a]):
             t = SchlesingerTuple(range(len(mats)), mats)
             assert is_irreducible(t) == _is_irreducible_by_closure(mats)
+
+
+def seeded_only(t):
+    """full_matrix_algebra on t's scheme hints alone: the random path finds
+    no roots, so True comes from a hint."""
+    with mock.patch.object(modular, "roots", lambda f, p: []):
+        return modular.full_matrix_algebra(t.matrices, schlesinger._norton_hints(t))
+
+
+def direct_sum(a: SchlesingerTuple, b: SchlesingerTuple) -> SchlesingerTuple:
+    zero_ab, zero_ba = ExactMatrix.zeros(a.rank, b.rank), ExactMatrix.zeros(b.rank, a.rank)
+    mats = [block_matrix([[x, zero_ab], [zero_ba, y]]) for x, y in zip(a.matrices, b.matrices)]
+    cols = [ca + cb for ca, cb in zip(a.scheme.columns, b.scheme.columns)]
+    return SchlesingerTuple(a.poles, mats, RiemannScheme(a.poles, cols))
+
+
+def scalar_tuple(values) -> SchlesingerTuple:
+    """The rank-one tuple of the given scalars, with its scheme."""
+    values = [gr(v) for v in values]
+    poles = list(range(len(values)))
+    cols = [[(-sum(values, gr(0)), 1)]] + [[(v, 1)] for v in values]
+    return SchlesingerTuple(poles, [E([[v]]) for v in values], RiemannScheme(poles, cols))
+
+
+class TestSchemeSeededNorton:
+    """is_irreducible seeded by a simple scheme label, against the closure."""
+
+    @given(seeds, st.integers(2, 3), st.integers(1, 2))
+    @settings(max_examples=25, deadline=None)
+    def test_random_scheme_tuples(self, seed, p, steps):
+        t = random_scheme_tuple(random.Random(seed), p, steps=steps)
+        closure = _is_irreducible_by_closure(t.matrices)
+        assert is_irreducible(t) == closure
+        assert not seeded_only(t) or closure
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_rigid_family_needs_no_roots(self, n):
+        t = rigid_family_realization(n)
+        assert list(schlesinger._norton_hints(t))
+        assert seeded_only(t) and _is_irreducible_by_closure(t.matrices)
+        o = onf_from_scf(t)
+        assert seeded_only(scf_from_onf(o))
+
+    @given(seeds, st.integers(2, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_reducible_direct_sum_stays_reducible(self, seed, p):
+        # the labels 1000 + j cannot collide with the small labels of the
+        # first summand, so every finite column has a simple label whose
+        # kernel vector spins to a proper subspace
+        a = random_scheme_tuple(random.Random(seed), p)
+        t = direct_sum(a, scalar_tuple([1000 + j for j in range(p)]))
+        verdicts = []
+        norton = modular._norton
+        with mock.patch.object(modular, "_norton", lambda *args: verdicts.append(norton(*args)) or verdicts[-1]):
+            assert not is_irreducible(t)
+        assert False in verdicts
+        assert not _is_irreducible_by_closure(t.matrices)
+
+    def test_label_no_listed_prime_can_reduce_is_skipped(self):
+        # the scheme only proposes a label: one with a denominator every
+        # listed prime divides is passed over, and the random path decides
+        den = 1
+        for q in modular.PRIMES:
+            den *= q
+        t = rigid_family_realization(3)
+        lam = gr(Fraction(1, den))
+        col = canonical_column([(lam, 1), (lam + 1, t.rank - 1)])
+        t = _attach_scheme(t, RiemannScheme(t.poles, [col] * 3))
+        assert [h[1] for h in schlesinger._norton_hints(t)] == [lam] * 3
+        for p in modular.PRIMES:
+            assert modular.reduce_scalar(lam, p) is None
+        roots = []
+        original = modular.roots
+        with mock.patch.object(modular, "roots", lambda *a: roots.append(a) or original(*a)):
+            assert is_irreducible(t)
+        assert roots
+
+    def test_wrong_label_is_checked_not_trusted(self):
+        # a label that is no eigenvalue has nullity 0 mod p: passed over
+        t = rigid_family_realization(3)
+        cols = [canonical_column([(gr(10**6), 1), (gr(10**6 + 1), t.rank - 1)])]
+        t = _attach_scheme(t, RiemannScheme(t.poles, cols + [canonical_column([(gr(10**6 + 2), t.rank)])] * 2))
+        assert list(schlesinger._norton_hints(t))
+        assert not seeded_only(t)
+        assert is_irreducible(t)
+
+    def test_nullity_is_checked_not_trusted(self):
+        # a conjugated direct sum of two rank-one tuples: A_1 - 1 vanishes,
+        # so any kernel vector mixes both summands and spins to everything;
+        # only the nullity check keeps the wrongly declared simple label 1
+        # from proving a reducible tuple irreducible
+        g = E([[1, 2], [1, 3]])
+        mats = conjugate_all([ExactMatrix.diagonal([1, 1]), ExactMatrix.diagonal([2, 3])], g)
+        cols = [[(gr(0), 2)], [(gr(1), 1), (gr(7), 1)], [(gr(9), 2)]]
+        t = _attach_scheme(SchlesingerTuple([0, 1], mats), RiemannScheme([0, 1], cols))
+        assert [h[1] for h in schlesinger._norton_hints(t)] == [gr(1)]
+        assert not seeded_only(t)
+        assert not is_irreducible(t)
 
 
 class TestEquivalenceCertificate:
