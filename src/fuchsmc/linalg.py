@@ -971,10 +971,3 @@ def char_poly(m: ExactMatrix) -> list[GaussianRational]:
     n = m.nrows
     cre, cim = modular.berkowitz(m.re, m.im)
     return [_scalar(x, y, m.den ** (n - k)) for k, (x, y) in enumerate(zip(cre, cim))]
-
-
-def eval_poly(coeffs: Sequence[GaussianRational], x: GaussianRational) -> GaussianRational:
-    acc = ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc

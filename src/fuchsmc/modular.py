@@ -1,14 +1,16 @@
 """The arithmetic behind the certificates of `linalg.commutant_dim` and
-`schlesinger.is_irreducible`: exact characteristic polynomials over Z[i],
-square-free decomposition over Q(i), and linear algebra over the residue
-fields F_p of Z[i] for primes p ≡ 1 (mod 4).
+`schlesinger.is_irreducible`, and behind the eigenvalues of
+`schlesinger.infer_scheme`: exact characteristic polynomials over Z[i],
+square-free decomposition over Q(i), roots in Z[i] lifted from roots mod p,
+and linear algebra over the residue fields F_p of Z[i] for primes
+p ≡ 1 (mod 4).
 
 For such p, -1 has a square root iota mod p, and i -> iota maps every
 Gaussian rational whose denominators p does not divide into F_p: the
 reduction modulo a prime of Z[i] above p.  It is a ring map, so a matrix
 identity over Q(i) stays true mod p, and a rank or a dimension can only drop.
-A modular result is therefore only ever used as a one-sided proof, never as
-a verdict by itself.
+A modular result is therefore only ever used as a one-sided proof or as a
+candidate that exact arithmetic confirms, never as a verdict by itself.
 
 Polynomials are lists of coefficients, low degree first, with no trailing
 zeros; matrices mod p are lists of rows of ints in [0, p).
@@ -18,10 +20,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
+from math import isqrt
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .scalars import ZERO
+from .scalars import ZERO, GaussianRational
 
 PRIMES = (10009, 10037, 10061, 10069, 10093)  # each ≡ 1 (mod 4)
 THETA_TRIES = 8  # random algebra elements tried before a prime is given up
@@ -123,12 +126,12 @@ def squarefree_decomposition(f) -> list[tuple[int, list]]:
     return out
 
 
-def is_squarefree(re: Sequence[int], im: Sequence[int]) -> bool:
+def is_squarefree(re: Sequence[int], im: Sequence[int], p: int = PRIMES[0]) -> bool:
     """Whether a monic polynomial over Z[i] (the real and imaginary parts of
-    its coefficients) is square-free mod PRIMES[0].  That proves it
-    square-free over Q(i): a repeated factor, monic over Z[i] by Gauss's
-    lemma, would reduce to a repeated factor mod p.  False proves nothing."""
-    p = PRIMES[0]
+    its coefficients) is square-free mod the prime p ≡ 1 (mod 4).  That
+    proves it square-free over Q(i): a repeated factor, monic over Z[i] by
+    Gauss's lemma, would reduce to a repeated factor mod p.  False proves
+    nothing."""
     iota = sqrt_minus_one(p)
     f = [(x + iota * y) % p for x, y in zip(re, im)]
     return len(poly_gcd(f, [k * c % p for k, c in enumerate(f)][1:], p)) == 1
@@ -196,6 +199,89 @@ def roots(f: list[int], p: int) -> list[int]:
             h = poly_gcd(g, h, p)
             stack += [h, poly_divmod(g, h, p)[0]] if 1 < len(h) < len(g) else [g]
     return sorted(out)
+
+
+# -- roots in Z[i] by lifting ---------------------------------------------------------
+
+
+def gaussian_root_candidates(re: Sequence[int], im: Sequence[int]) -> list[tuple[int, int]]:
+    """Gaussian integers x + iy, as pairs (x, y), among which lies every root
+    in Z[i] of a monic polynomial f over Z[i] (the real and imaginary parts
+    of its coefficients): one per root mod p of its square-free part g.  A
+    candidate need not be a root.
+
+    g = f / gcd(f, f') is monic over Z[i] by Gauss's lemma.  p is the first
+    prime ≡ 1 (mod 4) for which g mod p is square-free, so each root mod p
+    is simple and Newton-lifts, like iota, to q = p^(2^j) > 16 B^2, where
+    B = 1 + max |Re c| + |Im c| bounds the roots' moduli (Cauchy).  A root
+    z of g reduces mod q to the lift of z mod p.  The elements of Z[i] that
+    vanish mod q form the ideal spanned by q and i - iota, of norm q, whose
+    Lagrange-Gauss-reduced generator w has |w| = sqrt(q) > 4B.  Rounding
+    c/w to Z[i] leaves the element of c + (w) within |w|/sqrt(2) of 0, and
+    that is z: every other element lies beyond |w| - B > 3|w|/4.  (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 15; Loos, SIAM J.
+    Comput. 12, 1983.)
+    """
+    f = [GaussianRational(x, y) for x, y in zip(re, im)]
+    g = _divmod(f, _gcd(f, _derivative(f)))[0]
+    gre, gim = [int(c.re) for c in g], [int(c.im) for c in g]
+    p = next(p for p in _primes() if is_squarefree(gre, gim, p))
+    bound, q = 1 + max(abs(x) + abs(y) for x, y in zip(gre, gim)), p
+    while q <= 16 * bound * bound:
+        q *= q
+    iota = _lift([1, 0, 1], sqrt_minus_one(p), p, q)
+    gq = [(x + iota * y) % q for x, y in zip(gre, gim)]
+    wre, wim = _shortest((q, 0), (-iota, 1))
+    out = []
+    for r in roots([c % p for c in gq], p):
+        c = _lift(gq, r, p, q)
+        ur, ui = _round(c * wre, q), _round(-c * wim, q)  # c/w = c conj(w)/q
+        out.append((c - ur * wre + ui * wim, -ur * wim - ui * wre))
+    return out
+
+
+def _primes():
+    """PRIMES, then the larger primes ≡ 1 (mod 4)."""
+    yield from PRIMES
+    q = PRIMES[-1]
+    while True:
+        q += 4
+        if all(q % d for d in range(3, isqrt(q) + 1, 2)):
+            yield q
+
+
+def _lift(f: list[int], r: int, p: int, q: int) -> int:
+    """The root mod q = p^(2^j) of f above its simple root r mod p, by
+    Newton's iteration, which doubles the precision at each step."""
+    df, mod = _derivative(f), p
+    while mod < q:
+        mod *= mod
+        r = (r - _value(f, r, mod) * pow(_value(df, r, mod), -1, mod)) % mod
+    return r
+
+
+def _value(f: list[int], x: int, mod: int) -> int:
+    out = 0
+    for c in reversed(f):
+        out = (out * x + c) % mod
+    return out
+
+
+def _shortest(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """A shortest nonzero vector of the lattice with basis u, v, by
+    Lagrange-Gauss reduction."""
+    while True:
+        if dot(v, v) < dot(u, u):
+            u, v = v, u
+        mu = _round(dot(u, v), dot(u, u))
+        if not mu:
+            return u
+        v = (v[0] - mu * u[0], v[1] - mu * u[1])
+
+
+def _round(a: int, b: int) -> int:
+    """The integer nearest a/b, for b > 0."""
+    return (2 * a + b) // (2 * b)
 
 
 # -- elimination and spinning mod p ----------------------------------------------------

@@ -81,12 +81,6 @@ class OkuboSystem:
         r = self.block_range(j)
         return self.a.submatrix(r, r)
 
-    def t_matrix(self) -> ExactMatrix:
-        vals = []
-        for size, pole in zip(self.block_sizes, self.poles):
-            vals.extend([pole] * size)
-        return ExactMatrix.diagonal(vals)
-
     def __eq__(self, other):
         if not isinstance(other, OkuboSystem):
             return NotImplemented

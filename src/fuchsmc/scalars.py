@@ -50,9 +50,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return not (self.re or self.im)
 
-    def is_real(self) -> bool:
-        return not self.im
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
@@ -233,49 +230,3 @@ def format_scalar(g: GaussianRational) -> str:
     if istr.startswith("-"):
         return f"{re}{istr}"
     return f"{re}+{istr}"
-
-
-def rational_sqrt(q):
-    """Exact square root of a rational; None when it is not a square."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn = _isqrt_exact(num)
-    rd = _isqrt_exact(den)
-    if rn is None or rd is None:
-        return None
-    return _Q(rn, rd)
-
-
-def _isqrt_exact(n: int):
-    import math
-
-    n = int(n)
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def sqrt_exact(g: GaussianRational):
-    """A Gaussian-rational square root of g, or None when none exists.
-
-    Solves (x+yi)^2 = a+bi exactly: needs |g| rational and the derived
-    half-sum a rational square.
-    """
-    a, b = g.re, g.im
-    if not b:
-        r = rational_sqrt(a)
-        if r is not None:
-            return GaussianRational(r, _Q0)
-        r = rational_sqrt(-a)
-        if r is not None:
-            return GaussianRational(_Q0, r)
-        return None
-    n = rational_sqrt(a * a + b * b)
-    if n is None:
-        return None
-    x2 = (a + n) / 2
-    x = rational_sqrt(x2)
-    if x is None or not x:
-        return None
-    y = b / (2 * x)
-    return GaussianRational(x, y)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 from itertools import repeat
-from math import isqrt
 from typing import Optional, Sequence
 
 from . import linalg, modular
@@ -25,7 +24,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .linalg import ExactMatrix
-from .scalars import GaussianRational, ONE, ZERO, gr
+from .scalars import ONE, ZERO, format_scalar, gr
 from .spectral import Column, RiemannScheme, canonical_column
 
 
@@ -374,206 +373,53 @@ def verify_scheme(t: SchlesingerTuple, s: RiemannScheme) -> bool:
     return True
 
 
-# -- best-effort scheme inference -------------------------------------------------
+# -- scheme inference ------------------------------------------------------------
 
 
 def infer_scheme(t: SchlesingerTuple) -> RiemannScheme:
-    """Infer a scheme when every residue has Gaussian-rational eigenvalues.
+    """The Riemann scheme of t when every residue has Gaussian-rational
+    eigenvalues.  Otherwise SchemeUnavailableError names the first point,
+    infinity first, whose residue has an eigenvalue outside Q(i).
 
-    Root candidates come from divisors of the characteristic polynomial's
-    extreme coefficients (after clearing denominators), so only eigenvalues in
-    the base field are ever found; anything else raises.
+    Each column comes from lifted modular roots (`_class_column`), in time
+    polynomial in the size of the entries, and the scheme is then verified
+    against the residues like a declared one.
     """
-    cols = [_class_column(residue_at_infinity(t))]
-    for m in t.matrices:
-        cols.append(_class_column(m))
+    points = [("infinity", residue_at_infinity(t))]
+    for j, (pole, m) in enumerate(zip(t.poles, t.matrices), start=1):
+        points.append((f"t_{j} = {format_scalar(pole)}", m))
+    cols = []
+    for point, m in points:
+        col = _class_column(m)
+        if col is None:
+            raise SchemeUnavailableError(
+                f"the residue at {point} has eigenvalues outside the Gaussian rationals"
+            )
+        cols.append(col)
     scheme = RiemannScheme(t.poles, cols)
     if not verify_scheme(t, scheme):
         raise SchemeUnavailableError("inferred class data failed verification")
     return scheme
 
 
-def _class_column(m: ExactMatrix) -> Column:
-    n = m.nrows
-    roots = _rational_roots(linalg.char_poly(m))
-    if sum(mult for _, mult in roots) != n:
-        raise SchemeUnavailableError(
-            "characteristic polynomial has roots outside the Gaussian rationals"
-        )
+def _class_column(m: ExactMatrix) -> Optional[Column]:
+    """The canonical column of m's conjugacy class, or None when m has an
+    eigenvalue outside Q(i).
+
+    m = A/d with A over Z[i], and an eigenvalue z/d of m in Q(i) has z a root
+    of the monic characteristic polynomial of A, so z lies in Z[i] and among
+    `modular.gaussian_root_candidates`.  Over each candidate the nullity
+    chain of m - z/d rises by the Weyr counts of z/d until it stops growing;
+    a candidate that is not an eigenvalue rises by nothing.
+    """
     entries = []
-    for lam, alg_mult in roots:
-        prev = 0
-        for ker in linalg.nullity_chain(m, repeat(lam, alg_mult)):
-            part = ker - prev
-            if part <= 0:
-                raise SchemeUnavailableError("inconsistent kernel filtration")
-            entries.append((lam, part))
-            prev = ker
-            if prev >= alg_mult:
+    for x, y in modular.gaussian_root_candidates(*modular.berkowitz(m.re, m.im)):
+        lam, prev = gr(x, y) / m.den, 0
+        for nullity in linalg.nullity_chain(m, repeat(lam)):
+            if nullity == prev:
                 break
+            entries.append((lam, nullity - prev))
+            prev = nullity
+    if sum(part for _, part in entries) != m.nrows:
+        return None
     return canonical_column(entries)
-
-
-def _rational_roots(coeffs) -> list[tuple[GaussianRational, int]]:
-    """Gaussian-rational roots with multiplicities, by candidate testing and
-    deflation."""
-    roots = []
-    poly = list(coeffs)
-    while len(poly) > 1:
-        poly = _trim(poly)
-        if len(poly) <= 1:
-            break
-        root = _find_root(poly)
-        if root is None:
-            break
-        mult = 0
-        while True:
-            quo, rem = _deflate(poly, root)
-            if rem:
-                break
-            poly = quo
-            mult += 1
-            if len(poly) <= 1:
-                break
-        roots.append((root, mult))
-    return roots
-
-
-def _trim(poly):
-    while len(poly) > 1 and poly[-1].is_zero():
-        poly = poly[:-1]
-    return poly
-
-
-def _deflate(poly, root):
-    out = [ZERO] * (len(poly) - 1)
-    carry = ZERO
-    for k in range(len(poly) - 1, 0, -1):
-        carry = poly[k] + carry
-        out[k - 1] = carry
-        carry = carry * root
-    rem = poly[0] + carry
-    return out, rem
-
-
-def _find_root(poly):
-    if poly[0].is_zero():
-        return ZERO
-    cleared = _clear_denominators(poly)
-    for cand in _root_candidates(cleared[0], cleared[-1]):
-        if linalg.eval_poly(poly, cand).is_zero():
-            return cand
-    return None
-
-
-def _clear_denominators(poly) -> list[tuple[int, int]]:
-    """Scale the polynomial by the common denominator; Gaussian-integer coeffs."""
-    lcm = 1
-    for c in poly:
-        for d in (c.re.denominator, c.im.denominator):
-            lcm = lcm * d // _gcd_int(lcm, d)
-    return [(int(c.re * lcm), int(c.im * lcm)) for c in poly]
-
-
-def _root_candidates(c0: tuple[int, int], cn: tuple[int, int]):
-    seen = set()
-    for u in _gaussian_divisors(c0):
-        un = gr(u[0], u[1])
-        for v in _gaussian_divisors(cn):
-            cand = un / gr(v[0], v[1])
-            for unit in (ONE, -ONE, gr(0, 1), gr(0, -1)):
-                c = cand * unit
-                if c not in seen:
-                    seen.add(c)
-                    yield c
-
-
-def _gcd_int(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(int(a), int(b))
-
-
-def _gaussian_divisors(z: tuple[int, int]):
-    """All divisors of a nonzero Gaussian integer, up to units."""
-    a, b = z
-    norm = a * a + b * b
-    if norm == 0:
-        return [(1, 0)]
-    divisors = {(1, 0)}
-    for p, e in _factor_int(norm).items():
-        primes = _gaussian_primes_above(p)
-        new = set(divisors)
-        for pr in primes:
-            for d in divisors:
-                cur = d
-                for _ in range(e):
-                    cur = _gmul(cur, pr)
-                    if _gdivides(cur, z):
-                        new.add(_gnormalize(cur))
-                    else:
-                        break
-        divisors = new
-        # saturate products of the accumulated divisors that still divide z
-        stable = False
-        while not stable:
-            stable = True
-            for d1 in list(divisors):
-                for pr in primes:
-                    cand = _gmul(d1, pr)
-                    cn = _gnormalize(cand)
-                    if cn not in divisors and _gdivides(cn, z):
-                        divisors.add(cn)
-                        stable = False
-    return [d for d in divisors if _gdivides(d, z)]
-
-
-def _gmul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _gnormalize(x):
-    # pick the unit-multiple with a canonical sign pattern
-    best = None
-    cur = x
-    for _ in range(4):
-        cur = (-cur[1], cur[0])
-        if best is None or (cur[0], cur[1]) > best:
-            best = cur
-    return best
-
-
-def _gdivides(d, z):
-    nd = d[0] * d[0] + d[1] * d[1]
-    if nd == 0:
-        return False
-    qr = (z[0] * d[0] + z[1] * d[1])
-    qi = (z[1] * d[0] - z[0] * d[1])
-    return qr % nd == 0 and qi % nd == 0
-
-
-def _factor_int(n: int) -> dict[int, int]:
-    n = abs(int(n))
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _gaussian_primes_above(p: int):
-    if p == 2:
-        return [(1, 1)]
-    if p % 4 == 3:
-        return [(p, 0)]
-    for a in range(1, isqrt(p) + 1):
-        b2 = p - a * a
-        b = isqrt(b2)
-        if b * b == b2:
-            return [(a, b), (a, -b)]
-    raise InvariantError(f"no two-square decomposition found for prime {p}")

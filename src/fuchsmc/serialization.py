@@ -160,10 +160,6 @@ def parse_operations(text: str) -> list[dict]:
     return ops
 
 
-def format_operation(entry: dict) -> str:
-    return json.dumps(entry, sort_keys=True)
-
-
 def apply_operation(system, entry: dict):
     """Apply one log entry; converts between the two shapes as needed.
 

@@ -7,8 +7,6 @@ from fuchsmc.scalars import (
     format_scalar,
     gr,
     parse_scalar,
-    rational_sqrt,
-    sqrt_exact,
 )
 
 gaussians = st.builds(
@@ -76,19 +74,3 @@ def test_ints_coerce_in_arithmetic():
     assert gr(4) / 2 == gr(2)
 
 
-def test_sqrt_exact_cases():
-    assert sqrt_exact(gr(9)) == gr(3)
-    assert sqrt_exact(gr(-9)) == gr(0, 3)
-    assert sqrt_exact(gr(0, 2)) == gr(1, 1)
-    assert sqrt_exact(gr("9/4")) == gr("3/2")
-    assert sqrt_exact(gr(2)) is None
-    assert sqrt_exact(gr(1, 1)) is None
-    assert rational_sqrt(gr(2).re) is None
-
-
-@given(gaussians)
-@settings(max_examples=40)
-def test_sqrt_exact_squares(g):
-    root = sqrt_exact(g * g)
-    assert root is not None
-    assert root * root == g * g

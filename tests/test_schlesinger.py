@@ -302,8 +302,12 @@ class TestInferScheme:
         assert list(s.column_at(1)) == [(gr(2), 1), (gr(2), 1)]
 
     def test_irrational_rejected(self):
-        with pytest.raises(SchemeUnavailableError):
+        with pytest.raises(SchemeUnavailableError, match="residue at infinity has eigenvalues outside"):
             infer_scheme(SchlesingerTuple([0], [E([[0, 1], [2, 0]])]))
+        # the residue at infinity, -[[1, 1], [2, 2]], has eigenvalues 0 and -3
+        t = SchlesingerTuple([0, Fraction(1, 2)], [E([[1, 0], [0, 2]]), E([[0, 1], [2, 0]])])
+        with pytest.raises(SchemeUnavailableError, match="residue at t_2 = 1/2 has eigenvalues outside"):
+            infer_scheme(t)
 
     def test_declared_scheme_checked_at_construction(self):
         from fuchsmc.errors import InvariantError
@@ -616,32 +620,38 @@ def test_certificates_decide_generic_tuples():
         assert linalg.spin_conjugacy(t.matrices, apart) is False
 
 
-# -- two-square decompositions ---------------------------------------------------
+# -- a Gaussian prime of large norm ----------------------------------------------
 
 
-TWO_SQUARE_B = 2**60 + 50  # 1 + b^2 is prime; float sqrt(1 + b^2 - 1) rounds to 2^60
+TWO_SQUARE_B = 2**60 + 50  # 1 + b^2 is prime, so 1 + b i is a Gaussian prime
 
 
 def test_two_square_split_is_exact():
-    # the split runs in a child process with a time limit, so that a float
-    # square root that misses a = 1 (and then loops for about 2^60 steps)
-    # fails this test instead of hanging the suite
-    p = 1 + TWO_SQUARE_B**2
+    # inference on the 1x1 residue 1 + b i, whose norm exceeds 10^36; it runs
+    # in a child process with a time limit, so that a root search that
+    # factors the norm (by trial division, about 10^18 steps) fails this
+    # test instead of hanging the suite
+    z = f"gr(1, {TWO_SQUARE_B})"
     src = str(Path(schlesinger.__file__).resolve().parents[1])
-    code = f"from fuchsmc.schlesinger import _gaussian_primes_above as f; print(f({p}))"
+    code = (
+        "import time\n"
+        "from fuchsmc.linalg import ExactMatrix\n"
+        "from fuchsmc.scalars import gr\n"
+        "from fuchsmc.schlesinger import SchlesingerTuple, infer_scheme\n"
+        f"t = SchlesingerTuple([0], [ExactMatrix.from_rows([[{z}]])])\n"
+        "start = time.perf_counter()\n"
+        "scheme = infer_scheme(t)\n"
+        "print(time.perf_counter() - start)\n"
+        "print(scheme)\n"
+    )
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     try:
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=20
         )
     except subprocess.TimeoutExpired:
-        pytest.fail(f"no two-square split of {p} within 20 s")
+        pytest.fail(f"no scheme for the residue {z} within 20 s")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == str([(1, TWO_SQUARE_B), (1, -TWO_SQUARE_B)])
-
-
-@pytest.mark.parametrize(
-    "p,want", [(2, [(1, 1)]), (7, [(7, 0)]), (5, [(1, 2), (1, -2)]), (13, [(2, 3), (2, -3)])]
-)
-def test_two_square_split_small_primes(p, want):
-    assert schlesinger._gaussian_primes_above(p) == want
+    elapsed, scheme = out.stdout.strip().split("\n")
+    assert float(elapsed) < 1.0
+    assert scheme == f"RiemannScheme(inf=[-1-{TWO_SQUARE_B}i:1], 0=[1+{TWO_SQUARE_B}i:1])"
