@@ -1,11 +1,31 @@
 """Rank-preserving and rank-changing operations on residue tuples.
 
-The rank-changing middle convolution is realized as the induced action on the
-quotient of the big convolution space by its two canonical invariant
-subspaces, expressed on the rref-canonical complement basis so results are
-deterministic.  Scheme data is transported through every operation; for the
-convolution the transported scheme is verified against the output matrices and
-silently dropped when the transformation's hypotheses did not hold.
+Scheme data is transported through every operation; for the convolution the
+transported scheme is verified against the output matrices and silently
+dropped when the transformation's hypotheses did not hold.
+
+The middle convolution of (A_1, ..., A_p) at lambda (Dettweiler and Reiter,
+J. Symbolic Comput. 30 (2000)) is the action of the convolution tuple on
+V/(K + L), V = (Q(i)^n)^p.  G_j vanishes outside row block j, which is
+B_j = (A_1 ... A_j + lambda ... A_p); the sum of the G_j is 1 (x) W +
+lambda, W = (A_1 ... A_p).  So no elimination needs to be pn x pn:
+
+- K = (+)_j ker A_j.  L = ker(sum G_j): for lambda != 0 each block of v in
+  L is -Wv/lambda, so L = diag ker(sum A_j + lambda); for lambda = 0,
+  L = ker W.  An rref-canonical kernel basis depends on the space alone.
+- Invariance follows from the kernel products that `convolution` checks:
+  for k in ker A_nu in block nu, G_j k = lambda delta_(j,nu) k; for l in L,
+  B_j l = (sum A_j + lambda) w = 0 (l = diag w), or W l = 0 (lambda = 0).
+- For lambda != 0, K and L meet in 0: diag w in K puts w in every ker A_j,
+  so lambda w = 0.  For lambda = 0, W k = A_nu k = 0: K lies in L.
+- Completing S = K + L in increasing order takes e_c exactly when no vector
+  of S has its last nonzero coordinate at c.  Those coordinates P are the
+  pivots of the rref of S's rows with the columns reversed, whose rows s_i
+  are 1 at P_i and 0 at the other pivots; C is the rest.  The projection
+  onto span(e_C) along S is pi(v) = v[C] - R^T v[P], R[i, c] = s_i[c].
+- M_j = pi G_j on e_C = G_j[C, C] - R^T G_j[P, C] = pi[:, block j] B_j[:, C].
+  The matrix of the induced map in the basis e_C is unique, so every exact
+  way of computing it gives the same matrices.
 """
 
 from __future__ import annotations
@@ -72,75 +92,97 @@ def _shift_column(col: Column, delta: GaussianRational) -> Column:
 
 
 class ConvolutionData:
-    """The big convolution tuple together with its canonical subspaces.
+    """K, L and the quotient coordinates of the convolution tuple.
 
-    big_matrices[j] acts on the p*n-dimensional block space; row block j holds
-    (A_1 ... A_j + lambda ... A_p) and all other row blocks vanish.  k_basis
-    spans the blockwise kernel, l_basis the kernel of the sum, and
-    complement_basis lists the standard basis indices completing their joint
-    span, from which the quotient is coordinatized.
+    span_basis is the independent choice from k_basis + l_basis, and
+    complement_basis the coordinates C completing it, as
+    `linalg.complete_to_basis` picks them; projection is the matrix of pi.
+    block_row(j) is the only nonzero row block of G_j.
     """
 
-    __slots__ = ("big_matrices", "k_basis", "l_basis", "span_basis", "complement_basis")
+    __slots__ = (
+        "residues", "lam", "k_basis", "l_basis", "span_basis", "complement_basis", "projection",
+    )
 
-    def __init__(self, big_matrices, k_basis, l_basis, span_basis, complement_basis):
-        self.big_matrices = big_matrices
-        self.k_basis = k_basis
-        self.l_basis = l_basis
-        self.span_basis = span_basis
-        self.complement_basis = complement_basis
-        pn = big_matrices[0].nrows
-        overlap = len(k_basis) + len(l_basis) - len(span_basis)
-        if overlap < 0 or len(span_basis) + len(complement_basis) != pn:
-            raise InvariantError("subspace dimensions do not add up")
-        spans = [
-            (name, ExactMatrix.from_columns(list(basis), nrows=pn))
-            for name, basis in (("kernel", k_basis), ("sum-kernel", l_basis))
-            if basis
+    def __init__(self, residues, lam, k_basis, l_basis, span_basis, complement_basis, projection):
+        self.residues, self.lam = residues, lam
+        self.k_basis, self.l_basis, self.span_basis = k_basis, l_basis, span_basis
+        self.complement_basis, self.projection = complement_basis, projection
+
+    def block_row(self, j: int) -> ExactMatrix:
+        """B_j = (A_1 ... A_j + lambda ... A_p), 0-based j."""
+        return linalg.block_matrix(
+            [[m.shift(self.lam) if nu == j else m for nu, m in enumerate(self.residues)]]
+        )
+
+    @property
+    def big_matrices(self) -> list[ExactMatrix]:
+        """G_1, ..., G_p, built on each read."""
+        p, n = len(self.residues), self.residues[0].nrows
+        zero = ExactMatrix.zeros(n, p * n)
+        return [
+            linalg.block_matrix([[self.block_row(j) if i == j else zero] for i in range(p)])
+            for j in range(p)
         ]
-        for g in big_matrices:
-            for name, span in spans:
-                if not linalg.span_contains(span, g * span):
-                    raise InvariantError(f"{name} subspace is not invariant")
 
 
 def convolution(t: SchlesingerTuple, lam) -> ConvolutionData:
-    """Assemble the convolution tuple and its two invariant subspaces."""
+    """K, L and the quotient coordinates of the convolution tuple, by the
+    closed forms of the module docstring; raises `InvariantError` when a
+    kernel product that proves K and L invariant does not vanish."""
     lam = gr(lam)
-    p = t.num_points
-    n = t.rank
+    p, n = t.num_points, t.rank
     pn = p * n
-    zero = ExactMatrix.zeros(n)
-    big = []
-    for j in range(p):
-        grid = [[zero] * p for _ in range(p)]
-        for nu in range(p):
-            block = t.matrices[nu]
-            if nu == j:
-                block = block.shift(lam)
-            grid[j][nu] = block
-        big.append(linalg.block_matrix(grid))
-
     k_basis: list[Vector] = []
-    for j in range(p):
-        for v in linalg.kernel_basis(t.matrices[j]):
-            vec = [ZERO] * pn
-            vec[j * n : (j + 1) * n] = list(v)
-            k_basis.append(tuple(vec))
+    for j, a in enumerate(t.matrices):
+        kern = linalg.kernel_basis(a)
+        _check_kernel(a, kern, "kernel")
+        k_basis += [(ZERO,) * (j * n) + v + (ZERO,) * (pn - (j + 1) * n) for v in kern]
+    if lam.is_zero():
+        w = linalg.block_matrix([list(t.matrices)])
+        l_basis = linalg.kernel_basis(w)
+        _check_kernel(w, l_basis, "sum-kernel")
+        # K lies in L; a vector of L adds to K + span(earlier ones) exactly when
+        # its last nonzero coordinate is not the last one of a vector of K
+        k_last = {_last_nonzero(v) for v in k_basis}
+        span_basis = k_basis + [v for v in l_basis if _last_nonzero(v) not in k_last]
+        s_rows = l_basis
+    else:
+        total = sum(t.matrices[1:], t.matrices[0]).shift(lam)
+        l0 = linalg.kernel_basis(total)
+        _check_kernel(total, l0, "sum-kernel")
+        l_basis = [v * p for v in l0]  # diag w = (w, ..., w)
+        span_basis = s_rows = k_basis + l_basis
+    # rref of the rows of K + L with the columns reversed: its pivots are the
+    # last nonzero coordinates P, its rows s_i are 1 at P_i and 0 at P_k, k != i
+    rr, rev = linalg.rref(ExactMatrix(len(s_rows), pn, [v[::-1] for v in s_rows]))
+    if len(rev) != len(span_basis):
+        raise InvariantError("subspace dimensions do not add up")
+    pivots = [pn - 1 - c for c in rev]
+    comp = sorted(set(range(pn)).difference(pivots))
+    q = len(comp)
+    r = rr.submatrix(range(len(rev)), [pn - 1 - c for c in comp])
+    # pi(v) = v[C] - R^T v[P], with R[i, k] = s_i[C_k]: the columns of
+    # (1 | -R^T) in the order C, P, put back in coordinate order
+    order = {c: k for k, c in enumerate(comp + pivots)}
+    projection = ExactMatrix.identity(q).hstack(-r.transpose()).submatrix(
+        range(q), [order[c] for c in range(pn)]
+    )
+    return ConvolutionData(t.matrices, lam, k_basis, l_basis, span_basis, comp, projection)
 
-    total = big[0]
-    for g in big[1:]:
-        total = total + g
-    l_basis = linalg.kernel_basis(total)
 
-    stacked = ExactMatrix.from_columns(k_basis + l_basis, nrows=pn)
-    indep, comp = linalg.complete_to_basis(stacked)
-    span_basis = [stacked.column(c) for c in indep]
-    return ConvolutionData(big, k_basis, l_basis, span_basis, comp)
+def _check_kernel(a: ExactMatrix, basis: list[Vector], name: str) -> None:
+    if basis and not (a * ExactMatrix.from_columns(basis)).is_zero():
+        raise InvariantError(f"{name} subspace is not invariant")
+
+
+def _last_nonzero(v: Vector) -> int:
+    return max(i for i, x in enumerate(v) if x)
 
 
 def middle_convolution(t: SchlesingerTuple, lam) -> SchlesingerTuple:
-    """The induced tuple on the quotient of the convolution space.
+    """The induced tuple on the quotient of the convolution space:
+    M_j = pi[:, block j] * B_j[:, C] (see the module docstring).
 
     Total as a construction; the theorem-backed facts (index invariance,
     composition, preserved irreducibility) hold under the genericity
@@ -148,18 +190,16 @@ def middle_convolution(t: SchlesingerTuple, lam) -> SchlesingerTuple:
     """
     lam = gr(lam)
     cd = convolution(t, lam)
-    pn = cd.big_matrices[0].nrows
-    q = len(cd.complement_basis)
+    comp = cd.complement_basis
+    q = len(comp)
     if q == 0:
         raise PreconditionFailError("middle convolution collapsed to rank zero")
-    comp_mat = ExactMatrix.identity(pn).submatrix(range(pn), cd.complement_basis)
-    basis = ExactMatrix.from_columns(list(cd.span_basis), nrows=pn).hstack(comp_mat)
-    basis_inv = linalg.inverse(basis)
-    s = len(cd.span_basis)
-    mats = []
-    for g in cd.big_matrices:
-        coords = basis_inv * (g * comp_mat)
-        mats.append(coords.submatrix(range(s, pn), range(q)))
+    n = t.rank
+    mats = [
+        cd.projection.submatrix(range(q), range(j * n, (j + 1) * n))
+        * cd.block_row(j).submatrix(range(n), comp)
+        for j in range(t.num_points)
+    ]
     out = SchlesingerTuple(t.poles, mats)
     scheme = _transported_scheme(t, lam, out)
     return out if scheme is None else _attach_scheme(out, scheme)

@@ -38,7 +38,7 @@ Z[i]: a row is a pair of int sequences, and a matrix's rows enter as they
 are stored, since scaling by den changes no row space.  `_add_row` reduces
 one row against an echelon basis and is the only pivot loop: `_echelon`
 feeds it the rows of a matrix, and the Burnside span closure feeds it one
-product at a time.  Rank, pivot columns and span tests read the pivots;
+product at a time.  Rank and pivot columns read the pivots;
 rref, kernel, solve and inverse divide each reduced row by one entry, once,
 at the end.
 
@@ -535,12 +535,6 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     if pivots[:n] != list(range(n)):
         raise SizeMismatchError("matrix is singular")
     return _stacked([(d, (re[n:], im[n:])) for d, (re, im) in rows], n)
-
-
-def span_contains(basis: ExactMatrix, vectors: ExactMatrix) -> bool:
-    """Whether every column of `vectors` lies in the column span of `basis`."""
-    r0 = rank(basis)
-    return rank(basis.hstack(vectors)) == r0
 
 
 def complete_to_basis(span_cols: ExactMatrix) -> tuple[list[int], list[int]]:

@@ -30,9 +30,10 @@ from .spectral import RiemannScheme, canonical_column
 
 class OkuboSystem:
     """Block sizes, poles and the single coefficient matrix of a normal-form
-    system; immutable, optionally with a verified scheme."""
+    system; immutable, optionally with a verified scheme.  The residue tuple
+    is built by the first `scf_from_onf` and kept."""
 
-    __slots__ = ("block_sizes", "poles", "a", "scheme")
+    __slots__ = ("block_sizes", "poles", "a", "scheme", "_residues")
 
     def __init__(
         self,
@@ -56,6 +57,7 @@ class OkuboSystem:
         self.poles = poles
         self.a = a
         self.scheme = None
+        self._residues = None
         if scheme is not None:
             if not verify_scheme(scf_from_onf(self), scheme):
                 raise InvariantError("declared scheme does not match the system")
@@ -96,15 +98,17 @@ class OkuboSystem:
 
 def scf_from_onf(o: OkuboSystem) -> SchlesingerTuple:
     """Residue tuple of the system: A_j is block row j of A, zero elsewhere."""
-    n = o.rank
-    mats = []
-    # row n of `padded` is zero: residue j takes block row j of A and that
-    # zero row everywhere else
-    padded = o.a.vstack(ExactMatrix.zeros(1, n))
-    for j in range(1, o.num_points + 1):
-        r = o.block_range(j)
-        mats.append(padded.submatrix([i if i in r else n for i in range(n)], range(n)))
-    t = SchlesingerTuple(o.poles, mats)
+    t = o._residues
+    if t is None:
+        n = o.rank
+        # row n of `padded` is zero: residue j takes block row j of A and that
+        # zero row everywhere else
+        padded = o.a.vstack(ExactMatrix.zeros(1, n))
+        mats = []
+        for j in range(1, o.num_points + 1):
+            r = o.block_range(j)
+            mats.append(padded.submatrix([i if i in r else n for i in range(n)], range(n)))
+        t = o._residues = SchlesingerTuple(o.poles, mats)
     # o's scheme was verified against exactly this tuple when o was built
     return t if o.scheme is None else _attach_scheme(t, o.scheme)
 
@@ -198,18 +202,9 @@ def mc_via_images(o: OkuboSystem, lam) -> OkuboSystem:
     t = scf_from_onf(o)
     p = o.num_points
     pn = p * n
-    zero = ExactMatrix.zeros(n)
-
-    big = []
-    for j in range(p):
-        aj = t.matrices[j]
-        grid = [[zero] * p for _ in range(p)]
-        for nu in range(p):
-            grid[j][nu] = aj.shift(lam) if nu == j else aj
-        big.append(linalg.block_matrix(grid))
-    gsum = big[0]
-    for g in big[1:]:
-        gsum = gsum + g
+    # the sum of the convolution tuple as induced on (+) im A_j through
+    # (v_nu) -> (A_nu v_nu): its row block j is (A_j ... A_j) + lambda
+    gsum = linalg.block_matrix([[m] * p for m in t.matrices]).shift(lam)
 
     cols = []
     blocks = []

@@ -137,11 +137,18 @@ def _type_reduction(m: PartitionTuple) -> Iterator[str]:
     return _reduce(_type_stage(m), lambda *_: _type_stage(next(chain)))
 
 
-def _katz_reduction(system) -> Iterator[str]:
+def _with_scheme(system):
+    """The system carrying its declared scheme, or else the inferred one."""
+    if system.scheme is not None:
+        return system
     t = scf_from_onf(system) if isinstance(system, OkuboSystem) else system
-    if t.scheme is None:
-        # infer_scheme has verified the scheme against t
-        t = _attach_scheme(t, infer_scheme(t))
+    # infer_scheme has verified the scheme against t, the residues of system
+    return _attach_scheme(system, infer_scheme(t))
+
+
+def _katz_reduction(system) -> Iterator[str]:
+    system = _with_scheme(system)
+    t = scf_from_onf(system) if isinstance(system, OkuboSystem) else system
     if not is_irreducible(t):
         raise CalculusError("reduction requires an irreducible system")
     idx0 = index_of_rigidity(t)
@@ -153,9 +160,8 @@ def _katz_reduction(system) -> Iterator[str]:
 
 
 def _yokoyama_reduction(system) -> Iterator[str]:
+    system = _with_scheme(system)
     o = onf_from_scf(system) if isinstance(system, SchlesingerTuple) else system
-    if o.scheme is None:
-        raise SchemeUnavailableError("the reduction driver needs a declared scheme")
     idx0 = idx_of(o)
 
     def step(o, m):

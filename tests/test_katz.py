@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuchsmc.errors import (
     DuplicatePoleError,
@@ -8,10 +11,13 @@ from fuchsmc.errors import (
     LengthMismatchError,
     NotAPermutationError,
     NotIrreducibleError,
+    PreconditionFailError,
     SchemeUnavailableError,
 )
-from fuchsmc.generate import find_basic_2x2_tuple, random_schlesinger
+from fuchsmc.generate import find_basic_2x2_tuple, random_schlesinger, rigid_family_realization
 from fuchsmc.katz import (
+    _mc_max,
+    _transported_scheme,
     addition,
     append_infinity_pole,
     convolution,
@@ -22,8 +28,15 @@ from fuchsmc.katz import (
     predicted_scheme,
     swap_with_infinity,
 )
-from fuchsmc.linalg import ExactMatrix, rank
-from fuchsmc.scalars import gr
+from fuchsmc.linalg import (
+    ExactMatrix,
+    block_matrix,
+    complete_to_basis,
+    inverse,
+    kernel_basis,
+    rank,
+)
+from fuchsmc.scalars import ZERO, gr
 from fuchsmc.schlesinger import (
     SchlesingerTuple,
     index_of_rigidity,
@@ -252,3 +265,159 @@ class TestMcMax:
         t = find_basic_2x2_tuple()
         out = mc_max(t)
         assert out.rank >= t.rank
+
+
+# -- oracle: the quotient construction on the whole convolution space ---------------
+
+
+def _convolution_by_quotient(t, lam):
+    """Big matrices, K, L = ker(sum of the big matrices), the span basis and
+    the complement as `complete_to_basis` picks them, all pn-wide."""
+    p, n = t.num_points, t.rank
+    pn = p * n
+    zero = ExactMatrix.zeros(n)
+    big = []
+    for j in range(p):
+        grid = [[zero] * p for _ in range(p)]
+        grid[j] = [m.shift(lam) if nu == j else m for nu, m in enumerate(t.matrices)]
+        big.append(block_matrix(grid))
+    k_basis = []
+    for j, m in enumerate(t.matrices):
+        for v in kernel_basis(m):
+            k_basis.append((ZERO,) * (j * n) + v + (ZERO,) * (pn - (j + 1) * n))
+    total = big[0]
+    for g in big[1:]:
+        total = total + g
+    l_basis = kernel_basis(total)
+    stacked = ExactMatrix.from_columns(k_basis + l_basis, nrows=pn)
+    indep, comp = complete_to_basis(stacked)
+    return big, k_basis, l_basis, [stacked.column(c) for c in indep], comp
+
+
+def _mc_by_quotient(t, lam):
+    """The induced tuple in the basis (span basis | e_C) of the whole space,
+    through the inverse of that basis."""
+    lam = gr(lam)
+    big, _, _, span_basis, comp = _convolution_by_quotient(t, lam)
+    if not comp:
+        raise PreconditionFailError("middle convolution collapsed to rank zero")
+    pn, s = big[0].nrows, len(span_basis)
+    comp_mat = ExactMatrix.identity(pn).submatrix(range(pn), comp)
+    basis_inv = inverse(ExactMatrix.from_columns(span_basis, nrows=pn).hstack(comp_mat))
+    mats = [(basis_inv * (g * comp_mat)).submatrix(range(s, pn), range(len(comp))) for g in big]
+    out = SchlesingerTuple(t.poles, mats)
+    scheme = _transported_scheme(t, lam, out)
+    return out if scheme is None else out.with_scheme(scheme)
+
+
+def assert_same_as_quotient(t, lam):
+    """Every field of `convolution` and the middle convolution itself (or its
+    error) equal the quotient construction's, bit for bit."""
+    lam = gr(lam)
+    cd = convolution(t, lam)
+    big, k_basis, l_basis, span_basis, comp = _convolution_by_quotient(t, lam)
+    assert cd.big_matrices == big
+    assert cd.k_basis == k_basis and cd.l_basis == l_basis
+    assert cd.span_basis == span_basis and cd.complement_basis == comp
+    try:
+        want = _mc_by_quotient(t, lam)
+    except PreconditionFailError as exc:
+        with pytest.raises(PreconditionFailError) as got:
+            middle_convolution(t, lam)
+        assert str(got.value) == str(exc)
+        return None
+    out = middle_convolution(t, lam)
+    assert out.poles == want.poles
+    assert out.matrices == want.matrices  # the stored den, re and im
+    assert out.scheme == want.scheme
+    return out
+
+
+gaussians = st.one_of(
+    st.just(ZERO),
+    st.integers(-3, 3).map(gr),
+    st.builds(
+        lambda a, b, c, d: gr(Fraction(a, b), Fraction(c, d)),
+        st.integers(-3, 3), st.integers(1, 3), st.integers(-3, 3), st.integers(1, 3),
+    ),
+)
+
+
+@st.composite
+def residue(draw, n, singular=False):
+    """An n x n Gaussian-rational matrix; a singular one, or half of the time,
+    is a product through a narrower inner dimension."""
+    inner = draw(st.integers(0, n - 1)) if singular or draw(st.booleans()) else n
+    if inner == 0:
+        return ExactMatrix.zeros(n)
+    left = ExactMatrix(n, inner, [[draw(gaussians) for _ in range(inner)] for _ in range(n)])
+    right = ExactMatrix(inner, n, [[draw(gaussians) for _ in range(n)] for _ in range(inner)])
+    return left * right
+
+
+@st.composite
+def tuples(draw, max_n=3, max_p=3):
+    n, p = draw(st.integers(1, max_n)), draw(st.integers(1, max_p))
+    return SchlesingerTuple(range(p), [draw(residue(n)) for _ in range(p)])
+
+
+parameters = st.one_of(st.sampled_from([gr(0), gr(1), gr(2)]), gaussians)
+
+
+class TestAgainstTheQuotientConstruction:
+    @given(tuples(), parameters)
+    @settings(max_examples=60, deadline=None)
+    def test_gaussian_tuples_with_singular_residues(self, t, lam):
+        assert_same_as_quotient(t, lam)
+
+    @given(tuples())
+    @settings(max_examples=30, deadline=None)
+    def test_lambda_zero(self, t):
+        assert_same_as_quotient(t, 0)
+
+    @given(st.data(), st.integers(1, 3), st.integers(1, 3), gaussians.filter(bool))
+    @settings(max_examples=40, deadline=None)
+    def test_sum_kernel_is_nonzero(self, data, n, p, lam):
+        # the last residue makes sum(A) + lam a singular matrix drawn first
+        mats = [data.draw(residue(n)) for _ in range(p - 1)]
+        last = data.draw(residue(n, singular=True)).shift(-lam)
+        for m in mats:
+            last = last - m
+        t = SchlesingerTuple(range(p), mats + [last])
+        total = last
+        for m in mats:
+            total = total + m
+        assert rank(total.shift(lam)) < n
+        assert_same_as_quotient(t, lam)
+
+    @given(tuples(max_n=2), parameters, parameters)
+    @settings(max_examples=30, deadline=None)
+    def test_convolution_of_a_convolution(self, t, lam, mu):
+        # every residue of the first output has rank <= n, so K is large
+        once = assert_same_as_quotient(t, lam)
+        if once is not None:
+            assert_same_as_quotient(once, mu)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rigid_tuples_carry_their_schemes(self, n):
+        t = rigid_family_realization(n)
+        for lam in (1, 2, -3):
+            assert_same_as_quotient(t, lam)
+        # the reduction step: additions, then mc at the slot total
+        out = _mc_max(t)
+        m = t.scheme.tuple_.columns
+        shifted = addition(t, [-m[j][0][0] for j in range(1, len(m))])
+        lam = sum((col[0][0] for col in m), gr(0))
+        assert assert_same_as_quotient(shifted, lam).matrices == out.matrices
+        assert out.scheme is not None
+
+    def test_collapse_to_rank_zero(self):
+        assert assert_same_as_quotient(SchlesingerTuple([0], [E([[4]])]), -4) is None
+
+    @given(tuples(), parameters)
+    @settings(max_examples=40, deadline=None)
+    def test_complement_is_complete_to_basis(self, t, lam):
+        cd = convolution(t, lam)
+        pn = t.num_points * t.rank
+        stacked = ExactMatrix.from_columns(cd.k_basis + cd.l_basis, nrows=pn)
+        assert cd.complement_basis == complete_to_basis(stacked)[1]

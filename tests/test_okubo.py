@@ -61,6 +61,15 @@ class TestShapeDictionary:
             total = total + m
         assert total == o.a
 
+    def test_residue_tuple_is_built_once(self, rank1_onf):
+        o = OkuboSystem([1, 1], [0, 1], E([[1, 2], [3, 4]]))
+        assert scf_from_onf(o).matrices is scf_from_onf(o).matrices
+        # with a scheme, each call attaches it to the one kept tuple
+        t = scf_from_onf(rank1_onf)
+        assert t.scheme is rank1_onf.scheme
+        assert scf_from_onf(rank1_onf.with_scheme(None)).matrices == t.matrices
+        assert scf_from_onf(rank1_onf).matrices is t.matrices
+
     def test_onf_from_scf_round_trip(self):
         o = OkuboSystem([1, 1], [0, 1], E([[1, 2], [3, 4]]))
         t = scf_from_onf(o)

@@ -18,6 +18,7 @@ from fuchsmc import cli, generate, schlesinger
 from fuchsmc.errors import SchemeUnavailableError
 from fuchsmc.generate import rigid_family_realization
 from fuchsmc.linalg import ExactMatrix, inverse
+from fuchsmc.okubo import onf_from_scf
 from fuchsmc.scalars import gr
 from fuchsmc.serialization import save_system
 from fuchsmc.schlesinger import SchlesingerTuple, infer_scheme
@@ -215,6 +216,20 @@ def test_katz_reduction_without_a_scheme(tmp_path):
     with_scheme, inferred_run = run_child(REDUCE_CHILD, [str(declared), str(bare)])
     assert with_scheme[0] == 0 and "reached rank 1" in with_scheme[1]
     assert inferred_run == with_scheme
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_yokoyama_reduction_without_a_scheme(tmp_path, capsys, n):
+    t = rigid_family_realization(n)
+    systems = [t, t.with_scheme(None), onf_from_scf(t).with_scheme(None)]
+    outputs = []
+    for k, system in enumerate(systems):
+        path = str(tmp_path / f"{k}.json")
+        save_system(path, system)
+        assert cli.main(["reduce", "--input", path, "--mode", "yokoyama"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].endswith("reached rank 1\n")
+    assert outputs[1:] == outputs[:1] * 2
 
 
 # -- the failing point is named ------------------------------------------------------
