@@ -126,9 +126,8 @@ def run_katz_suite(seed: int, count: int, bound_n: int = 4, bound_p: int = 3) ->
         rep.add(name, "mc commutes with permutation", is_equivalent(left, right))
 
         g = _random_invertible(rng, n)
-        conj = SchlesingerTuple(
-            t.poles, [g * m * linalg.inverse(g) for m in t.matrices]
-        )
+        g_inv = linalg.inverse(g)
+        conj = SchlesingerTuple(t.poles, [g * m * g_inv for m in t.matrices])
         rep.add(
             name,
             "mc functorial under conjugation",

@@ -24,12 +24,19 @@ lambda, W = (A_1 ... A_p).  So no elimination needs to be pn x pn:
   are 1 at P_i and 0 at the other pivots; C is the rest.  The projection
   onto span(e_C) along S is pi(v) = v[C] - R^T v[P], R[i, c] = s_i[c].
 - M_j = pi G_j on e_C = G_j[C, C] - R^T G_j[P, C] = pi[:, block j] B_j[:, C].
-  The matrix of the induced map in the basis e_C is unique, so every exact
-  way of computing it gives the same matrices.
+  As B_j = W + lambda in block j and pi[:, C] = 1, the lambda part is
+  lambda at (k, k) for C_k in block j.  The matrix of the induced map
+  in the basis e_C is unique, so every exact way of computing it gives the
+  same matrices.
+
+Every step runs on the Z[i] rows the residues store (`linalg._kernel_rows`,
+integer kernel products, `linalg._reduced`); Gaussian rationals appear only
+in the Vector views of `ConvolutionData`.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Optional, Sequence
 
 from . import linalg
@@ -44,8 +51,8 @@ from .errors import (
     PreconditionFailError,
     SchemeUnavailableError,
 )
-from .linalg import ExactMatrix, Vector
-from .scalars import GaussianRational, ZERO, gr
+from .linalg import ExactMatrix, IntRow, Vector
+from .scalars import GaussianRational, gr
 from .schlesinger import (
     SchlesingerTuple,
     _attach_scheme,
@@ -77,13 +84,8 @@ def addition(t: SchlesingerTuple, mu: Sequence) -> SchlesingerTuple:
     mats = [m.shift(c) for m, c in zip(t.matrices, mu)]
     scheme = None
     if t.scheme is not None:
-        total = gr(0)
-        for c in mu:
-            total = total + c
-        cols = [_shift_column(t.scheme.column_at_infinity(), -total)]
-        for j in range(1, t.num_points + 1):
-            cols.append(_shift_column(t.scheme.column_at(j), mu[j - 1]))
-        scheme = RiemannScheme(t.poles, cols)
+        cols = zip(t.scheme.columns, [-sum(mu, gr(0))] + mu)
+        scheme = RiemannScheme(t.poles, [_shift_column(col, c) for col, c in cols])
     return SchlesingerTuple(t.poles, mats, scheme)
 
 
@@ -91,39 +93,41 @@ def _shift_column(col: Column, delta: GaussianRational) -> Column:
     return canonical_column([(label + delta, mult) for label, mult in col])
 
 
+Row = tuple[int, IntRow]  # (f, v) is the vector v / v[f]
+
+
 class ConvolutionData:
     """K, L and the quotient coordinates of the convolution tuple.
 
-    span_basis is the independent choice from k_basis + l_basis, and
-    complement_basis the coordinates C completing it, as
-    `linalg.complete_to_basis` picks them; projection is the matrix of pi.
-    block_row(j) is the only nonzero row block of G_j.
+    K, L and the independent choice from K + L are Z[i] rows (f, v), each
+    the vector v / v[f], as `linalg._kernel_rows` gives them; k_basis,
+    l_basis and span_basis are their Vector views, built on each read.
+    complement_basis is C, as `linalg.complete_to_basis` picks it;
+    projection is the matrix of pi.
     """
 
     __slots__ = (
-        "residues", "lam", "k_basis", "l_basis", "span_basis", "complement_basis", "projection",
+        "residues", "lam", "k_rows", "l_rows", "span_rows", "complement_basis", "projection",
     )
 
-    def __init__(self, residues, lam, k_basis, l_basis, span_basis, complement_basis, projection):
+    def __init__(self, residues, lam, k_rows, l_rows, span_rows, complement_basis, projection):
         self.residues, self.lam = residues, lam
-        self.k_basis, self.l_basis, self.span_basis = k_basis, l_basis, span_basis
+        self.k_rows, self.l_rows, self.span_rows = k_rows, l_rows, span_rows
         self.complement_basis, self.projection = complement_basis, projection
 
-    def block_row(self, j: int) -> ExactMatrix:
-        """B_j = (A_1 ... A_j + lambda ... A_p), 0-based j."""
-        return linalg.block_matrix(
-            [[m.shift(self.lam) if nu == j else m for nu, m in enumerate(self.residues)]]
-        )
+    k_basis = property(lambda self: _vectors(self.k_rows))
+    l_basis = property(lambda self: _vectors(self.l_rows))
+    span_basis = property(lambda self: _vectors(self.span_rows))
 
     @property
     def big_matrices(self) -> list[ExactMatrix]:
         """G_1, ..., G_p, built on each read."""
-        p, n = len(self.residues), self.residues[0].nrows
-        zero = ExactMatrix.zeros(n, p * n)
-        return [
-            linalg.block_matrix([[self.block_row(j) if i == j else zero] for i in range(p)])
-            for j in range(p)
-        ]
+        p, zero = len(self.residues), ExactMatrix.zeros(self.residues[0].nrows)
+        out = []
+        for j in range(p):
+            b_j = [m.shift(self.lam) if nu == j else m for nu, m in enumerate(self.residues)]
+            out.append(linalg.block_matrix([b_j if i == j else [zero] * p for i in range(p)]))
+        return out
 
 
 def convolution(t: SchlesingerTuple, lam) -> ConvolutionData:
@@ -133,51 +137,52 @@ def convolution(t: SchlesingerTuple, lam) -> ConvolutionData:
     lam = gr(lam)
     p, n = t.num_points, t.rank
     pn = p * n
-    k_basis: list[Vector] = []
+    k_rows: list[Row] = []
     for j, a in enumerate(t.matrices):
-        kern = linalg.kernel_basis(a)
-        _check_kernel(a, kern, "kernel")
-        k_basis += [(ZERO,) * (j * n) + v + (ZERO,) * (pn - (j + 1) * n) for v in kern]
+        pad, rest = [0] * (j * n), [0] * (pn - (j + 1) * n)
+        for f, (re, im) in _kernel(a, "kernel"):
+            k_rows.append((j * n + f, (pad + re + rest, pad + im + rest)))
     if lam.is_zero():
-        w = linalg.block_matrix([list(t.matrices)])
-        l_basis = linalg.kernel_basis(w)
-        _check_kernel(w, l_basis, "sum-kernel")
+        l_rows = _kernel(linalg.block_matrix([list(t.matrices)]), "sum-kernel")
         # K lies in L; a vector of L adds to K + span(earlier ones) exactly when
-        # its last nonzero coordinate is not the last one of a vector of K
-        k_last = {_last_nonzero(v) for v in k_basis}
-        span_basis = k_basis + [v for v in l_basis if _last_nonzero(v) not in k_last]
-        s_rows = l_basis
+        # its last nonzero coordinate, the free column f, is not one of K's
+        k_last = {f for f, _ in k_rows}
+        span_rows = k_rows + [(f, v) for f, v in l_rows if f not in k_last]
+        s_rows = l_rows
     else:
         total = sum(t.matrices[1:], t.matrices[0]).shift(lam)
-        l0 = linalg.kernel_basis(total)
-        _check_kernel(total, l0, "sum-kernel")
-        l_basis = [v * p for v in l0]  # diag w = (w, ..., w)
-        span_basis = s_rows = k_basis + l_basis
-    # rref of the rows of K + L with the columns reversed: its pivots are the
-    # last nonzero coordinates P, its rows s_i are 1 at P_i and 0 at P_k, k != i
-    rr, rev = linalg.rref(ExactMatrix(len(s_rows), pn, [v[::-1] for v in s_rows]))
-    if len(rev) != len(span_basis):
+        l_rows = [(f, (re * p, im * p)) for f, (re, im) in _kernel(total, "sum-kernel")]  # diag w
+        span_rows = s_rows = k_rows + l_rows
+    # K + L's rows reduced with the columns reversed: the pivots are the last
+    # nonzero coordinates P, and row i over its (real) pivot entry is s_i
+    rev, rows = linalg._reduced(((re[::-1], im[::-1]) for _, (re, im) in s_rows), pn)
+    if len(rev) != len(span_rows):
         raise InvariantError("subspace dimensions do not add up")
     pivots = [pn - 1 - c for c in rev]
     comp = sorted(set(range(pn)).difference(pivots))
-    q = len(comp)
-    r = rr.submatrix(range(len(rev)), [pn - 1 - c for c in comp])
-    # pi(v) = v[C] - R^T v[P], with R[i, k] = s_i[C_k]: the columns of
-    # (1 | -R^T) in the order C, P, put back in coordinate order
-    order = {c: k for k, c in enumerate(comp + pivots)}
-    projection = ExactMatrix.identity(q).hstack(-r.transpose()).submatrix(
-        range(q), [order[c] for c in range(pn)]
-    )
-    return ConvolutionData(t.matrices, lam, k_basis, l_basis, span_basis, comp, projection)
+    # pi is 1 at (k, C_k) and -s_i[C_k] at (k, P_i): over the lcm of the pivot entries
+    den = lcm(*(re[c] for c, (re, _) in zip(rev, rows)))
+    pre, pim = [[den * (c == cc) for c in range(pn)] for cc in comp], [[0] * pn for _ in comp]
+    for c, pc, (re, im) in zip(rev, pivots, rows):
+        scale = den // re[c]
+        for k, cc in enumerate(comp):
+            pre[k][pc] = -re[pn - 1 - cc] * scale
+            pim[k][pc] = -im[pn - 1 - cc] * scale
+    projection = linalg._matrix(len(comp), pn, den, pre, pim)
+    return ConvolutionData(t.matrices, lam, k_rows, l_rows, span_rows, comp, projection)
 
 
-def _check_kernel(a: ExactMatrix, basis: list[Vector], name: str) -> None:
-    if basis and not (a * ExactMatrix.from_columns(basis)).is_zero():
-        raise InvariantError(f"{name} subspace is not invariant")
+def _kernel(a: ExactMatrix, name: str) -> list[Row]:
+    """The canonical kernel basis of a as rows, each checked: a v = 0."""
+    kern = linalg._kernel_rows(zip(a.re, a.im), a.ncols)
+    for _, v in kern:
+        if any(map(any, linalg._gaussian_apply((a.re, a.im), v))):
+            raise InvariantError(f"{name} subspace is not invariant")
+    return kern
 
 
-def _last_nonzero(v: Vector) -> int:
-    return max(i for i, x in enumerate(v) if x)
+def _vectors(rows: list[Row]) -> list[Vector]:
+    return [tuple(linalg._scalar(x, y, re[f]) for x, y in zip(re, im)) for f, (re, im) in rows]
 
 
 def middle_convolution(t: SchlesingerTuple, lam) -> SchlesingerTuple:
@@ -194,12 +199,20 @@ def middle_convolution(t: SchlesingerTuple, lam) -> SchlesingerTuple:
     q = len(comp)
     if q == 0:
         raise PreconditionFailError("middle convolution collapsed to rank zero")
-    n = t.rank
-    mats = [
-        cd.projection.submatrix(range(q), range(j * n, (j + 1) * n))
-        * cd.block_row(j).submatrix(range(n), comp)
-        for j in range(t.num_points)
-    ]
+    n, pi, w = t.rank, cd.projection, linalg.block_matrix([list(t.matrices)])
+    w_c = tuple([[r[c] for c in comp] for r in part] for part in (w.re, w.im))
+    e, lr, li = linalg._integer_pair(lam)
+    den = lcm(pi.den * w.den, e)
+    s, u = den // (pi.den * w.den), den // e
+    mats = []
+    for j in range(t.num_points):
+        block = slice(j * n, (j + 1) * n)
+        pi_j = tuple([r[block] for r in part] for part in (pi.re, pi.im))
+        re, im = ([[x * s for x in r] for r in part] for part in linalg._gaussian_matmul(pi_j, w_c))
+        for k in (k for k, c in enumerate(comp) if c // n == j):
+            re[k][k] += lr * u
+            im[k][k] += li * u
+        mats.append(linalg._matrix(q, q, den, re, im))
     out = SchlesingerTuple(t.poles, mats)
     scheme = _transported_scheme(t, lam, out)
     return out if scheme is None else _attach_scheme(out, scheme)
@@ -212,9 +225,8 @@ def _transported_scheme(t, lam, result) -> Optional[RiemannScheme]:
         predicted = predicted_scheme(t.scheme, lam)
     except NotNormalizableError:
         return None
-    if predicted.order != result.rank:
-        return None
-    return predicted if verify_scheme(result, predicted) else None
+    ok = predicted.order == result.rank and verify_scheme(result, predicted)
+    return predicted if ok else None
 
 
 # -- point bookkeeping operations -------------------------------------------------
@@ -245,8 +257,8 @@ def permute(t: SchlesingerTuple, sigma: Sequence[int]) -> SchlesingerTuple:
     poles = [t.poles[s - 1] for s in sigma]
     scheme = None
     if t.scheme is not None:
-        cols = [t.scheme.column_at_infinity()] + [t.scheme.column_at(s) for s in sigma]
-        scheme = RiemannScheme(poles, cols)
+        cols = t.scheme.columns
+        scheme = RiemannScheme(poles, [cols[0]] + [cols[s] for s in sigma])
     return SchlesingerTuple(poles, mats, scheme)
 
 
@@ -263,10 +275,8 @@ def append_infinity_pole(t: SchlesingerTuple, t_new) -> SchlesingerTuple:
     poles = list(t.poles) + [t_new]
     scheme = None
     if t.scheme is not None:
-        inf_col = canonical_column([(gr(0), t.rank)])
-        cols = [inf_col] + [t.scheme.column_at(j) for j in range(1, t.num_points + 1)]
-        cols.append(t.scheme.column_at_infinity())
-        scheme = RiemannScheme(poles, cols)
+        cols = t.scheme.columns
+        scheme = RiemannScheme(poles, [canonical_column([(gr(0), t.rank)]), *cols[1:], cols[0]])
     return SchlesingerTuple(poles, mats, scheme)
 
 
@@ -278,9 +288,7 @@ def drop_trailing_zero_pole(t: SchlesingerTuple) -> SchlesingerTuple:
         raise PreconditionFailError("last residue is not zero")
     scheme = None
     if t.scheme is not None:
-        cols = [t.scheme.column_at_infinity()]
-        cols += [t.scheme.column_at(j) for j in range(1, t.num_points)]
-        scheme = RiemannScheme(t.poles[:-1], cols)
+        scheme = RiemannScheme(t.poles[:-1], t.scheme.columns[:-1])
     return SchlesingerTuple(t.poles[:-1], t.matrices[:-1], scheme)
 
 
@@ -300,39 +308,28 @@ def predicted_scheme(s: RiemannScheme, lam) -> RiemannScheme:
     lam = gr(lam)
     if lam.is_zero():
         return s
-    n = s.order
-    p = len(s.poles)
+    n, p = s.order, len(s.poles)
     inf_slot, inf_rest = _split_slot(s.column_at_infinity(), lam)
-    finite = [_split_slot(s.column_at(j), gr(0)) for j in range(1, p + 1)]
+    finite = [_split_slot(col, gr(0)) for col in s.columns[1:]]
     d = inf_slot + sum(top for top, _ in finite) - (p - 1) * n
-    new_cols = []
     if inf_slot - d < 0:
         raise NotNormalizableError("top multiplicity at infinity would become negative")
-    inf_entries = [(-lam, inf_slot - d)]
-    inf_entries += [(label - lam, mult) for label, mult in inf_rest]
-    new_cols.append(canonical_column(inf_entries))
-    for j, (top, rest) in enumerate(finite, start=1):
+    new_cols = [canonical_column([(-lam, inf_slot - d)] + [(x - lam, m) for x, m in inf_rest])]
+    for top, rest in finite:
         if top - d < 0:
             raise NotNormalizableError("top multiplicity at a finite point would become negative")
-        entries = [(gr(0), top - d)]
-        entries += [(label + lam, mult) for label, mult in rest]
-        new_cols.append(canonical_column(entries))
+        new_cols.append(canonical_column([(gr(0), top - d)] + [(x + lam, m) for x, m in rest]))
     return RiemannScheme(s.poles, new_cols)
 
 
 def _split_slot(col: Column, value: GaussianRational) -> tuple[int, list]:
     """Take the largest-multiplicity part with the given label out of the
     column; returns (its multiplicity or 0, the remaining parts)."""
-    best = -1
-    best_i = None
-    for i, (label, mult) in enumerate(col):
-        if label == value and mult > best:
-            best = mult
-            best_i = i
-    if best_i is None:
+    parts = [i for i, (label, _) in enumerate(col) if label == value]
+    if not parts:
         return 0, list(col)
-    rest = [e for i, e in enumerate(col) if i != best_i]
-    return best, rest
+    best = max(parts, key=lambda i: col[i][1])  # the first on a tie
+    return col[best][1], [e for i, e in enumerate(col) if i != best]
 
 
 def mc_max(t: SchlesingerTuple) -> SchlesingerTuple:
@@ -355,23 +352,19 @@ def _mc_max(t: SchlesingerTuple) -> SchlesingerTuple:
     m = t.scheme.tuple_
     tau = _nonzero_slot_choice(m)
     cols = m.columns
-    lam = gr(0)
-    for col, ti in zip(cols, tau):
-        lam = lam + col[ti - 1][0]
+    lam = sum((col[ti - 1][0] for col, ti in zip(cols, tau)), gr(0))
     if lam.is_zero():
         raise PreconditionFailError(
             "every maximal slot choice sums to zero; the reduction step is undefined"
         )
-    mu = [-cols[j][tau[j] - 1][0] for j in range(1, len(cols))]
+    mu = [-col[ti - 1][0] for col, ti in zip(cols[1:], tau[1:])]
     return middle_convolution(addition(t, mu), lam)
 
 
 def _nonzero_slot_choice(m: PartitionTuple) -> tuple[int, ...]:
     base = tau_max(m)
     cols = m.columns
-    total = gr(0)
-    for col, t in zip(cols, base):
-        total = total + col[t - 1][0]
+    total = sum((col[t - 1][0] for col, t in zip(cols, base)), gr(0))
     if not total.is_zero():
         return base
     # retry alternative maximal slots one column at a time
@@ -381,7 +374,5 @@ def _nonzero_slot_choice(m: PartitionTuple) -> tuple[int, ...]:
             if mult == top and i != base[j] - 1:
                 alt = total - col[base[j] - 1][0] + label
                 if not alt.is_zero():
-                    out = list(base)
-                    out[j] = i + 1
-                    return tuple(out)
+                    return base[:j] + (i + 1,) + base[j + 1 :]
     return base

@@ -42,18 +42,12 @@ class SchlesingerTuple:
     ):
         poles = tuple(gr(t) for t in poles)
         matrices = tuple(matrices)
-        if not matrices:
-            raise SizeMismatchError("a tuple needs at least one residue matrix")
         if len(poles) != len(matrices):
             raise SizeMismatchError("pole and matrix counts differ")
         if len(set(poles)) != len(poles):
             raise DuplicatePoleError("poles must be pairwise distinct")
-        n = matrices[0].nrows
-        if n < 1:
+        if _common_size(matrices) < 1:
             raise SizeMismatchError("rank must be at least 1")
-        for m in matrices:
-            if not m.is_square() or m.nrows != n:
-                raise SizeMismatchError("residues must be square of equal size")
         self.poles = poles
         self.matrices = matrices
         self.scheme = scheme
@@ -112,10 +106,7 @@ def with_poles(t: SchlesingerTuple, poles: Sequence) -> SchlesingerTuple:
 
 
 def residue_at_infinity(t: SchlesingerTuple) -> ExactMatrix:
-    total = t.matrices[0]
-    for m in t.matrices[1:]:
-        total = total + m
-    return -total
+    return -sum(t.matrices[1:], t.matrices[0])
 
 
 def check_star_conditions(t: SchlesingerTuple) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
@@ -143,18 +134,13 @@ def _genericity_flags(mats: Sequence[ExactMatrix]) -> tuple[bool, ...]:
     condition holds exactly when they span all n coordinates, a rank, which
     is exact and stable under field extension.
     """
+    if len(mats) == 1:
+        return (True,)
     n = mats[0].nrows
-    flags = []
-    for i in range(len(mats)):
-        others = [m for k, m in enumerate(mats) if k != i]
-        if not others:
-            flags.append(True)
-            continue
-        stacked = others[0]
-        for m in others[1:]:
-            stacked = stacked.vstack(m)
-        flags.append(linalg.row_spin_dim(stacked, mats[i]) == n)
-    return tuple(flags)
+    return tuple(
+        linalg.row_spin_dim(linalg.block_matrix([[m] for m in mats[:i] + mats[i + 1 :]]), a) == n
+        for i, a in enumerate(mats)
+    )
 
 
 def is_irreducible(t: SchlesingerTuple) -> bool:
@@ -200,12 +186,8 @@ def _is_irreducible_by_closure(mats: Sequence[ExactMatrix]) -> bool:
 
 
 def index_of_rigidity(t: SchlesingerTuple) -> int:
-    n = t.rank
-    p = t.num_points
-    total = linalg.commutant_dim(residue_at_infinity(t))
-    for m in t.matrices:
-        total += linalg.commutant_dim(m)
-    return total - (p - 1) * n * n
+    total = sum(map(linalg.commutant_dim, (residue_at_infinity(t),) + t.matrices))
+    return total - (t.num_points - 1) * t.rank ** 2
 
 
 # -- simultaneous conjugacy ------------------------------------------------------
@@ -216,30 +198,35 @@ def matrix_tuples_equivalent(
 ) -> bool:
     """Simultaneous conjugacy of two matrix tuples, decided exactly.
 
-    Cheap conjugation invariants first (rank and characteristic polynomial of
-    each matrix).  Then the intertwiners are read through the spin basis of
-    e_1 (`linalg.spin_conjugacy`): when e_1 is cyclic for the a_j, an
-    intertwiner is fixed by its value on e_1, so n unknowns replace n^2, and
-    a space of dimension 0 or 1 decides the question exactly.  When e_1 is
-    not cyclic, or the intertwiners form a space of dimension >= 2, the full
+    Each tuple needs one or more n x n matrices (SizeMismatchError); tuples
+    of different lengths or sizes are not conjugate.  The spin basis of e_1
+    decides first (`linalg.spin_conjugacy`): when e_1 is cyclic for the a_j,
+    an intertwiner is fixed by its value on e_1, so n unknowns replace n^2,
+    and a space of dimension 0 or 1 decides exactly.  Otherwise the rank and
+    characteristic polynomial of each matrix are compared, and then the full
     intertwiner space is solved (`_equivalent_by_sylvester`).
     """
-    if len(a_mats) != len(b_mats):
-        return False
-    n = a_mats[0].nrows
-    if any(m.nrows != n for m in b_mats):
+    n = _common_size(a_mats)
+    if _common_size(b_mats) != n or len(a_mats) != len(b_mats):
         return False
     if list(a_mats) == list(b_mats):
         return True
+    verdict = linalg.spin_conjugacy(a_mats, b_mats)
+    if verdict is not None:
+        return verdict
     for a, b in zip(a_mats, b_mats):
         if linalg.rank(a) != linalg.rank(b):
             return False
         if linalg.char_poly(a) != linalg.char_poly(b):
             return False
-    verdict = linalg.spin_conjugacy(a_mats, b_mats)
-    if verdict is not None:
-        return verdict
     return _equivalent_by_sylvester(a_mats, b_mats)
+
+
+def _common_size(mats: Sequence[ExactMatrix]) -> int:
+    """n when mats is nonempty and all n x n, else SizeMismatchError."""
+    if not mats or any(m.nrows != m.ncols or m.nrows != mats[0].nrows for m in mats):
+        raise SizeMismatchError("a tuple needs one or more square matrices of one size")
+    return mats[0].nrows
 
 
 def _equivalent_by_sylvester(
@@ -262,9 +249,8 @@ def _equivalent_by_sylvester(
     basis = linalg.solve_sylvester_space(list(a_mats), list(b_mats))
     if not basis:
         return False
-    for g in basis:
-        if linalg.rank(g) == n:
-            return True
+    if any(linalg.rank(g) == n for g in basis):
+        return True
     k = len(basis)
     if k == 1:
         return False
@@ -294,9 +280,7 @@ def _principal_lattice(k: int, n: int):
 
 def is_equivalent(a: SchlesingerTuple, b: SchlesingerTuple) -> bool:
     """Simultaneous conjugacy of two systems; poles must agree positionally."""
-    if a.num_points != b.num_points or a.rank != b.rank:
-        return False
-    if a.poles != b.poles:
+    if a.poles != b.poles or a.rank != b.rank:
         return False
     return matrix_tuples_equivalent(a.matrices, b.matrices)
 
@@ -315,8 +299,7 @@ def build_L(parts: Sequence[tuple]) -> ExactMatrix:
     entries = canonical_column([(gr(l), int(m)) for l, m in parts])
     if not entries:
         raise PartitionSizeMismatchError("empty part list")
-    sizes = [m for _, m in entries]
-    n = sum(sizes)
+    n = sum(m for _, m in entries)
     rows = [[ZERO] * n for _ in range(n)]
     offset = 0
     for idx, (label, m) in enumerate(entries):
@@ -365,12 +348,8 @@ def verify_scheme(t: SchlesingerTuple, s: RiemannScheme) -> bool:
         raise PointMismatchError("scheme points disagree with the tuple's poles")
     if s.order != t.rank:
         return False
-    if not _in_class(residue_at_infinity(t), s.column_at_infinity()):
-        return False
-    for j, mat in enumerate(t.matrices, start=1):
-        if not _in_class(mat, s.column_at(j)):
-            return False
-    return True
+    residues = (residue_at_infinity(t),) + t.matrices
+    return all(_in_class(m, col) for m, col in zip(residues, s.columns))
 
 
 # -- scheme inference ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -5,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuchsmc import linalg
 from fuchsmc.errors import (
     DuplicatePoleError,
     IndexRangeError,
+    InvariantError,
     LengthMismatchError,
     NotAPermutationError,
     NotIrreducibleError,
@@ -15,6 +19,7 @@ from fuchsmc.errors import (
     SchemeUnavailableError,
 )
 from fuchsmc.generate import find_basic_2x2_tuple, random_schlesinger, rigid_family_realization
+from fuchsmc.identities import run_katz_suite
 from fuchsmc.katz import (
     _mc_max,
     _transported_scheme,
@@ -43,6 +48,7 @@ from fuchsmc.schlesinger import (
     is_equivalent,
     residue_at_infinity,
 )
+from fuchsmc.serialization import system_to_json
 from fuchsmc.spectral import RiemannScheme, d_max, format_spectral_type, ord_of
 
 E = ExactMatrix.from_rows
@@ -421,3 +427,94 @@ class TestAgainstTheQuotientConstruction:
         pn = t.num_points * t.rank
         stacked = ExactMatrix.from_columns(cd.k_basis + cd.l_basis, nrows=pn)
         assert cd.complement_basis == complete_to_basis(stacked)[1]
+
+
+class TestKernelChecks:
+    @pytest.mark.parametrize("residue,name", [([[1, 0], [0, 0]], "kernel"), ([[0, 1], [0, 1]], "sum-kernel")])
+    def test_nonzero_product_raises(self, monkeypatch, residue, name):
+        # every kernel claims e_1: wrong for the residue [[1, 0], [0, 0]], and
+        # for the sum [[0, 1], [0, 1]] + 1 but not for that residue itself
+        def e1(rows, ncols):
+            return [(0, ([1] + [0] * (ncols - 1), [0] * ncols))]
+
+        monkeypatch.setattr(linalg, "_kernel_rows", e1)
+        with pytest.raises(InvariantError, match=f"^{name} subspace is not invariant"):
+            convolution(SchlesingerTuple([0], [E(residue)]), 1)
+
+
+# -- outputs recorded before the convolution moved to Z[i] rows ---------------------
+#
+# Every later implementation must reproduce them bit for bit.  The suite seeds
+# are among the `katz_suite_seeds` of bench/recorded.json.
+
+RECORDED_SUITES = {
+    2: "6595b72dea97d556130bd93795a05f6af91c8fa2a9dbc311e190e50e3911fb9e",
+    5: "ce9f0952a07e18d56b7ede2769fc603f6b1f55991e3142846e3508857c5f753e",
+    8: "90a0e123530fca21dd56ae433484968e8c4962acb99b724f55e430d6c6c2b091",
+}
+
+RECORDED_MC = {
+    "0": "88a0e89b32e8adcf82b9edb38cd9a4c268b99a97186ac243e39366c223cb4ca2",
+    "1": "e845e93042adeb389e683a34f501292d20027d0882875d4f175a84d4173792ff",
+    "2": "b7c0165afa0f3ad7caf3fc683fe2a50626672607808a2cf53c1173cebb9036e9",
+    "random": "0b71aa5b768897c967345b8ec6084b627f1f6a6f81c8d888da490dd869370932",
+    "rigid": "ca266cfd89c6a54fdd768f972d7cdb0dd4d0497a9c71d7db514461fb0ff2a66a",
+}
+
+
+def _sha(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _seeded_scalar(rng):
+    k = rng.randint(0, 3)
+    if k == 0:
+        return gr(0)
+    if k == 1:
+        return gr(rng.randint(-3, 3))
+    re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return gr(re, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+
+def _seeded_residue(rng, n):
+    """Half of the time a product through a narrower inner dimension: singular."""
+    inner = rng.randint(0, n - 1) if rng.random() < 0.5 else n
+    if inner == 0:
+        return ExactMatrix.zeros(n)
+    left = ExactMatrix(n, inner, [[_seeded_scalar(rng) for _ in range(inner)] for _ in range(n)])
+    right = ExactMatrix(inner, n, [[_seeded_scalar(rng) for _ in range(n)] for _ in range(inner)])
+    return left * right
+
+
+def _mc_line(t, lam):
+    """The digest of mc(t, lam)'s serialization, or its collapse, and the output."""
+    try:
+        out = middle_convolution(t, lam)
+    except PreconditionFailError as exc:
+        return f"error {exc}", None
+    text = json.dumps(system_to_json(out), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest(), out
+
+
+class TestRecordedOutputs:
+    @pytest.mark.parametrize("seed", sorted(RECORDED_SUITES))
+    def test_katz_suite_report(self, seed):
+        assert _sha(run_katz_suite(seed, 5, 4, 3).lines()) == RECORDED_SUITES[seed]
+
+    @pytest.mark.parametrize("kind", ["0", "1", "2", "random"])
+    def test_seeded_middle_convolutions(self, kind):
+        # 40 tuples n, p <= 3 with singular residues, and mc of each output
+        lines = []
+        for seed in range(40):
+            rng = random.Random(f"{kind}-{seed}")
+            n, p = rng.randint(1, 3), rng.randint(1, 3)
+            t = SchlesingerTuple(range(p), [_seeded_residue(rng, n) for _ in range(p)])
+            line, once = _mc_line(t, _seeded_scalar(rng) if kind == "random" else gr(int(kind)))
+            lines.append(line)
+            if once is not None:
+                lines.append(_mc_line(once, _seeded_scalar(rng))[0])
+        assert _sha(lines) == RECORDED_MC[kind]
+
+    def test_rigid_family_with_schemes(self):
+        lines = [_mc_line(rigid_family_realization(n), lam)[0] for n in range(2, 7) for lam in (1, 2, -3)]
+        assert _sha(lines) == RECORDED_MC["rigid"]

@@ -17,6 +17,7 @@ from fuchsmc.errors import (
     PartitionSizeMismatchError,
     PointMismatchError,
     SchemeUnavailableError,
+    SizeMismatchError,
 )
 from fuchsmc.generate import random_scheme_tuple, random_schlesinger, rigid_family_realization
 from fuchsmc.linalg import ExactMatrix, block_matrix, commutant_dim, inverse, rank
@@ -606,6 +607,53 @@ class TestEquivalenceCertificate:
         for first, second in ([a, a.transpose()], [b, b.transpose()]), ([a, zero], [b, zero]):
             other = conjugate_all(second, g)
             assert matrix_tuples_equivalent(first, other) == _equivalent_by_sylvester(first, other)
+
+    @given(seeds, st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_characteristic_polynomials_differ(self, seed, n, count, shift, cyclic):
+        # a conjugate with one residue shifted by a scalar; with e_1 spanning
+        # an invariant line the spin does not decide, and the invariants do
+        rng = random.Random(seed)
+        if cyclic or n == 1:
+            a = [random_matrix(rng, n) for _ in range(count)]
+        else:
+            a = block_triangular(rng, n, 1, count)
+        b = conjugate_all(a, random_invertible(rng, n))
+        j = rng.randrange(count)
+        b[j] = b[j].shift(shift)
+        assert linalg.char_poly(a[j]) != linalg.char_poly(b[j])
+        if not cyclic and n > 1:
+            assert linalg.spin_conjugacy(a, b) is None
+        assert not _equivalent_by_sylvester(a, b)
+        assert not matrix_tuples_equivalent(a, b)
+
+    def test_shapes_are_checked_before_spinning(self, monkeypatch):
+        def no_spin(*args):
+            raise AssertionError("spun a malformed pair")
+
+        monkeypatch.setattr(linalg, "spin_conjugacy", no_spin)
+        a2, a3, wide = E([[1, 2], [3, 4]]), ExactMatrix.identity(3), E([[1, 2]])
+        malformed = [([], []), ([], [a2]), ([a2], []), ([a2, a3], [a2, a3]), ([a2], [a2, a3])]
+        malformed.append(([wide], [wide]))
+        for a, b in malformed:
+            with pytest.raises(SizeMismatchError):
+                matrix_tuples_equivalent(a, b)
+        assert not matrix_tuples_equivalent([a2], [a3])
+        assert not matrix_tuples_equivalent([a2], [a2, a2])
+        assert not matrix_tuples_equivalent([a2, a2], [a2])
+
+    @given(seeds, st.integers(2, 4), st.integers(2, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_irreducible_conjugates_form_no_characteristic_polynomial(self, seed, n, p):
+        # e_1 is cyclic for an irreducible tuple and its intertwiners form a
+        # space of dimension <= 1 (Schur), so the spin always decides
+        rng = random.Random(seed)
+        t = random_schlesinger(rng, n, p)
+        other = SchlesingerTuple(t.poles, conjugate_all(t.matrices, random_invertible(rng, n)))
+        with mock.patch.object(linalg, "char_poly", wraps=linalg.char_poly) as char_poly:
+            with mock.patch.object(modular, "berkowitz", wraps=modular.berkowitz) as berkowitz:
+                assert is_equivalent(t, other)
+        assert char_poly.call_count == berkowitz.call_count == 0
 
 
 def test_certificates_decide_generic_tuples():
