@@ -9,6 +9,7 @@ Exit codes: 0 on success, 1 for precondition violations, 2 for parse errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -38,8 +39,7 @@ from .spectral import (
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:
@@ -56,6 +56,7 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fuchsmc", description=__doc__)
     sub = p.add_subparsers(required=True)

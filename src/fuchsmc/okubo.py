@@ -154,10 +154,15 @@ def check_onf_conditions(o: OkuboSystem) -> bool:
     observability matrix [C; C a; C a^2; ...], so each test is one rank
     (`linalg.row_spin_dim`), and the decision is exact.  This is a code
     path independent of the residue-tuple genericity test, and equivalent
-    to it.
+    to it.  A carried scheme answers the rank: A is minus the residue at
+    infinity, so it is invertible exactly when the verified infinity column
+    has no zero label.
     """
     n = o.rank
-    if linalg.rank(o.a) != n:
+    if o.scheme is not None:
+        if any(label.is_zero() for label, _ in o.scheme.column_at_infinity()):
+            return False
+    elif linalg.rank(o.a) != n:
         return False
     for i in range(1, o.num_points + 1):
         rng = o.block_range(i)

@@ -56,7 +56,14 @@ from .yokoyama import (
 
 
 def idx_of(system) -> int:
-    """Index of rigidity of a residue tuple or a normal-form system."""
+    """Index of rigidity of a residue tuple or a normal-form system.
+
+    A carried scheme has been verified, so its multiplicities are the Weyr
+    counts of the residues, and the commutant dimension of each residue is
+    the sum of their squares: idx is `idx_spec` of its spectral type.
+    """
+    if system.scheme is not None:
+        return idx_spec(system.scheme.spectral_type())
     t = scf_from_onf(system) if isinstance(system, OkuboSystem) else system
     return index_of_rigidity(t)
 
@@ -151,7 +158,7 @@ def _katz_reduction(system) -> Iterator[str]:
     t = scf_from_onf(system) if isinstance(system, OkuboSystem) else system
     if not is_irreducible(t):
         raise CalculusError("reduction requires an irreducible system")
-    idx0 = index_of_rigidity(t)
+    idx0 = idx_of(t)
     # t was just checked; every later step checks its own input
     return _reduce(
         (t.rank, idx0, t.scheme.spectral_type(), t),

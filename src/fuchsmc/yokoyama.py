@@ -25,6 +25,7 @@ from .errors import (
     CRViolatedError,
     DegenerateExtensionError,
     DuplicatePoleError,
+    EigenvalueCollisionError,
     IndexRangeError,
     NotGenericError,
     NotIrreducibleError,
@@ -237,9 +238,12 @@ def re_composite(
 def _re_stages(o, j, rho1, rho2, eps) -> OkuboSystem:
     params = ExtensionParams(rho1, rho2, pick_generic(list(o.poles)))
     ext = extend_direct(o, params)
-    if eps.is_zero() or linalg.rank(ext.a.shift(eps)) < ext.rank:
-        raise NotGenericError(f"epsilon {eps} collides with the extended spectrum")
-    eu = euler_transform(ext, eps)
+    if eps.is_zero():
+        raise NotGenericError("epsilon must be nonzero")
+    try:
+        eu = euler_transform(ext, eps)
+    except EigenvalueCollisionError as exc:
+        raise NotGenericError(f"epsilon {eps} collides with the extended spectrum") from exc
     return restrict(eu, RestrictionParams(rho1 + eps, rho2 + eps, j))
 
 

@@ -12,7 +12,12 @@ from fuchsmc.errors import (
     PreconditionFailError,
 )
 from fuchsmc import linalg
-from fuchsmc.generate import random_composition, random_okubo, random_scheme_tuple
+from fuchsmc.generate import (
+    random_composition,
+    random_okubo,
+    random_scheme_tuple,
+    rigid_family_realization,
+)
 from fuchsmc.katz import middle_convolution
 from fuchsmc.linalg import ExactMatrix, kernel_basis, largest_invariant_subspace, rank
 from fuchsmc.okubo import (
@@ -27,8 +32,12 @@ from fuchsmc.okubo import (
 from fuchsmc.scalars import gr
 from fuchsmc.schlesinger import (
     SchlesingerTuple,
+    _class_column,
+    _in_class,
     check_star_conditions,
     is_equivalent,
+    residue_at_infinity,
+    verify_scheme,
 )
 from fuchsmc.spectral import RiemannScheme
 
@@ -329,3 +338,201 @@ class TestPickGeneric:
 
     def test_full_prefix(self):
         assert pick_generic(list(range(1, 8))) == gr(8)
+
+
+# -- verify_scheme's support-block check, against the n x n class test
+
+
+def full_size_verdict(t, s):
+    """verify_scheme with every residue, infinity first, on the n x n class test."""
+    residues = (residue_at_infinity(t),) + t.matrices
+    return all(_in_class(m, col) for m, col in zip(residues, s.columns))
+
+
+def class_scheme(t):
+    """The scheme of t read off each residue's class column, or None when a
+    residue has an eigenvalue outside Q(i); verify_scheme is not called."""
+    cols = [_class_column(m) for m in (residue_at_infinity(t),) + t.matrices]
+    return None if None in cols else RiemannScheme(t.poles, cols)
+
+
+def rational_spectrum_onf(rng, n):
+    """A normal-form system whose coefficient matrix and diagonal blocks all
+    have eigenvalues in Q(i), often with an invertible A and a singular block.
+
+    T is block upper triangular with diagonal blocks [d] or [[0, a], [b, 0]]
+    (ab = 1, 4, -1 or -4).  A principal submatrix of T is again block
+    triangular, its diagonal blocks being whole diagonal blocks of T or
+    their zero diagonal entries.  A is T with its coordinates permuted and
+    then conjugated by a random block-diagonal matrix, which keeps the
+    normal-form shape and every class."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(2 if n - sum(sizes) >= 2 and rng.random() < 0.5 else 1)
+    block_of = [b for b, size in enumerate(sizes) for _ in range(size)]
+    rows = sparse_rows(rng, n, 0.5)
+    for i in range(n):
+        for j in range(n):
+            if block_of[j] < block_of[i]:
+                rows[i][j] = gr(0)
+    k = 0
+    for size in sizes:
+        if size == 1:
+            rows[k][k] = gr(rng.choice([0, 1, 1, -1, 2]))
+        else:
+            a, b = rng.choice([(1, 1), (1, 4), (2, 2), (1, -1), (-2, 2)])
+            rows[k][k] = rows[k + 1][k + 1] = gr(0)
+            rows[k][k + 1], rows[k + 1][k] = gr(a), gr(b)
+        k += size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    a = ExactMatrix(n, n, [[rows[i][j] for j in perm] for i in perm])
+    blocks = random_composition(rng, n, max_parts=4, min_parts=2)
+    g = linalg.block_matrix(
+        [
+            [invertible(rng, b) if i == j else ExactMatrix.zeros(b, c) for j, c in enumerate(blocks)]
+            for i, b in enumerate(blocks)
+        ]
+    )
+    return OkuboSystem(blocks, list(range(len(blocks))), linalg.inverse(g) * a * g)
+
+
+def random_okubo_with_scheme(rng):
+    """A `random_okubo` system of rank 2 or 3 whose residues all have
+    eigenvalues in Q(i), with that scheme; such draws are about one in five
+    at rank 2."""
+    while True:
+        o = random_okubo(rng, rng.choice([2, 2, 3]), irreducible=False)
+        s = class_scheme(scf_from_onf(o))
+        if s is not None:
+            return o, s
+
+
+def overlapping_tuple(rng, n):
+    """Residues whose sum T is upper triangular, up to one permutation of the
+    coordinates.  The first is the rank-one u T_0 with u = e_0 + c e_1: its
+    two nonzero rows are dependent.  The second holds T_1 - c T_0, so the
+    two share row 1; the other rows of T go to the second and third
+    residues.  Every residue has eigenvalues in Q: the first has rank one,
+    and the others are upper triangular on their nonzero rows."""
+    t = [[gr(0)] * n for _ in range(n)]
+    for i in range(n):
+        t[i][i] = gr(rng.choice([0, 1, 1, -1, 2]))
+        for j in range(i + 1, n):
+            t[i][j] = gr(rng.randint(-2, 2))
+    c = gr(rng.choice([1, -1, 2]))
+    mats = [[[gr(0)] * n for _ in range(n)] for _ in range(rng.randint(2, 3))]
+    mats[0][0], mats[0][1] = t[0], [c * x for x in t[0]]
+    mats[1][1] = [x - c * y for x, y in zip(t[1], t[0])]
+    for i in range(2, n):
+        mats[rng.randrange(1, len(mats))][i] = t[i]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return SchlesingerTuple(
+        range(len(mats)), [ExactMatrix(n, n, [[rows[i][j] for j in perm] for i in perm]) for rows in mats]
+    )
+
+
+def perturbed(rng, s):
+    """s with one column changed: a label shifted, the zero part resized
+    (or created), a part split in two, or two parts merged; None when the
+    drawn change does not apply to the drawn column."""
+    c = rng.randrange(len(s.columns))
+    col = list(s.columns[c])
+    k = rng.randrange(len(col))
+    label, mult = col[k]
+    kind = rng.choice(["shift", "resize zero", "split", "merge"])
+    if kind == "shift":
+        col[k] = (label + rng.choice([1, -1]), mult)
+    elif kind == "resize zero":
+        z = next((i for i, (l, _) in enumerate(col) if l.is_zero()), None)
+        if z is None:
+            col.append((gr(0), 0))
+            z = len(col) - 1
+        others = [i for i in range(len(col)) if i != z]
+        if not others:
+            return None
+        o = rng.choice(others)
+        d = 1 if col[z][1] == 0 else rng.choice([1, -1])
+        col[z], col[o] = (gr(0), col[z][1] + d), (col[o][0], col[o][1] - d)
+    elif kind == "split":
+        if mult < 2:
+            return None
+        cut = rng.randint(1, mult - 1)
+        col[k : k + 1] = [(label, cut), (label, mult - cut)]
+    else:
+        if len(col) < 2:
+            return None
+        other = rng.choice([i for i in range(len(col)) if i != k])
+        col[k] = (label, mult + col[other][1])
+        del col[other]
+    cols = list(s.columns)
+    cols[c] = col
+    return RiemannScheme(s.poles, cols)
+
+
+class TestBlockCheckAgainstFullSize:
+    @given(
+        st.integers(0, 10_000),
+        st.integers(2, 6),
+        st.sampled_from(["normal form", "random okubo", "rigid family", "rank one", "overlapping"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_verify_scheme(self, seed, n, source):
+        rng = random.Random(seed)
+        o = None
+        if source == "normal form":
+            o = rational_spectrum_onf(rng, n)
+            t = scf_from_onf(o)
+            s = class_scheme(t)
+        elif source == "random okubo":
+            o, s = random_okubo_with_scheme(rng)
+            t = scf_from_onf(o)
+        elif source == "rigid family":
+            o = onf_from_scf(rigid_family_realization(min(n, 5)))
+            t, s = scf_from_onf(o), o.scheme
+            o = o.with_scheme(None)
+        elif source == "rank one":
+            # a singular A whose blocks of size one meet the block conditions
+            u, v = ([gr(rng.choice([-2, -1, 1, 2])) for _ in range(n)] for _ in range(2))
+            o = OkuboSystem([1] * n, range(n), ExactMatrix(n, n, [[x * y for y in v] for x in u]))
+            t = scf_from_onf(o)
+            s = class_scheme(t)
+        else:
+            t = overlapping_tuple(rng, n)
+            s = class_scheme(t)
+        assert verify_scheme(t, s) and full_size_verdict(t, s)
+        for _ in range(8):
+            bad = perturbed(rng, s)
+            if bad is not None:
+                assert verify_scheme(t, bad) == full_size_verdict(t, bad)
+        if o is not None:
+            # the rank of A read from the scheme, or by elimination
+            assert check_onf_conditions(o.with_scheme(s)) == check_onf_conditions(o)
+
+    def test_normal_forms_are_checked_on_their_blocks(self, monkeypatch):
+        # with an invertible A, every finite residue is checked on its
+        # n_j x n_j diagonal block; with a singular one, on n x n
+        o = onf_from_scf(rigid_family_realization(4))
+        t = scf_from_onf(OkuboSystem([1, 1], [0, 1], E([[1, 1], [1, 1]])))
+        singular = class_scheme(t)
+        sizes = []
+        monkeypatch.setattr(
+            "fuchsmc.schlesinger._in_class",
+            lambda m, col, real=_in_class: sizes.append(m.nrows) or real(m, col),
+        )
+        assert OkuboSystem(o.block_sizes, o.poles, o.a, o.scheme).scheme is o.scheme
+        assert sizes == [4] + list(o.block_sizes)
+        sizes.clear()
+        assert verify_scheme(t, singular)
+        assert sizes == [2, 2, 2]
+
+    def test_inputs_reach_both_paths(self):
+        # the generator yields invertible A with singular diagonal blocks
+        # (the block check with zero labels in P's class) and singular A
+        kinds = set()
+        for seed in range(60):
+            o = rational_spectrum_onf(random.Random(seed), 4)
+            singular_block = any(rank(o.diagonal_block(j)) < b for j, b in enumerate(o.block_sizes, 1))
+            kinds.add((rank(o.a) == 4, singular_block))
+        assert {(True, True), (False, True), (True, False)} <= kinds

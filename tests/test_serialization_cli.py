@@ -1,16 +1,19 @@
+import hashlib
 import json
 import random
 
 import pytest
 
+from fuchsmc import reduction
 from fuchsmc import serialization as ser
 from fuchsmc.cli import main
 from fuchsmc.errors import ParseError
 from fuchsmc.generate import find_basic_2x2_tuple, rigid_family_realization
 from fuchsmc.linalg import ExactMatrix
-from fuchsmc.okubo import OkuboSystem, onf_from_scf
+from fuchsmc.okubo import OkuboSystem, onf_from_scf, scf_from_onf
+from fuchsmc.reduction import idx_of
 from fuchsmc.scalars import gr
-from fuchsmc.schlesinger import SchlesingerTuple
+from fuchsmc.schlesinger import SchlesingerTuple, index_of_rigidity
 from fuchsmc.spectral import RiemannScheme
 
 E = ExactMatrix.from_rows
@@ -287,3 +290,72 @@ class TestIdxSchemeConvert:
         out = tmp_path / "r.json"
         assert main(["apply", "--input", str(inp), "--ops", str(ops), "--output", str(out)]) == 0
         assert ser.load_system(str(out)).rank == 1
+
+
+# sha256 of `fuchsmc reduce` stdout on onf_from_scf(rigid_family_realization(n)),
+# recorded before idx and the rank of A were read from verified schemes
+RECORDED_REDUCE = {
+    (3, "katz"): "a932595b75de59afce792f578080d8425bd8a9ada7ee7981deefd2d66234f0da",
+    (3, "yokoyama"): "f48acec8f58e4ed1493f27d489121a74f0bf8d78bca72f1b7e19c55e9332085c",
+    (4, "katz"): "13b6b9f2f1ca402f0ab0e1651c64026fbaef76f64b66c2649b526f516c8ee26f",
+    (4, "yokoyama"): "4703bc351d1aaafe419f8c8daaf6bc92b4b4b332b6dde5c3a2c3b7032a93577f",
+    (5, "katz"): "b9052af1cc0bcdcab726cfd650dcbb95f1d6733fbba781ce60b948a261256307",
+    (5, "yokoyama"): "626d83615dadee74c2d1615863a65c05f61a9909a5a6eccdea4ed6e0c9c865f7",
+    (6, "katz"): "25816824d97d2e1e40f894290d9311a98dc806f07fd2eb54a6ec93309904d44a",
+    (6, "yokoyama"): "f86531205bfd763e32014bcd376ce75d8298f1920845c6e0736da2da6ee07d9e",
+    (7, "katz"): "1347e1a163fb9b9027d7d31a0601188bcc2d046560c4ddbed41ff0658f1d816f",
+    (7, "yokoyama"): "cd64fec1cc90c1ee3ba65299764ac035460c460d50428f204be87c7be6a20efb",
+}
+RECORDED_APPLY_OPS = [
+    {"op": "extend", "rho1": "1", "rho2": "2", "t": "5"},
+    {"op": "euler", "lambda": "7"},
+    {"op": "restrict", "j": 1},
+    {"op": "convert"},
+    {"op": "mc", "lambda": "3"},
+    {"op": "add", "mu": ["1", "0"]},
+]
+RECORDED_APPLY_LOG = "f48e1e8e02637d4a45e973a13762adaeca657ca81ed3742b134713e1d798eb62"
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _residues(system):
+    return scf_from_onf(system) if isinstance(system, OkuboSystem) else system
+
+
+class TestRecordedCliOutputs:
+    @pytest.mark.parametrize("n, mode", sorted(RECORDED_REDUCE))
+    def test_reduce_stdout(self, n, mode, tmp_path, capsys, monkeypatch):
+        inp = tmp_path / "o.json"
+        ser.save_system(str(inp), onf_from_scf(rigid_family_realization(n)))
+        stages = []
+        monkeypatch.setattr(
+            "fuchsmc.reduction._system_stage",
+            lambda system, idx0, real=reduction._system_stage: stages.append(system) or real(system, idx0),
+        )
+        assert main(["reduce", "--input", str(inp), "--mode", mode]) == 0
+        assert _sha(capsys.readouterr().out) == RECORDED_REDUCE[n, mode]
+        # idx read from each stage's verified scheme is the commutant count
+        assert len(stages) == n - 1
+        for system in stages:
+            assert idx_of(system) == index_of_rigidity(_residues(system).with_scheme(None)) == 2
+
+    def test_apply_log(self, tmp_path):
+        inp, ops, out = tmp_path / "o.json", tmp_path / "ops.jsonl", tmp_path / "out.json"
+        ser.save_system(str(inp), onf_from_scf(rigid_family_realization(3)))
+        ops.write_text("".join(json.dumps(op) + "\n" for op in RECORDED_APPLY_OPS))
+        assert main(["apply", "--input", str(inp), "--ops", str(ops), "--output", str(out)]) == 0
+        assert _sha((tmp_path / "out.json.log").read_text()) == RECORDED_APPLY_LOG
+        system = ser.load_system(str(out))
+        assert system.scheme is not None
+        assert idx_of(system) == index_of_rigidity(_residues(system).with_scheme(None))
+
+    def test_idx_of_a_system_with_a_scheme(self, tmp_path, capsys):
+        o = onf_from_scf(rigid_family_realization(5))
+        inp = tmp_path / "o.json"
+        ser.save_system(str(inp), o)
+        assert main(["idx", "--input", str(inp)]) == 0
+        assert capsys.readouterr().out == "2\n"
+        assert index_of_rigidity(scf_from_onf(o.with_scheme(None))) == 2
