@@ -1,8 +1,12 @@
 """Rank-preserving and rank-changing operations on residue tuples.
 
-Scheme data is transported through every operation; for the convolution the
-transported scheme is verified against the output matrices and silently
-dropped when the transformation's hypotheses did not hold.
+Every operation carries a Riemann scheme by one rule (see
+`schlesinger._attach_scheme`).  Additions, point swaps, permutations and
+adding or dropping a zero residue are exact transports: each output residue
+is an input residue, the residue at infinity, a scalar shift of one of them,
+or zero, so the scheme is attached with no verification.  The convolution's
+scheme is a prediction that holds under genericity hypotheses (Dettweiler
+and Reiter), so it is verified once and dropped when it fails.
 
 The middle convolution of (A_1, ..., A_p) at lambda (Dettweiler and Reiter,
 J. Symbolic Comput. 30 (2000)) is the action of the convolution tuple on
@@ -37,7 +41,7 @@ in the Vector views of `ConvolutionData`.
 from __future__ import annotations
 
 from math import lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import linalg
 from .errors import (
@@ -55,10 +59,10 @@ from .linalg import ExactMatrix, IntRow, Vector
 from .scalars import GaussianRational, gr
 from .schlesinger import (
     SchlesingerTuple,
+    _attach_predicted,
     _attach_scheme,
     is_irreducible,
     residue_at_infinity,
-    verify_scheme,
 )
 from .spectral import (
     Column,
@@ -72,8 +76,9 @@ from .spectral import (
 def addition(t: SchlesingerTuple, mu: Sequence) -> SchlesingerTuple:
     """Shift each residue by a scalar: A_j + mu_j.
 
-    The scheme transport is exact: labels at the j-th point move by mu_j and
-    the labels at infinity by minus the total.
+    An exact transport: nullity((A + mu - (c + mu))^k) = nullity((A - c)^k),
+    so the labels at the j-th point move by mu_j, and the residue at infinity
+    is A_inf - sum mu, so its labels move by minus the total.
     """
     mu = [gr(x) for x in mu]
     if len(mu) != t.num_points:
@@ -86,7 +91,7 @@ def addition(t: SchlesingerTuple, mu: Sequence) -> SchlesingerTuple:
     if t.scheme is not None:
         cols = zip(t.scheme.columns, [-sum(mu, gr(0))] + mu)
         scheme = RiemannScheme(t.poles, [_shift_column(col, c) for col, c in cols])
-    return SchlesingerTuple(t.poles, mats, scheme)
+    return _attach_scheme(SchlesingerTuple(t.poles, mats), scheme)
 
 
 def _shift_column(col: Column, delta: GaussianRational) -> Column:
@@ -191,7 +196,8 @@ def middle_convolution(t: SchlesingerTuple, lam) -> SchlesingerTuple:
 
     Total as a construction; the theorem-backed facts (index invariance,
     composition, preserved irreducibility) hold under the genericity
-    conditions and are asserted only in tests.
+    conditions and are asserted only in tests.  The scheme is a predicted
+    transport (`predicted_scheme`), verified once against the output.
     """
     lam = gr(lam)
     cd = convolution(t, lam)
@@ -214,19 +220,7 @@ def middle_convolution(t: SchlesingerTuple, lam) -> SchlesingerTuple:
             im[k][k] += li * u
         mats.append(linalg._matrix(q, q, den, re, im))
     out = SchlesingerTuple(t.poles, mats)
-    scheme = _transported_scheme(t, lam, out)
-    return out if scheme is None else _attach_scheme(out, scheme)
-
-
-def _transported_scheme(t, lam, result) -> Optional[RiemannScheme]:
-    if t.scheme is None:
-        return None
-    try:
-        predicted = predicted_scheme(t.scheme, lam)
-    except NotNormalizableError:
-        return None
-    ok = predicted.order == result.rank and verify_scheme(result, predicted)
-    return predicted if ok else None
+    return _attach_predicted(out, t.scheme, lambda s: predicted_scheme(s, lam), NotNormalizableError)
 
 
 # -- point bookkeeping operations -------------------------------------------------
@@ -234,7 +228,8 @@ def _transported_scheme(t, lam, result) -> Optional[RiemannScheme]:
 
 def swap_with_infinity(t: SchlesingerTuple, j: int) -> SchlesingerTuple:
     """Exchange the residue at the j-th point (1-based) with the one at
-    infinity; an involution."""
+    infinity; an involution.  An exact transport: the new residue at
+    infinity is -(sum A - A_j + A_inf) = A_j, so the two columns swap."""
     if not 1 <= j <= t.num_points:
         raise IndexRangeError(f"point index {j} out of range")
     mats = list(t.matrices)
@@ -244,12 +239,13 @@ def swap_with_infinity(t: SchlesingerTuple, j: int) -> SchlesingerTuple:
         cols = list(t.scheme.columns)
         cols[0], cols[j] = cols[j], cols[0]
         scheme = RiemannScheme(t.poles, cols)
-    return SchlesingerTuple(t.poles, mats, scheme)
+    return _attach_scheme(SchlesingerTuple(t.poles, mats), scheme)
 
 
 def permute(t: SchlesingerTuple, sigma: Sequence[int]) -> SchlesingerTuple:
     """Relabel the finite points by the permutation (1-based): position i
-    receives the data of position sigma_i, poles included."""
+    receives the data of position sigma_i, poles included.  An exact
+    transport: the residues and their sum are unchanged."""
     p = t.num_points
     if sorted(sigma) != list(range(1, p + 1)):
         raise NotAPermutationError(f"{sigma!r} is not a permutation of 1..{p}")
@@ -259,7 +255,7 @@ def permute(t: SchlesingerTuple, sigma: Sequence[int]) -> SchlesingerTuple:
     if t.scheme is not None:
         cols = t.scheme.columns
         scheme = RiemannScheme(poles, [cols[0]] + [cols[s] for s in sigma])
-    return SchlesingerTuple(poles, mats, scheme)
+    return _attach_scheme(SchlesingerTuple(poles, mats), scheme)
 
 
 def append_infinity_pole(t: SchlesingerTuple, t_new) -> SchlesingerTuple:
@@ -267,6 +263,7 @@ def append_infinity_pole(t: SchlesingerTuple, t_new) -> SchlesingerTuple:
 
     The new last matrix is the negated sum, the point at infinity is left with
     the zero residue, and the scheme column at infinity moves to the new point.
+    An exact transport: infinity's column becomes the zero class [0:n].
     """
     t_new = gr(t_new)
     if t_new in t.poles:
@@ -277,11 +274,12 @@ def append_infinity_pole(t: SchlesingerTuple, t_new) -> SchlesingerTuple:
     if t.scheme is not None:
         cols = t.scheme.columns
         scheme = RiemannScheme(poles, [canonical_column([(gr(0), t.rank)]), *cols[1:], cols[0]])
-    return SchlesingerTuple(poles, mats, scheme)
+    return _attach_scheme(SchlesingerTuple(poles, mats), scheme)
 
 
 def drop_trailing_zero_pole(t: SchlesingerTuple) -> SchlesingerTuple:
-    """Remove the last point when its residue is zero (inverse of appending)."""
+    """Remove the last point when its residue is zero (inverse of appending).
+    An exact transport: the other residues and their sum are unchanged."""
     if t.num_points < 2:
         raise IndexRangeError("cannot drop the only point")
     if not t.matrices[-1].is_zero():
@@ -289,7 +287,7 @@ def drop_trailing_zero_pole(t: SchlesingerTuple) -> SchlesingerTuple:
     scheme = None
     if t.scheme is not None:
         scheme = RiemannScheme(t.poles[:-1], t.scheme.columns[:-1])
-    return SchlesingerTuple(t.poles[:-1], t.matrices[:-1], scheme)
+    return _attach_scheme(SchlesingerTuple(t.poles[:-1], t.matrices[:-1]), scheme)
 
 
 # -- scheme-level transformation ---------------------------------------------------

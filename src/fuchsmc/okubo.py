@@ -14,18 +14,20 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import (
     ConditionsFailError,
+    DuplicatePoleError,
     EigenvalueCollisionError,
     InvariantError,
     NotNormalizableError,
     NotOkuboConvertibleError,
+    NotONFShapeError,
     PreconditionFailError,
     SizeMismatchError,
 )
 from .katz import predicted_scheme
 from .linalg import ExactMatrix
-from .scalars import GaussianRational, ZERO, gr
-from .schlesinger import SchlesingerTuple, _attach_scheme, verify_scheme
-from .spectral import RiemannScheme, canonical_column
+from .scalars import GaussianRational, gr
+from .schlesinger import SchlesingerTuple, _attach_predicted, _attach_scheme, verify_scheme
+from .spectral import Column, RiemannScheme, canonical_column
 
 
 class OkuboSystem:
@@ -49,7 +51,7 @@ class OkuboSystem:
         if any(b < 1 for b in block_sizes):
             raise SizeMismatchError("block sizes must be positive")
         if len(set(poles)) != len(poles):
-            raise SizeMismatchError("poles must be pairwise distinct")
+            raise DuplicatePoleError("poles must be pairwise distinct")
         n = sum(block_sizes)
         if not a.is_square() or a.nrows != n:
             raise SizeMismatchError("coefficient matrix must match the block total")
@@ -110,7 +112,7 @@ def scf_from_onf(o: OkuboSystem) -> SchlesingerTuple:
             mats.append(padded.submatrix([i if i in r else n for i in range(n)], range(n)))
         t = o._residues = SchlesingerTuple(o.poles, mats)
     # o's scheme was verified against exactly this tuple when o was built
-    return t if o.scheme is None else _attach_scheme(t, o.scheme)
+    return _attach_scheme(t, o.scheme)
 
 
 def onf_from_scf(t: SchlesingerTuple) -> OkuboSystem:
@@ -121,17 +123,13 @@ def onf_from_scf(t: SchlesingerTuple) -> OkuboSystem:
     the canonical image bases in point order, so conversion is deterministic.
     """
     n = t.rank
-    image_cols = []
-    blocks = []
-    for m in t.matrices:
-        basis = linalg.image_basis(m)
-        blocks.append(len(basis))
-        image_cols.extend(basis)
+    images = _images(t)
+    blocks = [c.ncols for c in images]
     if sum(blocks) != n:
         raise NotOkuboConvertibleError(
             f"residue ranks sum to {sum(blocks)}, expected the system rank {n}"
         )
-    g = ExactMatrix.from_columns(image_cols, nrows=n)
+    g = linalg.block_matrix([images])
     if linalg.rank(g) != n:
         raise NotOkuboConvertibleError("residue images do not fill the whole space")
     ginv = linalg.inverse(g)
@@ -141,7 +139,13 @@ def onf_from_scf(t: SchlesingerTuple) -> OkuboSystem:
     o = OkuboSystem(blocks, t.poles, ginv * total * g)
     # block row j of a is g^-1 A_j g, since g^-1 A_k g maps into block k: each
     # residue is conjugate to t's, so t's verified scheme carries over exactly
-    return o if t.scheme is None else _attach_scheme(o, t.scheme)
+    return _attach_scheme(o, t.scheme)
+
+
+def _images(t: SchlesingerTuple) -> list[ExactMatrix]:
+    """Per residue, its pivot columns: the canonical basis of its image."""
+    rows = range(t.rank)
+    return [m.submatrix(rows, linalg.independent_columns(m)) for m in t.matrices]
 
 
 def check_onf_conditions(o: OkuboSystem) -> bool:
@@ -205,38 +209,38 @@ def mc_via_images(o: OkuboSystem, lam) -> OkuboSystem:
     if linalg.rank(o.a.shift(lam)) < n:
         raise EigenvalueCollisionError("-lambda is an eigenvalue of the coefficient matrix")
     t = scf_from_onf(o)
-    p = o.num_points
-    pn = p * n
     # the sum of the convolution tuple as induced on (+) im A_j through
     # (v_nu) -> (A_nu v_nu): its row block j is (A_j ... A_j) + lambda
-    gsum = linalg.block_matrix([[m] * p for m in t.matrices]).shift(lam)
-
-    cols = []
-    blocks = []
-    for j in range(p):
-        basis = linalg.image_basis(t.matrices[j])
-        blocks.append(len(basis))
-        for v in basis:
-            vec = [ZERO] * pn
-            vec[j * n : (j + 1) * n] = list(v)
-            cols.append(tuple(vec))
-    b = ExactMatrix.from_columns(cols, nrows=pn)
+    gsum = linalg.block_matrix([[m] * o.num_points for m in t.matrices]).shift(lam)
+    # (+) im A_j as the block-diagonal matrix of the image bases
+    images = _images(t)
+    zeros = [ExactMatrix.zeros(n, c.ncols) for c in images]
+    b = linalg.block_matrix([zeros[:j] + [c] + zeros[j + 1 :] for j, c in enumerate(images)])
     # the new coefficient matrix is the restricted sum
-    out = OkuboSystem(blocks, o.poles, linalg.solve(b, gsum * b))
-    if o.scheme is None:
-        return out
-    try:
-        predicted = predicted_scheme(o.scheme, lam)
-    except NotNormalizableError:
-        return out
-    return _transport_scheme(out, predicted)
+    out = OkuboSystem([c.ncols for c in images], o.poles, linalg.solve(b, gsum * b))
+    return _attach_predicted(out, o.scheme, lambda s: predicted_scheme(s, lam), NotNormalizableError)
 
 
 def euler_transform(o: OkuboSystem, lam) -> OkuboSystem:
     """A -> A + lambda, defined when -lambda misses the spectrum of A.
 
-    Composes additively in lambda.  Scheme labels at infinity shift by
-    -lambda; at a finite point the non-kernel labels shift by +lambda.
+    Composes additively in lambda.  An exact transport (`scheme_of_euler`):
+
+    Lemma.  Let o carry a verified scheme, with A and A + lambda invertible.
+    The residue at infinity -(A + lambda) has the classes of -A with every
+    label lowered by lambda.  The residue of block j has the column
+    [0:n - n_j] followed by the classes of its diagonal block plus lambda,
+    which are the block's classes with every label raised by lambda.
+
+    Proof.  A scalar shift moves every label and keeps every Weyr count.  A
+    residue's nonzero rows are its block row, which no other residue shares,
+    and A and A + lambda are invertible, so `verify_scheme`'s block lemma
+    gives the column of block j, in o and in the output alike, as
+    [0:n - n_j] followed by the classes of the diagonal block (n_j = n
+    leaves one point, whose residue is the whole matrix).
+
+    `check_onf_conditions` proves A invertible, the rank check proves
+    A + lambda invertible, and `_structural_zero` finds each [0:n - n_j].
     """
     lam = gr(lam)
     if not check_onf_conditions(o):
@@ -247,21 +251,8 @@ def euler_transform(o: OkuboSystem, lam) -> OkuboSystem:
     if linalg.rank(o.a.shift(lam)) < n:
         raise EigenvalueCollisionError("-lambda is an eigenvalue of the coefficient matrix")
     out = OkuboSystem(o.block_sizes, o.poles, o.a.shift(lam))
-    if o.scheme is None:
-        return out
-    return _transport_scheme(out, scheme_of_euler(o.scheme, o.block_sizes, lam))
-
-
-def _transport_scheme(o: OkuboSystem, predicted: RiemannScheme) -> OkuboSystem:
-    """o carrying the predicted scheme of the operation that built it, when
-    that scheme verifies against o's residues; o itself otherwise.
-
-    o is a freshly built, scheme-less system; the prediction is verified here
-    once and then attached without a second check.
-    """
-    if predicted.order != o.rank or not verify_scheme(scf_from_onf(o), predicted):
-        return o
-    return _attach_scheme(o, predicted)
+    scheme = None if o.scheme is None else scheme_of_euler(o.scheme, o.block_sizes, lam)
+    return _attach_scheme(out, scheme)
 
 
 def scheme_of_euler(
@@ -277,31 +268,21 @@ def scheme_of_euler(
     n = s.order
     cols = [canonical_column([(l - lam, m) for l, m in s.column_at_infinity()])]
     for j, nj in enumerate(block_sizes, start=1):
-        col = list(s.column_at(j))
-        kernel_mult = n - nj
-        rest, kernel_part = _take_zero_part(col, kernel_mult)
-        entries = [(gr(0), kernel_part)] if kernel_part else []
-        entries += [(l + lam, m) for l, m in rest]
-        cols.append(canonical_column(entries))
+        rest = _structural_zero(s.column_at(j), n, nj)
+        cols.append(canonical_column([(gr(0), n - nj)] + [(l + lam, m) for l, m in rest]))
     return RiemannScheme(s.poles, cols)
 
 
-def _take_zero_part(col, mult):
-    """Remove the structural zero part of the given multiplicity from a
-    column; the remaining parts are the diagonal-block eigenvalues."""
-    if mult == 0:
-        return list(col), 0
+def _structural_zero(col: Column, n: int, nj: int) -> list:
+    """The parts of a normal-form column without its structural kernel part
+    [0:n - nj]: the classes of the diagonal block, by `verify_scheme`'s block
+    lemma.  A column without that part raises NotONFShapeError."""
+    if nj == n:
+        return list(col)
     for i, (label, m) in enumerate(col):
-        if label == gr(0) and m == mult:
-            rest = [e for k, e in enumerate(col) if k != i]
-            return rest, mult
-    # fall back to the largest zero part when the sizes are ambiguous
-    zeros = [(m, i) for i, (label, m) in enumerate(col) if label == gr(0)]
-    if not zeros:
-        raise InvariantError("normal-form column lacks its kernel part")
-    m, i = max(zeros)
-    rest = [e for k, e in enumerate(col) if k != i]
-    return rest, m
+        if label.is_zero() and m == n - nj:
+            return [e for k, e in enumerate(col) if k != i]
+    raise NotONFShapeError("column lacks the kernel part of the declared block size")
 
 
 def pick_generic(forbidden: Sequence) -> GaussianRational:

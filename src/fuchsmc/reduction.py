@@ -48,6 +48,8 @@ from .spectral import (
 )
 from .yokoyama import (
     RestrictionParams,
+    _swap_points,
+    _swapped,
     rere_composite,
     restrict,
     scheme_of_extension,
@@ -252,7 +254,7 @@ def _restriction_scheme_step(s, blocks):
     forbidden = [label - mu_sum for label, _ in s.column_at(len(blocks))]
     eps = pick_generic([gr(0)] + forbidden + [-l for l, _ in inf_col])
     shifted = scheme_of_euler(s, blocks, eps)
-    return scheme_of_restriction(shifted, block_sizes=blocks), blocks[:-1]
+    return scheme_of_restriction(shifted, blocks), blocks[:-1]
 
 
 def _rere_scheme_step(s, blocks, j, rho1, rho2, rho3):
@@ -275,27 +277,18 @@ def _rere_scheme_step(s, blocks, j, rho1, rho2, rho3):
 
 
 def _rere_scheme_once(s, blocks, j, rho1, rho2, rho3, eps):
-    s1 = scheme_of_extension(s, rho1, rho2, block_sizes=blocks)
+    s1 = scheme_of_extension(s, rho1, rho2, blocks)
     b1 = blocks + [s1.order - s.order]
-    s2 = scheme_of_euler(s1, b1, eps)
-    s2, b2 = _swap_scheme_cols(s2, b1, j, len(b1))
-    s3 = scheme_of_restriction(s2, block_sizes=b2)
+    s2 = _swap_points(scheme_of_euler(s1, b1, eps), j, len(b1))
+    b2 = _swapped(b1, j, len(b1))
+    s3 = scheme_of_restriction(s2, b2)
     b3 = b2[:-1]
 
     rho1p = rho1 + eps
     rho2p = rho1 + rho2 + rho3 + eps
-    s4 = scheme_of_extension(s3, rho1p, rho2p, block_sizes=b3)
+    s4 = scheme_of_extension(s3, rho1p, rho2p, b3)
     b4 = b3 + [s4.order - s3.order]
-    s5, b5 = _swap_scheme_cols(s4, b4, j, len(b4))
-    s6 = scheme_of_restriction(s5, block_sizes=b5)
+    s5 = _swap_points(s4, j, len(b4))
+    b5 = _swapped(b4, j, len(b4))
+    s6 = scheme_of_restriction(s5, b5)
     return s6, b5[:-1]
-
-
-def _swap_scheme_cols(s, blocks, i, j):
-    cols = list(s.columns)
-    poles = list(s.poles)
-    blocks = list(blocks)
-    cols[i], cols[j] = cols[j], cols[i]
-    poles[i - 1], poles[j - 1] = poles[j - 1], poles[i - 1]
-    blocks[i - 1], blocks[j - 1] = blocks[j - 1], blocks[i - 1]
-    return RiemannScheme(poles, cols), blocks

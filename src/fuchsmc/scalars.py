@@ -111,10 +111,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return _new(self.re, -self.im)
 
-    def norm_sq(self):
-        """Rational |z|^2 = re^2 + im^2."""
-        return self.re * self.re + self.im * self.im
-
     # -- equality / ordering key ---------------------------------------------
 
     def __eq__(self, other):

@@ -83,27 +83,52 @@ class SchlesingerTuple:
         return f"SchlesingerTuple(p={self.num_points}, n={self.rank})"
 
 
-def _attach_scheme(system, scheme: RiemannScheme):
+# -- carrying a Riemann scheme through an operation -----------------------------
+#
+# An operation that builds a system from a scheme-carrying one carries the
+# scheme by one of two rules.  An exact transport has a lemma, stated in the
+# operation's docstring, that gives every output class from the input's
+# verified ones; it checks the lemma's hypotheses and attaches the transported
+# scheme with `_attach_scheme`, verifying nothing.  A predicted transport rests
+# on genericity hypotheses that it does not check, so `_attach_predicted`
+# verifies its scheme once and drops it when the check fails.
+
+
+def _attach_scheme(system, scheme: Optional[RiemannScheme]):
     """A copy of a SchlesingerTuple or OkuboSystem carrying `scheme`, which is
-    not verified again.
+    not verified again; system itself when scheme is None.
 
     Only for a scheme just verified against exactly this system's residues,
-    so that each (system, scheme) pair is verified once.  A scheme from any
-    other source goes through the verifying constructors or with_scheme.
+    or one an exact transport lemma gives from a verified scheme, so that each
+    (system, scheme) pair is verified at most once.  A scheme from any other
+    source goes through the verifying constructors or with_scheme.
     """
+    if scheme is None:
+        return system
     out = copy.copy(system)
     out.scheme = scheme
     return out
 
 
-def with_poles(t: SchlesingerTuple, poles: Sequence) -> SchlesingerTuple:
-    """Same matrices at relabelled pole positions.
-
-    The operator identities of the calculus act on matrix tuples; pole values
-    are inert labels for them, so comparisons across pipelines sometimes need
-    one side relabelled onto the other's poles.
+def _attach_predicted(system, scheme: Optional[RiemannScheme], predict, *undefined):
+    """system carrying predict(scheme), the scheme that an operation with
+    genericity hypotheses predicts from its input's verified `scheme`, when
+    that prediction verifies against system's residues; system itself when
+    scheme is None, when predict raises one of `undefined`, or when the
+    prediction fails the check.  system is the operation's scheme-less output.
     """
-    return SchlesingerTuple(poles, t.matrices, None)
+    if scheme is None:
+        return system
+    try:
+        predicted = predict(scheme)
+    except undefined:
+        return system
+    from .okubo import OkuboSystem, scf_from_onf  # okubo imports this module
+
+    t = scf_from_onf(system) if isinstance(system, OkuboSystem) else system
+    if predicted.order != t.rank or not verify_scheme(t, predicted):
+        return system
+    return _attach_scheme(system, predicted)
 
 
 def residue_at_infinity(t: SchlesingerTuple) -> ExactMatrix:

@@ -7,8 +7,10 @@ Normal-form file:     {"blocks": [...], "poles": [...], "A": [[...], ...],
 Scheme object:        {"points": ["inf", ...], "columns":
                        [[{"value": ..., "mult": k}, ...], ...]}
 
-All scalars are strings in the canonical grammar.  Operation logs are JSON
-objects, one per line, replayable through apply_operation.
+All scalars are strings in the canonical grammar; multiplicities and block
+sizes are JSON integers.  A file that breaks this shape raises ParseError.
+Operation logs are JSON objects, one per line, replayable through
+apply_operation.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .katz import (
 )
 from .linalg import ExactMatrix
 from .okubo import OkuboSystem, euler_transform, onf_from_scf, scf_from_onf
-from .scalars import format_scalar, parse_scalar
+from .scalars import GaussianRational, format_scalar, parse_scalar
 from .schlesinger import SchlesingerTuple
 from .spectral import RiemannScheme
 from .yokoyama import ExtensionParams, RestrictionParams, extend_direct, restrict
@@ -40,7 +42,25 @@ def matrix_to_json(m: ExactMatrix) -> list[list[str]]:
 def matrix_from_json(data) -> ExactMatrix:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ParseError("matrix must be a non-empty list of rows")
-    return ExactMatrix.from_rows([[parse_scalar(x) for x in row] for row in data])
+    return ExactMatrix.from_rows([[_scalar(x) for x in row] for row in data])
+
+
+def _scalar(x) -> GaussianRational:
+    if not isinstance(x, str):
+        raise ParseError(f"scalar {x!r} must be a string")
+    return parse_scalar(x)
+
+
+def _integer(x) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ParseError(f"{x!r} must be an integer")
+    return x
+
+
+def _list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ParseError(f"{what} must be a list")
+    return x
 
 
 def scheme_to_json(s: RiemannScheme) -> dict:
@@ -59,13 +79,16 @@ def scheme_from_json(data) -> RiemannScheme:
         columns = data["columns"]
     except (TypeError, KeyError) as exc:
         raise ParseError("scheme needs points and columns") from exc
-    if not points or points[0] != "inf":
+    if not _list(points, "scheme points") or points[0] != "inf":
         raise ParseError('scheme points must start with "inf"')
-    poles = [parse_scalar(t) for t in points[1:]]
-    cols = []
-    for col in columns:
-        cols.append([(parse_scalar(e["value"]), int(e["mult"])) for e in col])
-    return RiemannScheme(poles, cols)
+    cols = [[_part(e) for e in _list(col, "a scheme column")] for col in _list(columns, "scheme columns")]
+    return RiemannScheme([_scalar(t) for t in points[1:]], cols)
+
+
+def _part(e) -> tuple[GaussianRational, int]:
+    if not isinstance(e, dict) or "value" not in e or "mult" not in e:
+        raise ParseError('a scheme part must be an object with "value" and "mult"')
+    return _scalar(e["value"]), _integer(e["mult"])
 
 
 def scf_to_json(t: SchlesingerTuple) -> dict:
@@ -80,8 +103,8 @@ def scf_to_json(t: SchlesingerTuple) -> dict:
 
 def scf_from_json(data) -> SchlesingerTuple:
     try:
-        poles = [parse_scalar(x) for x in data["poles"]]
-        mats = [matrix_from_json(m) for m in data["matrices"]]
+        poles = [_scalar(x) for x in _list(data["poles"], "poles")]
+        mats = [matrix_from_json(m) for m in _list(data["matrices"], "matrices")]
     except (TypeError, KeyError) as exc:
         raise ParseError("residue-tuple file needs poles and matrices") from exc
     scheme = scheme_from_json(data["scheme"]) if "scheme" in data else None
@@ -101,8 +124,8 @@ def onf_to_json(o: OkuboSystem) -> dict:
 
 def onf_from_json(data) -> OkuboSystem:
     try:
-        blocks = [int(b) for b in data["blocks"]]
-        poles = [parse_scalar(x) for x in data["poles"]]
+        blocks = [_integer(b) for b in _list(data["blocks"], "blocks")]
+        poles = [_scalar(x) for x in _list(data["poles"], "poles")]
         a = matrix_from_json(data["A"])
     except (TypeError, KeyError) as exc:
         raise ParseError("normal-form file needs blocks, poles and A") from exc

@@ -275,9 +275,6 @@ class RiemannScheme:
     def spectral_type(self) -> PartitionTuple:
         return self.tuple_.strip_labels()
 
-    def replace_columns(self, columns: Sequence[Iterable[Entry]]) -> "RiemannScheme":
-        return RiemannScheme(self.poles, columns)
-
     def __repr__(self):
         pts = ["inf"] + [format_scalar(t) for t in self.poles]
         cols = [

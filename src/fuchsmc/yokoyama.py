@@ -17,7 +17,7 @@ the deleted pole, which makes its pole set match the plain pipeline exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import linalg
 from .errors import (
@@ -41,18 +41,17 @@ from .katz import (
     middle_convolution,
     swap_with_infinity,
 )
-from .linalg import ExactMatrix
 from .okubo import (
     OkuboSystem,
-    _transport_scheme,
+    _structural_zero,
     check_onf_conditions,
     euler_transform,
     pick_generic,
     scf_from_onf,
 )
 from .scalars import GaussianRational, gr
-from .schlesinger import SchlesingerTuple, _attach_scheme, is_irreducible
-from .spectral import Column, RiemannScheme, canonical_column
+from .schlesinger import SchlesingerTuple, _attach_predicted, _attach_scheme, is_irreducible
+from .spectral import RiemannScheme, canonical_column
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,8 @@ def extend_direct(o: OkuboSystem, params: ExtensionParams) -> OkuboSystem:
 
     The new block matrix acts as A and the inclusion on the first summand and
     as minus the quadratic product and (rho1 + rho2) - A on the second,
-    expressed on the canonical image basis of the product.
+    expressed on the canonical image basis of the product.  The scheme is a
+    predicted transport (`scheme_of_extension`), verified once.
     """
     if params.t_new in o.poles:
         raise DuplicatePoleError(f"pole {params.t_new} already present")
@@ -99,30 +99,22 @@ def extend_direct(o: OkuboSystem, params: ExtensionParams) -> OkuboSystem:
     a = o.a
     n = o.rank
     w = a.shift(-params.rho1) * a.shift(-params.rho2)
-    img = linalg.image_basis(w)
-    r = len(img)
+    c = w.submatrix(range(n), linalg.independent_columns(w))
+    r = c.ncols
     if r == 0:
         raise DegenerateExtensionError(
             "(A - rho1)(A - rho2) vanishes; the extension would add an empty block"
         )
-    c = ExactMatrix.from_columns(img, nrows=n)
     x = linalg.solve(c, -w)
     y = linalg.solve(c, a.shift(-(params.rho1 + params.rho2)).scale(-1) * c)
     a_hat = linalg.block_matrix([[a, c], [x, y]])
     out = OkuboSystem(list(o.block_sizes) + [r], list(o.poles) + [params.t_new], a_hat)
-    if o.scheme is None:
-        return out
-    try:
-        predicted = scheme_of_extension(
-            o.scheme,
-            params.rho1,
-            params.rho2,
-            block_sizes=o.block_sizes,
-            t_new=params.t_new,
-        )
-    except NotONFShapeError:
-        return out
-    return _transport_scheme(out, predicted)
+    return _attach_predicted(
+        out,
+        o.scheme,
+        lambda s: scheme_of_extension(s, params.rho1, params.rho2, o.block_sizes, params.t_new),
+        NotONFShapeError,
+    )
 
 
 def extend_composite(o: OkuboSystem, params: ExtensionParams) -> SchlesingerTuple:
@@ -145,25 +137,30 @@ def extend_composite(o: OkuboSystem, params: ExtensionParams) -> SchlesingerTupl
 
 def swap_blocks(o: OkuboSystem, i: int, j: int) -> OkuboSystem:
     """Transpose two blocks (1-based), reordering coordinates, poles and the
-    scheme columns together."""
+    scheme columns together.  An exact transport: a conjugation by a
+    permutation matrix, so every residue keeps its class."""
     p = o.num_points
     if not (1 <= i <= p and 1 <= j <= p):
         raise IndexRangeError("block index out of range")
     if i == j:
         return o
-    order = list(range(1, p + 1))
-    order[i - 1], order[j - 1] = order[j - 1], order[i - 1]
+    order = _swapped(range(1, p + 1), i, j)
     idx = [k for b in order for k in o.block_range(b)]
-    a = o.a.submatrix(idx, idx)
-    blocks = [o.block_sizes[b - 1] for b in order]
-    poles = [o.poles[b - 1] for b in order]
-    out = OkuboSystem(blocks, poles, a)
-    if o.scheme is None:
-        return out
-    # the swap conjugates by a permutation matrix, so every residue keeps its
-    # class and o's verified scheme carries over with its columns permuted
-    cols = [o.scheme.column_at_infinity()] + [o.scheme.column_at(b) for b in order]
-    return _attach_scheme(out, RiemannScheme(poles, cols))
+    out = OkuboSystem(_swapped(o.block_sizes, i, j), _swapped(o.poles, i, j), o.a.submatrix(idx, idx))
+    return _attach_scheme(out, None if o.scheme is None else _swap_points(o.scheme, i, j))
+
+
+def _swap_points(s: RiemannScheme, i: int, j: int) -> RiemannScheme:
+    """The scheme with finite points i and j (1-based) exchanged, poles and
+    columns together: `swap_blocks` on labelled data."""
+    return RiemannScheme(_swapped(s.poles, i, j), s.columns[:1] + tuple(_swapped(s.columns[1:], i, j)))
+
+
+def _swapped(items, i: int, j: int) -> list:
+    """The items with positions i and j (1-based) exchanged."""
+    out = list(items)
+    out[i - 1], out[j - 1] = out[j - 1], out[i - 1]
+    return out
 
 
 def restrict(o: OkuboSystem, params: RestrictionParams) -> OkuboSystem:
@@ -171,7 +168,8 @@ def restrict(o: OkuboSystem, params: RestrictionParams) -> OkuboSystem:
 
     Defined for linearly irreducible systems whose coefficient matrix
     satisfies (A - mu1)(A - mu2) = 0, provided mu1 + mu2 misses the spectrum
-    of the target diagonal block.
+    of the target diagonal block.  The scheme is a predicted transport
+    (`scheme_of_restriction`), verified once.
     """
     p = o.num_points
     if not 1 <= params.j <= p:
@@ -193,13 +191,14 @@ def restrict(o: OkuboSystem, params: RestrictionParams) -> OkuboSystem:
         )
     keep = [k for k in range(ow.rank) if k not in ow.block_range(p)]
     out = OkuboSystem(ow.block_sizes[:-1], ow.poles[:-1], ow.a.submatrix(keep, keep))
-    if ow.scheme is None:
-        return out
-    try:
-        predicted = scheme_of_restriction(ow.scheme, block_sizes=ow.block_sizes)
-    except (NotQ2Error, CRViolatedError, NotONFShapeError):
-        return out
-    return _transport_scheme(out, predicted)
+    return _attach_predicted(
+        out,
+        ow.scheme,
+        lambda s: scheme_of_restriction(s, ow.block_sizes),
+        NotQ2Error,
+        CRViolatedError,
+        NotONFShapeError,
+    )
 
 
 def restrict_composite(o: OkuboSystem, params: RestrictionParams) -> SchlesingerTuple:
@@ -341,32 +340,11 @@ def rere_katz_pipeline(
 # -- scheme-level transforms -------------------------------------------------------
 
 
-def _structural_zero(col: Column, n: int, nj: Optional[int]):
-    """Split off the kernel part [0]_(n - nj) of a normal-form column.
-
-    With an explicit block size the part must exist exactly; otherwise the
-    largest zero part is taken (and the block size inferred).
-    """
-    zeros = [(m, i) for i, (label, m) in enumerate(col) if label == gr(0)]
-    if nj is not None:
-        want = n - nj
-        if want == 0:
-            return list(col), 0
-        for m, i in zeros:
-            if m == want:
-                return [e for k, e in enumerate(col) if k != i], want
-        raise NotONFShapeError("column lacks the kernel part of the declared block size")
-    if not zeros:
-        return list(col), 0
-    m, i = max(zeros)
-    return [e for k, e in enumerate(col) if k != i], m
-
-
 def scheme_of_extension(
     s: RiemannScheme,
     rho1,
     rho2,
-    block_sizes: Optional[Sequence[int]] = None,
+    block_sizes: Sequence[int],
     t_new=None,
 ) -> RiemannScheme:
     """Scheme bookkeeping of the extension.
@@ -378,7 +356,7 @@ def scheme_of_extension(
     rho1, rho2 = gr(rho1), gr(rho2)
     n = s.order
     p = len(s.poles)
-    if block_sizes is not None and len(block_sizes) != p:
+    if len(block_sizes) != p:
         raise NotONFShapeError("one block size per finite point required")
     inf_col = list(s.column_at_infinity())
     m1, rest = _split_slot(inf_col, -rho1)
@@ -386,12 +364,9 @@ def scheme_of_extension(
     n_hat = 2 * n - m1 - m2
     new_inf = canonical_column([(-rho1, n - m2), (-rho2, n - m1)])
     cols = [new_inf]
-    for j in range(1, p + 1):
-        nj = block_sizes[j - 1] if block_sizes is not None else None
-        rest_j, kernel = _structural_zero(list(s.column_at(j)), n, nj)
-        nj_val = n - kernel if nj is None else nj
-        entries = [(gr(0), n_hat - nj_val)] + rest_j
-        cols.append(canonical_column(entries))
+    for j, nj in enumerate(block_sizes, start=1):
+        rest_j = _structural_zero(s.column_at(j), n, nj)
+        cols.append(canonical_column([(gr(0), n_hat - nj)] + rest_j))
     new_point = [(gr(0), n)]
     new_point += [(rho1 + rho2 + label, mult) for label, mult in rest]
     cols.append(canonical_column(new_point))
@@ -402,9 +377,7 @@ def scheme_of_extension(
     return RiemannScheme(poles, cols)
 
 
-def scheme_of_restriction(
-    s: RiemannScheme, block_sizes: Optional[Sequence[int]] = None
-) -> RiemannScheme:
+def scheme_of_restriction(s: RiemannScheme, block_sizes: Sequence[int]) -> RiemannScheme:
     """Scheme bookkeeping of the restriction at the last point.
 
     Requires exactly two parts at infinity (the quadratic-relation shape).
@@ -418,12 +391,13 @@ def scheme_of_restriction(
     inf_col = list(s.column_at_infinity())
     if len(inf_col) != 2:
         raise NotQ2Error("infinity column must consist of exactly two parts")
+    if len(block_sizes) != p:
+        raise NotONFShapeError("one block size per finite point required")
     (l1, m1), (l2, m2) = inf_col
     mu1, mu2 = -l1, -l2
     mu_sum = mu1 + mu2
-    nj_last = block_sizes[-1] if block_sizes is not None else None
-    rest_p, kernel_p = _structural_zero(list(s.column_at(p)), n, nj_last)
-    n_p = n - kernel_p if nj_last is None else nj_last
+    n_p = block_sizes[-1]
+    rest_p = _structural_zero(s.column_at(p), n, n_p)
     for label, _ in rest_p:
         if label == mu_sum:
             raise CRViolatedError(
@@ -435,10 +409,7 @@ def scheme_of_restriction(
     new_inf = [(-mu1, m1 - n_p), (-mu2, m2 - n_p)]
     new_inf += [(label - mu_sum, mult) for label, mult in rest_p]
     cols = [canonical_column(new_inf)]
-    for j in range(1, p):
-        nj = block_sizes[j - 1] if block_sizes is not None else None
-        rest_j, kernel = _structural_zero(list(s.column_at(j)), n, nj)
-        nj_val = n - kernel if nj is None else nj
-        entries = [(gr(0), n_check - nj_val)] + rest_j
-        cols.append(canonical_column(entries))
+    for j, nj in enumerate(block_sizes[:-1], start=1):
+        rest_j = _structural_zero(s.column_at(j), n, nj)
+        cols.append(canonical_column([(gr(0), n_check - nj)] + rest_j))
     return RiemannScheme(s.poles[:-1], cols)

@@ -15,6 +15,7 @@ from fuchsmc.errors import (
     LengthMismatchError,
     NotAPermutationError,
     NotIrreducibleError,
+    NotNormalizableError,
     PreconditionFailError,
     SchemeUnavailableError,
 )
@@ -22,7 +23,6 @@ from fuchsmc.generate import find_basic_2x2_tuple, random_schlesinger, rigid_fam
 from fuchsmc.identities import run_katz_suite
 from fuchsmc.katz import (
     _mc_max,
-    _transported_scheme,
     addition,
     append_infinity_pole,
     convolution,
@@ -44,6 +44,7 @@ from fuchsmc.linalg import (
 from fuchsmc.scalars import ZERO, gr
 from fuchsmc.schlesinger import (
     SchlesingerTuple,
+    _attach_predicted,
     index_of_rigidity,
     is_equivalent,
     residue_at_infinity,
@@ -312,7 +313,7 @@ def _mc_by_quotient(t, lam):
     basis_inv = inverse(ExactMatrix.from_columns(span_basis, nrows=pn).hstack(comp_mat))
     mats = [(basis_inv * (g * comp_mat)).submatrix(range(s, pn), range(len(comp))) for g in big]
     out = SchlesingerTuple(t.poles, mats)
-    scheme = _transported_scheme(t, lam, out)
+    scheme = _attach_predicted(out, t.scheme, lambda s: predicted_scheme(s, lam), NotNormalizableError).scheme
     return out if scheme is None else out.with_scheme(scheme)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fuchsmc.errors import (
     ConditionsFailError,
+    DuplicatePoleError,
     EigenvalueCollisionError,
     NotOkuboConvertibleError,
     PreconditionFailError,
@@ -94,6 +95,11 @@ class TestShapeDictionary:
         o = onf_from_scf(t)
         assert o.block_sizes == (1, 1)
         assert is_equivalent(scf_from_onf(o), t)
+
+    def test_duplicate_poles_rejected(self):
+        # the same error as SchlesingerTuple's
+        with pytest.raises(DuplicatePoleError):
+            OkuboSystem([1, 1], [0, 0], E([[1, 0], [0, 1]]))
 
     def test_rank_sum_deficit_rejected(self):
         t = SchlesingerTuple([0, 1], [E([[1, 0], [0, 0]]), ExactMatrix.zeros(2)])

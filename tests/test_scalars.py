@@ -62,7 +62,7 @@ def test_inverse_and_conjugate():
     z = gr(1, 2)
     assert z * z.inverse() == gr(1)
     assert z.conjugate() == gr(1, -2)
-    assert z.norm_sq() == gr(5).re
+    assert z * z.conjugate() == gr(5)
     with pytest.raises(ZeroDivisionError):
         gr(0).inverse()
 

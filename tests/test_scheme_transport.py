@@ -1,29 +1,46 @@
 """Each (system, scheme) fact on the scheme-transport path is computed once.
 
-A transported scheme is verified once against the output it is attached to,
-a scheme from outside (constructor, with_scheme, file) is still verified, an
-epsilon search returns the run that found epsilon, and the reduction driver's
-output is unchanged.
+An exact transport attaches its scheme by lemma, with `verify_scheme` kept
+as the oracle; a predicted one is verified once against the output it is
+attached to; a scheme from outside (constructor, with_scheme, file) is still
+verified; an epsilon search returns the run that found epsilon; and the
+reduction driver's output is unchanged.
 """
 
+import functools
 import json
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuchsmc import generate, modular, reduction, schlesinger, yokoyama
 from fuchsmc import serialization as ser
 from fuchsmc.cli import main
-from fuchsmc.errors import CRViolatedError, InvariantError
+from fuchsmc.errors import (
+    CRViolatedError,
+    EigenvalueCollisionError,
+    InvariantError,
+    NotOkuboConvertibleError,
+    SizeMismatchError,
+)
 from fuchsmc.generate import (
     find_basic_2x2_tuple,
     random_okubo,
     rigid_family_realization,
 )
-from fuchsmc.katz import middle_convolution
+from fuchsmc.katz import (
+    addition,
+    append_infinity_pole,
+    drop_trailing_zero_pole,
+    middle_convolution,
+    permute,
+    swap_with_infinity,
+)
 from fuchsmc.linalg import ExactMatrix, rank
-from fuchsmc.okubo import OkuboSystem, onf_from_scf, scf_from_onf
+from fuchsmc.okubo import OkuboSystem, euler_transform, onf_from_scf, scf_from_onf
 from fuchsmc.scalars import gr
 from fuchsmc.schlesinger import SchlesingerTuple, infer_scheme
 from fuchsmc.spectral import RiemannScheme, canonical_column
@@ -161,6 +178,100 @@ def test_yokoyama_reduce_proves_each_fact_cheaply(tmp_path, monkeypatch, capsys)
     assert swapped
     for o in swapped:  # the carried scheme is still the system's
         assert schlesinger.verify_scheme(scf_from_onf(o), o.scheme)
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "inferred"])
+def test_katz_reduce_verifies_only_the_load_and_the_convolutions(tmp_path, monkeypatch, capsys, declared):
+    # rank 5 to 1: the load (or the inference) and one convolution per step;
+    # the additions of mc_max attach their schemes by lemma
+    t = rigid_family_realization(5)
+    inp = tmp_path / "rigid5.json"
+    ser.save_system(str(inp), t if declared else t.with_scheme(None))
+    seen = verify_scheme_keys(monkeypatch)
+    assert main(["reduce", "--input", str(inp), "--mode", "katz"]) == 0
+    assert capsys.readouterr().out == GOLDEN_REDUCE[(5, "katz")]
+    assert len(seen) == 1 + 4
+
+
+@functools.cache
+def exact_transport_input(source, n, seed):
+    if source == "rigid family":
+        return rigid_family_realization(n)
+    return generate.random_scheme_tuple(random.Random(seed), n, steps=2)
+
+
+def exact_steps(rng, system):
+    """One exact transport of a scheme-carrying system, drawn by rng: its
+    kind and the systems it builds, the last being the next state.  A normal
+    form takes an Euler shift, and half the time lambda is a label at
+    infinity, so -lambda is an eigenvalue of A and the shift must refuse."""
+    if isinstance(system, OkuboSystem):
+        if rng.random() < 0.3:
+            return "residues", [scf_from_onf(system)]
+        inf_labels = [label for label, _ in system.scheme.column_at_infinity()]
+        lam = rng.choice(inf_labels) if rng.random() < 0.5 else gr(rng.randint(-3, 3))
+        if lam in inf_labels:
+            with pytest.raises(EigenvalueCollisionError):
+                euler_transform(system, lam)
+            return "euler collision", [system]
+        return "euler", [euler_transform(system, lam)]
+    p = system.num_points
+    kind = rng.choice(["add", "swap", "permute", "append and drop", "normal form"])
+    if kind == "add":
+        return kind, [addition(system, [rng.randint(-2, 2) for _ in range(p)])]
+    if kind == "swap":
+        return kind, [swap_with_infinity(system, rng.randint(1, p))]
+    if kind == "permute":
+        return kind, [permute(system, rng.sample(range(1, p + 1), p))]
+    if kind == "append and drop":
+        # the appended point takes the residue at infinity; swapped back, the
+        # zero residue left at infinity is the trailing one
+        appended = append_infinity_pole(system, max(system.poles, key=lambda g: g.sort_key()) + 1)
+        swapped = swap_with_infinity(appended, p + 1)
+        return kind, [appended, swapped, drop_trailing_zero_pole(swapped)]
+    return kind, [normal_form_or_same(system)]
+
+
+def normal_form_or_same(t):
+    try:
+        return onf_from_scf(t)
+    except (NotOkuboConvertibleError, SizeMismatchError):  # a zero residue has no block
+        return t
+
+
+class TestExactTransportsAgainstVerification:
+    """The old check, `verify_scheme`, is the oracle of every scheme an exact
+    transport attaches by lemma."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(["rigid family", "random tuple"]),
+        st.integers(2, 4),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_attached_schemes_verify(self, seed, source, n, normal_form):
+        rng = random.Random(seed)
+        system = exact_transport_input(source, n if source == "rigid family" else min(n, 3), seed % 7)
+        if normal_form:
+            system = normal_form_or_same(system)
+        for _ in range(8):
+            _, built = exact_steps(rng, system)
+            for system in built:
+                assert system.scheme is not None
+                residues = scf_from_onf(system) if isinstance(system, OkuboSystem) else system
+                assert schlesinger.verify_scheme(residues, system.scheme)
+
+    def test_exact_transports_verify_nothing(self, monkeypatch):
+        rng = random.Random(3)
+        system = onf_from_scf(rigid_family_realization(4))
+        seen, kinds = verify_scheme_keys(monkeypatch), set()
+        for _ in range(60):
+            kind, built = exact_steps(rng, system)
+            kinds.add(kind)
+            system = built[-1]
+        assert seen == []
+        assert len(kinds) == 8 and system.scheme is not None
 
 
 def test_onf_from_scf_carries_the_scheme(monkeypatch):

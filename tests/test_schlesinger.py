@@ -38,7 +38,6 @@ from fuchsmc.schlesinger import (
     matrix_tuples_equivalent,
     residue_at_infinity,
     verify_scheme,
-    with_poles,
 )
 from fuchsmc.spectral import RiemannScheme, canonical_column
 
@@ -132,9 +131,9 @@ class TestEquivalence:
         assert not is_equivalent(t, u)
 
     def test_poles_must_match(self, rank1_pair):
-        moved = with_poles(rank1_pair, [0, 2])
+        moved = SchlesingerTuple([0, 2], rank1_pair.matrices)
         assert not is_equivalent(rank1_pair, moved)
-        assert is_equivalent(with_poles(moved, [0, 1]), rank1_pair)
+        assert is_equivalent(SchlesingerTuple([0, 1], moved.matrices), rank1_pair)
 
     def test_jordan_vs_semisimple(self):
         jordan = SchlesingerTuple([0], [E([[1, 1], [0, 1]])])
@@ -276,7 +275,8 @@ class TestVerifyScheme:
         monkeypatch.setattr(linalg, "rank", counting_rank)
         monkeypatch.setattr(ExactMatrix, "__mul__", refused_product)
         # the same type, labels at infinity and at the first point moved apart
-        wrong = s.replace_columns(
+        wrong = RiemannScheme(
+            s.poles,
             [[(l + 1, k) for l, k in s.column_at_infinity()], [(l - 1, k) for l, k in s.column_at(1)]]
             + list(s.columns[2:])
         )

@@ -249,6 +249,21 @@ class TestVerifyTablesEnumerate:
         assert "11,11,11,11" in out and "111111,222,33" in out
 
 
+def _with_scheme_columns(columns):
+    return {"poles": ["0"], "matrices": [[["1"]]], "scheme": {"points": ["inf", "0"], "columns": columns}}
+
+
+# system files that break the documented shape, each in one place
+MALFORMED = {
+    "pole as a number": {"poles": [0], "matrices": [[["1"]]]},
+    "entry as a number": {"poles": ["0"], "matrices": [[[1]]]},
+    "part without mult": _with_scheme_columns([[{"value": "-1"}], [{"value": "1", "mult": 1}]]),
+    "part as a string": _with_scheme_columns([["-1"], [{"value": "1", "mult": 1}]]),
+    "mult not a number": _with_scheme_columns([[{"value": "-1", "mult": "x"}], [{"value": "1", "mult": 1}]]),
+    "block as a string": {"blocks": ["a"], "poles": ["0"], "A": [["1"]]},
+}
+
+
 class TestIdxSchemeConvert:
     def test_idx_of_type_text(self, capsys):
         assert main(["idx", "--type", "111,21,21,21"]) == 0
@@ -266,6 +281,15 @@ class TestIdxSchemeConvert:
         assert main(["scheme", "--input", str(inp), "--infer"]) == 0
         out = capsys.readouterr().out
         assert "verified" in out and "1,1,1" in out
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_file_is_a_parse_error(self, tmp_path, capsys, case):
+        inp = tmp_path / "bad.json"
+        inp.write_text(json.dumps(MALFORMED[case]))
+        with pytest.raises(ParseError):
+            ser.load_system(str(inp))
+        assert main(["scheme", "--input", str(inp)]) == 2
+        assert "parse error" in capsys.readouterr().err
 
     def test_convert_round_trip(self, workdir, tmp_path):
         tmp, inp = workdir

@@ -288,7 +288,7 @@ class TestSchemeTransforms:
             ],
         )
         with pytest.raises(NotQ2Error):
-            scheme_of_restriction(s)
+            scheme_of_restriction(s, block_sizes=[1, 1])
 
     def test_restriction_cr_check(self):
         # mu1 + mu2 = 3 collides with the eigenvalue 3 at the last point
