@@ -25,7 +25,7 @@ from .errors import (
 )
 from .katz import predicted_scheme
 from .linalg import ExactMatrix
-from .scalars import GaussianRational, gr
+from .scalars import GaussianRational, format_scalar, gr
 from .schlesinger import SchlesingerTuple, _attach_predicted, _attach_scheme, verify_scheme
 from .spectral import Column, RiemannScheme, canonical_column
 
@@ -118,9 +118,10 @@ def scf_from_onf(o: OkuboSystem) -> SchlesingerTuple:
 def onf_from_scf(t: SchlesingerTuple) -> OkuboSystem:
     """Conjugate a tuple into normal form.
 
-    Needs the ranks of the residues to sum to the rank of the system and the
-    images to fill the whole space; the conjugating matrix is assembled from
-    the canonical image bases in point order, so conversion is deterministic.
+    Needs every residue nonzero, their ranks to sum to the rank of the system
+    and the images to fill the whole space; the conjugating matrix is
+    assembled from the canonical image bases in point order, so conversion
+    is deterministic.
     """
     n = t.rank
     images = _images(t)
@@ -128,6 +129,11 @@ def onf_from_scf(t: SchlesingerTuple) -> OkuboSystem:
     if sum(blocks) != n:
         raise NotOkuboConvertibleError(
             f"residue ranks sum to {sum(blocks)}, expected the system rank {n}"
+        )
+    if 0 in blocks:
+        j = blocks.index(0) + 1
+        raise NotOkuboConvertibleError(
+            f"the residue at t_{j} = {format_scalar(t.poles[j - 1])} is zero; a normal form has no empty block"
         )
     g = linalg.block_matrix([images])
     if linalg.rank(g) != n:
@@ -164,7 +170,7 @@ def check_onf_conditions(o: OkuboSystem) -> bool:
     """
     n = o.rank
     if o.scheme is not None:
-        if any(label.is_zero() for label, _ in o.scheme.column_at_infinity()):
+        if not _invertible(o.scheme):
             return False
     elif linalg.rank(o.a) != n:
         return False
@@ -271,6 +277,13 @@ def scheme_of_euler(
         rest = _structural_zero(s.column_at(j), n, nj)
         cols.append(canonical_column([(gr(0), n - nj)] + [(l + lam, m) for l, m in rest]))
     return RiemannScheme(s.poles, cols)
+
+
+def _invertible(s: RiemannScheme) -> bool:
+    """Whether A is invertible in a normal form carrying the verified scheme
+    s: A is minus the residue at infinity, so when that column has no zero
+    label."""
+    return not any(label.is_zero() for label, _ in s.column_at_infinity())
 
 
 def _structural_zero(col: Column, n: int, nj: int) -> list:

@@ -2,11 +2,12 @@
 
 Extension adjoins a singular point and raises the rank by the dimension of
 IM (A - rho1)(A - rho2); restriction deletes a block and lowers it.  Both are
-realized twice: by closed-form block matrices (the direct route) and by
-pipelines of additions, rank-changing convolutions and point swaps (the
-composite route).  The two routes land in the same conjugacy class, which the
-tests exercise; the composite operators below also package the
-restriction-of-extension identities used by the reduction driver.
+closed-form block matrices, and each carries its Riemann scheme by a transport
+lemma stated in its docstring.  Extension is also realized as a pipeline of
+additions, rank-changing convolutions and point swaps (`extend_composite`);
+the two routes land in the same conjugacy class, which the tests exercise.
+The composite operators below package the restriction-of-extension
+identities used by the reduction driver.
 
 Pole bookkeeping: the operator identities act on matrix tuples, so pole values
 travel as labels.  A restriction at point j leaves the extension's new pole
@@ -16,6 +17,7 @@ the deleted pole, which makes its pole set match the plain pipeline exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,12 +39,12 @@ from .katz import (
     _split_slot,
     addition,
     append_infinity_pole,
-    drop_trailing_zero_pole,
     middle_convolution,
     swap_with_infinity,
 )
 from .okubo import (
     OkuboSystem,
+    _invertible,
     _structural_zero,
     check_onf_conditions,
     euler_transform,
@@ -87,10 +89,49 @@ class RestrictionParams:
 def extend_direct(o: OkuboSystem, params: ExtensionParams) -> OkuboSystem:
     """Closed-form extension on C^n + IM (A - rho1)(A - rho2).
 
-    The new block matrix acts as A and the inclusion on the first summand and
-    as minus the quadratic product and (rho1 + rho2) - A on the second,
-    expressed on the canonical image basis of the product.  The scheme is a
-    predicted transport (`scheme_of_extension`), verified once.
+    With s = rho1 + rho2, W = (A - rho1)(A - rho2) of rank r and C the
+    canonical basis of U = IM W (its pivot columns), the new matrix is
+    A_hat = [[A, C], [X, Y]] with CX = -W and CY = (s - A)C.  W = CR, with R
+    the nonzero rows of W's rref, so X = -R; and (s - A)C is the pivot
+    columns of (s - A)W = W(s - A) = CR(s - A), so Y = -X(A - s) on the
+    pivot columns.  An exact transport (`scheme_of_extension`):
+
+    Lemma.  Let o carry a verified scheme, with A invertible and r >= 1.  Let
+    m1 be the first Weyr count of A at rho1, and m2 the first at rho2, or
+    the second when rho1 = rho2 (the parts `scheme_of_extension` takes from
+    the infinity column).  Then -A_hat has the column [-rho1:n - m2,
+    -rho2:n - m1], the new point the column [0:n] followed by o's infinity
+    column without those two parts, each label l moved to s + l, and block
+    j the column [0:n + r - n_j] followed by the classes of o's diagonal
+    block j.
+
+    Proof.  Expanding the blocks, with AW = WA and C of full column rank,
+    gives (A_hat - rho1)(A_hat - rho2) = 0.  A vector (y, z) lies in the
+    image of A_hat - rho1 exactly when y lies in IM(A - rho1) + U, which is
+    IM(A - rho1), and Cz = -(A - rho2)y; so rank(A_hat - rho1) =
+    rank(A - rho1) = n - m1, and likewise for rho2.  The kernel of W has
+    dimension m1 + m2 (for rho1 = rho2 it is the kernel of (A - rho1)^2), so
+    r = n - m1 - m2.  For rho1 != rho2, A_hat is therefore diagonalizable
+    with multiplicities n + r - (n - m1) = n - m2 and n - m1; for rho1 =
+    rho2 its Weyr counts there are n - m2 and n - m1.  Y is s - A on U in
+    the basis C.  On A's generalized eigenspace at lam not in {rho1, rho2},
+    W is invertible; at rho_k it is (A - rho_k), or (A - rho_k)^2 when
+    rho1 = rho2, times an invertible map.  So A on U has A's Weyr counts
+    with the first one at each rho_k removed (the first two when rho1 =
+    rho2), and Y has them at s - lam, which is s + l for the label l = -lam
+    at infinity.  The proof of `verify_scheme`'s block lemma uses the
+    invertible residue sum only to give a residue's block row full row
+    rank, and each block row of A_hat has it: [A_j | C_j] contains A's
+    block row j, A being invertible, and [X | Y] has r rows and
+    rank(X) = rank(W) = r.
+    So block j's column is [0:n + r - n_j] followed by the classes of
+    A_hat's diagonal block j: A's block for j <= p, Y for the new point.
+    The same lemma on o reads A's blocks from o's scheme
+    (`_structural_zero`).
+
+    `check_onf_conditions` proves A invertible, and r = 0 raises.  A_hat
+    need not be invertible: the lemma holds for a zero rho too, which
+    ExtensionParams refuses.
     """
     if params.t_new in o.poles:
         raise DuplicatePoleError(f"pole {params.t_new} already present")
@@ -99,22 +140,21 @@ def extend_direct(o: OkuboSystem, params: ExtensionParams) -> OkuboSystem:
     a = o.a
     n = o.rank
     w = a.shift(-params.rho1) * a.shift(-params.rho2)
-    c = w.submatrix(range(n), linalg.independent_columns(w))
-    r = c.ncols
+    reduced, pivots = linalg.rref(w)
+    r = len(pivots)
     if r == 0:
         raise DegenerateExtensionError(
             "(A - rho1)(A - rho2) vanishes; the extension would add an empty block"
         )
-    x = linalg.solve(c, -w)
-    y = linalg.solve(c, a.shift(-(params.rho1 + params.rho2)).scale(-1) * c)
+    c = w.submatrix(range(n), pivots)
+    x = -reduced.submatrix(range(r), range(n))
+    y = x * a.shift(-(params.rho1 + params.rho2)).submatrix(range(n), pivots)
     a_hat = linalg.block_matrix([[a, c], [x, y]])
     out = OkuboSystem(list(o.block_sizes) + [r], list(o.poles) + [params.t_new], a_hat)
-    return _attach_predicted(
-        out,
-        o.scheme,
-        lambda s: scheme_of_extension(s, params.rho1, params.rho2, o.block_sizes, params.t_new),
-        NotONFShapeError,
+    scheme = None if o.scheme is None else scheme_of_extension(
+        o.scheme, params.rho1, params.rho2, o.block_sizes, params.t_new
     )
+    return _attach_scheme(out, scheme)
 
 
 def extend_composite(o: OkuboSystem, params: ExtensionParams) -> SchlesingerTuple:
@@ -168,16 +208,52 @@ def restrict(o: OkuboSystem, params: RestrictionParams) -> OkuboSystem:
 
     Defined for linearly irreducible systems whose coefficient matrix
     satisfies (A - mu1)(A - mu2) = 0, provided mu1 + mu2 misses the spectrum
-    of the target diagonal block.  The scheme is a predicted transport
-    (`scheme_of_restriction`), verified once.
+    of the target diagonal block.  With the deleted block last, write
+    A = [[A', B], [D, E]], E of size n_p, and F = mu1 + mu2 - E.  The scheme
+    is an exact transport (`scheme_of_restriction`) where this lemma's
+    hypotheses hold, and a prediction verified once where they do not
+    (mu1 = mu2, for one):
+
+    Lemma.  Let o carry a verified scheme whose infinity column has two
+    parts, with labels -mu1 != -mu2, neither zero, and multiplicities m1 and
+    m2, and let E have neither mu1 nor mu2 as an eigenvalue.  Then
+    A' is conjugate to F + mu1^(m1 - n_p) + mu2^(m2 - n_p), so -A' has the
+    column [-mu1:m1 - n_p, -mu2:m2 - n_p] followed by E's classes with their
+    labels lowered by mu1 + mu2.  When that column has no zero label, block
+    j keeps the column [0:n - n_p - n_j] followed by the classes of its
+    diagonal block.
+
+    Proof.  The blocks of (A - mu1)(A - mu2) = 0 read A'B = BF, DA' = FD,
+    DB = -(E - mu1)(E - mu2) and (A' - mu1)(A' - mu2) = -BD.  DB is
+    invertible, so B is injective, IM B meets ker D in 0, and by dimension
+    C^(n - n_p) is their direct sum.  Both summands are A'-invariant: A'
+    acts on IM B as F does, through B, and on ker D it is annihilated by
+    (x - mu1)(x - mu2), so it is diagonal there, with mu1 k1 times and mu2
+    k2 times.  A vector (u, w) lies in ker(A - mu1) exactly when
+    w = -(E - mu1)^-1 Du and Su = 0, where S = A' - mu1 - B(E - mu1)^-1 D.
+    S kills IM B, since SB = B(F - mu1) + B(E - mu2) = 0, and is A' - mu1
+    on ker D, so m1 = nullity(A - mu1) = n_p + k1; likewise k2 = m2 - n_p.
+    F has neither mu1 nor mu2 as an eigenvalue, since E has neither, so the
+    parts do not merge.  With A and, when the new column has no zero label,
+    A' invertible, `verify_scheme`'s block lemma reads E's classes and each
+    diagonal block's from o's scheme (`_structural_zero`) and gives the
+    output's finite columns, the diagonal blocks of A' being A's.
+
+    Every hypothesis is read from o's verified scheme: E's classes are
+    column p without its structural zero part, once A is invertible.  The
+    scheme also answers the quadratic relation (`_annihilates`); without
+    one, the product is formed.
     """
     p = o.num_points
     if not 1 <= params.j <= p:
         raise IndexRangeError(f"block index {params.j} out of range")
     if p < 2:
         raise IndexRangeError("cannot restrict a single-point system")
-    quad = o.a.shift(-params.mu1) * o.a.shift(-params.mu2)
-    if not quad.is_zero():
+    if o.scheme is not None:
+        quadratic = _annihilates(o.scheme, params.mu1, params.mu2)
+    else:
+        quadratic = (o.a.shift(-params.mu1) * o.a.shift(-params.mu2)).is_zero()
+    if not quadratic:
         raise NotQ2Error("coefficient matrix does not satisfy the quadratic relation")
     if not is_irreducible(scf_from_onf(o)):
         raise NotIrreducibleError("restriction requires a linearly irreducible system")
@@ -198,22 +274,30 @@ def restrict(o: OkuboSystem, params: RestrictionParams) -> OkuboSystem:
         NotQ2Error,
         CRViolatedError,
         NotONFShapeError,
+        exact=lambda predicted: _restriction_lemma_holds(ow.scheme, npk) and _invertible(predicted),
     )
 
 
-def restrict_composite(o: OkuboSystem, params: RestrictionParams) -> SchlesingerTuple:
-    """Restriction as a pipeline on the residue tuple; the deleted point comes
-    back with a zero residue, which is dropped."""
-    p = o.num_points
-    ow = swap_blocks(o, params.j, p)
-    t = scf_from_onf(ow)
-    t = middle_convolution(t, -params.mu1)
-    mu = [gr(0)] * p
-    mu[-1] = params.mu1 - params.mu2
-    t = addition(t, mu)
-    t = swap_with_infinity(t, p)
-    t = middle_convolution(t, params.mu1)
-    return drop_trailing_zero_pole(t)
+def _annihilates(s: RiemannScheme, mu1, mu2) -> bool:
+    """Whether (A - mu1)(A - mu2) = 0 for the A of a normal form carrying the
+    verified scheme s.  A is minus the residue at infinity, and the number
+    of parts of a label -mu there is the size of A's largest Jordan block at
+    mu, that is the power of x - mu in A's minimal polynomial.  So the
+    relation holds exactly when every label at infinity, counted once per
+    part, is among -mu1 and -mu2, counted with repetition."""
+    return not Counter(label for label, _ in s.column_at_infinity()) - Counter([-mu1, -mu2])
+
+
+def _restriction_lemma_holds(s: RiemannScheme, n_p: int) -> bool:
+    """Whether the hypotheses of `restrict`'s lemma hold for a verified scheme
+    with two parts at infinity, the deleted block of size n_p last: distinct
+    nonzero labels -mu1 and -mu2 at infinity, and neither mu1 nor mu2 among
+    the deleted block's labels."""
+    (l1, _), (l2, _) = s.column_at_infinity()
+    if l1 == l2 or not _invertible(s):
+        return False
+    block = _structural_zero(s.column_at(len(s.poles)), s.order, n_p)
+    return all(label not in (-l1, -l2) for label, _ in block)
 
 
 # -- restriction-of-extension composites ------------------------------------------
@@ -244,12 +328,6 @@ def _re_stages(o, j, rho1, rho2, eps) -> OkuboSystem:
     except EigenvalueCollisionError as exc:
         raise NotGenericError(f"epsilon {eps} collides with the extended spectrum") from exc
     return restrict(eu, RestrictionParams(rho1 + eps, rho2 + eps, j))
-
-
-def auto_epsilon_re(o, j, rho1, rho2):
-    """Smallest positive integer shift making every stage of the
-    restriction-of-extension defined."""
-    return _re_search(o, j, rho1, rho2)[0]
 
 
 def _re_search(o, j, rho1, rho2):
@@ -350,8 +428,12 @@ def scheme_of_extension(
     """Scheme bookkeeping of the extension.
 
     The infinity column donates its -rho1 and -rho2 slots (largest
-    multiplicities, empty when absent); the new point receives a full-size
-    zero part plus the shifted remainder of the old infinity column.
+    multiplicities, empty when absent; for rho1 = rho2 the two largest); the
+    new infinity column is [-rho1:n - m2, -rho2:n - m1], and the new point
+    receives a full-size zero part plus the remainder of the old infinity
+    column shifted by rho1 + rho2.  Lemma (proof in `extend_direct`): for a
+    normal form with A invertible and a verified scheme s, this is exactly
+    the scheme of `extend_direct`'s output.
     """
     rho1, rho2 = gr(rho1), gr(rho2)
     n = s.order
@@ -383,6 +465,10 @@ def scheme_of_restriction(s: RiemannScheme, block_sizes: Sequence[int]) -> Riema
     Requires exactly two parts at infinity (the quadratic-relation shape).
     The deleted column's non-kernel labels move to infinity shifted by
     -(mu1 + mu2); the kernel parts shrink by the deleted block size.
+    Lemma (proof in `restrict`): for a verified s whose infinity labels
+    -mu1 != -mu2 are nonzero, whose deleted block has neither mu1 nor mu2
+    as a label, and whose new infinity column has no zero label, this is
+    exactly the scheme of `restrict`'s output.
     """
     n = s.order
     p = len(s.poles)

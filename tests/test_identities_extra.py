@@ -25,7 +25,6 @@ from fuchsmc.spectral import (
 from fuchsmc.yokoyama import (
     ExtensionParams,
     RestrictionParams,
-    auto_epsilon_re,
     extend_direct,
     re_katz_pipeline,
     rere_katz_pipeline,
@@ -120,10 +119,9 @@ class TestIrreducibilityTransport:
             if rank(o.a.shift(-rho1) * o.a.shift(-rho2)) == 0:
                 continue
             j = rng.randint(1, o.num_points)
-            eps = auto_epsilon_re(o, j, rho1, rho2)
             from fuchsmc.yokoyama import re_composite
 
-            out = re_composite(o, j, rho1, rho2, eps)
+            out = re_composite(o, j, rho1, rho2)
             assert is_irreducible(scf_from_onf(out))
             done += 1
 

@@ -106,6 +106,13 @@ class TestShapeDictionary:
         with pytest.raises(NotOkuboConvertibleError):
             onf_from_scf(t)
 
+    def test_zero_residue_rejected(self):
+        # the ranks sum to n and the images fill the space, but the zero
+        # residue at t_2 = 5 would be an empty block
+        t = SchlesingerTuple([0, 5, 1], [E([[1, 0], [0, 0]]), ExactMatrix.zeros(2), E([[0, 0], [0, 1]])])
+        with pytest.raises(NotOkuboConvertibleError, match="t_2 = 5 is zero"):
+            onf_from_scf(t)
+
 
 class TestConditions:
     def test_rank_one_with_nonzero_coefficient(self, rank1_onf):

@@ -11,6 +11,8 @@ import functools
 import json
 import random
 import sys
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +22,16 @@ from fuchsmc import generate, modular, reduction, schlesinger, yokoyama
 from fuchsmc import serialization as ser
 from fuchsmc.cli import main
 from fuchsmc.errors import (
+    CalculusError,
+    ConditionsFailError,
     CRViolatedError,
+    DegenerateExtensionError,
     EigenvalueCollisionError,
     InvariantError,
     NotOkuboConvertibleError,
-    SizeMismatchError,
+    NotONFShapeError,
+    NotQ2Error,
+    SchemeUnavailableError,
 )
 from fuchsmc.generate import (
     find_basic_2x2_tuple,
@@ -42,17 +49,19 @@ from fuchsmc.katz import (
 from fuchsmc.linalg import ExactMatrix, rank
 from fuchsmc.okubo import OkuboSystem, euler_transform, onf_from_scf, scf_from_onf
 from fuchsmc.scalars import gr
-from fuchsmc.schlesinger import SchlesingerTuple, infer_scheme
+from fuchsmc.schlesinger import SchlesingerTuple, infer_scheme, verify_scheme
 from fuchsmc.spectral import RiemannScheme, canonical_column
 from fuchsmc.yokoyama import (
     ExtensionParams,
     RestrictionParams,
-    auto_epsilon_re,
+    _re_search,
     auto_epsilon_rere,
     extend_direct,
     re_composite,
     rere_composite,
     restrict,
+    scheme_of_extension,
+    scheme_of_restriction,
 )
 
 
@@ -193,6 +202,19 @@ def test_katz_reduce_verifies_only_the_load_and_the_convolutions(tmp_path, monke
     assert len(seen) == 1 + 4
 
 
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "inferred"])
+def test_yokoyama_reduce_verifies_only_the_load(tmp_path, monkeypatch, capsys, declared):
+    # rank 5 to 1: the load (or the inference); extension, the Euler shift,
+    # restriction and the block swaps attach their schemes by lemma
+    o = rigid_onf(5)
+    inp = tmp_path / "rigid5.json"
+    ser.save_system(str(inp), o if declared else o.with_scheme(None))
+    seen = verify_scheme_keys(monkeypatch)
+    assert main(["reduce", "--input", str(inp), "--mode", "yokoyama"]) == 0
+    assert capsys.readouterr().out == GOLDEN_REDUCE[(5, "yokoyama")]
+    assert len(seen) == 1
+
+
 @functools.cache
 def exact_transport_input(source, n, seed):
     if source == "rigid family":
@@ -235,7 +257,7 @@ def exact_steps(rng, system):
 def normal_form_or_same(t):
     try:
         return onf_from_scf(t)
-    except (NotOkuboConvertibleError, SizeMismatchError):  # a zero residue has no block
+    except NotOkuboConvertibleError:  # a zero residue has no block, for one
         return t
 
 
@@ -274,6 +296,158 @@ class TestExactTransportsAgainstVerification:
         assert len(kinds) == 8 and system.scheme is not None
 
 
+@functools.cache
+def okubo_pool():
+    """Normal forms from `random_okubo` of ranks 1 to 3 whose eigenvalues are
+    Gaussian rationals, each carrying its inferred scheme."""
+    pool = []
+    for n, count in ((1, 4), (2, 6), (3, 4)):
+        rng = random.Random(n)
+        while count:
+            o = random_okubo(rng, n)
+            try:
+                pool.append(o.with_scheme(infer_scheme(scf_from_onf(o))))
+            except SchemeUnavailableError:
+                continue
+            count -= 1
+    return pool
+
+
+def transport_outcome(operation, system, params):
+    """operation(system, params), `extend_direct` or `restrict`, against the
+    old rule, which verified every prediction once: the scheme it attaches
+    must be the one `_attach_predicted` attaches to the same output, the
+    prediction when `verify_scheme` accepts it and none when it does not.
+    Returns how the scheme was carried: "raised", "lemma", "verified" or
+    "dropped"."""
+    checked = []
+
+    def counting(t, s):
+        checked.append(s)
+        return verify_scheme(t, s)
+
+    with mock.patch.object(schlesinger, "verify_scheme", counting):
+        try:
+            got = operation(system, params)
+        except CalculusError:
+            return "raised"
+    bare = OkuboSystem(got.block_sizes, got.poles, got.a)
+    if operation is extend_direct:
+        want = schlesinger._attach_predicted(
+            bare,
+            system.scheme,
+            lambda s: scheme_of_extension(s, params.rho1, params.rho2, system.block_sizes, params.t_new),
+            NotONFShapeError,
+        )
+    else:
+        ow = yokoyama.swap_blocks(system, params.j, system.num_points)
+        want = schlesinger._attach_predicted(
+            bare,
+            ow.scheme,
+            lambda s: scheme_of_restriction(s, ow.block_sizes),
+            NotQ2Error,
+            CRViolatedError,
+            NotONFShapeError,
+        )
+    assert got.scheme == want.scheme
+    if checked:
+        return "dropped" if got.scheme is None else "verified"
+    return "lemma"
+
+
+def transport_cases(seed):
+    """(kind, outcome) of one extension of a pooled normal form and of
+    restrictions of its output, drawn by seed.  rho1 and rho2 are labels of
+    A or of a diagonal block, small integers or zero; rho1 = rho2 a third
+    of the time.  A zero rho, which ExtensionParams refuses, makes A_hat
+    singular.  The output is restricted at every point, after an Euler
+    shift, with mu1 and mu2 the shifted rho1 and rho2, so some deleted
+    blocks have mu1 or mu2 as an eigenvalue."""
+    rng = random.Random(seed)
+    o = rng.choice(okubo_pool())
+    labels = [-label for label, _ in o.scheme.column_at_infinity()]
+    labels += [label for col in o.scheme.columns[1:] for label, _ in col]
+    rho1 = rng.choice(labels + [gr(1), gr(2), gr(0)])
+    rho2 = rho1 if rng.random() < 0.3 else rng.choice(labels + [gr(-1), gr(0)])
+    params = SimpleNamespace(rho1=rho1, rho2=rho2, t_new=max(o.poles, key=lambda g: g.sort_key()) + 1)
+    outcome = transport_outcome(extend_direct, o, params)
+    yield "extension", outcome
+    if outcome == "raised":
+        return
+    ext = extend_direct(o, params)
+    eps = gr(rng.randint(-2, 2))
+    try:
+        shifted = euler_transform(ext, eps)
+    except (ConditionsFailError, EigenvalueCollisionError):
+        return
+    for j in range(1, shifted.num_points + 1):
+        restriction = RestrictionParams(rho1 + eps, rho2 + eps, j)
+        yield "restriction", transport_outcome(restrict, shifted, restriction)
+
+
+class TestTransportLemmasAgainstVerification:
+    """The old check, `verify_scheme` on every prediction, is the oracle of
+    `extend_direct`'s and `restrict`'s transport lemmas."""
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_lemma_attaches_what_verification_accepts(self, seed):
+        for _ in transport_cases(seed):
+            pass
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=30, deadline=None)
+    def test_quadratic_relation_read_from_the_scheme(self, seed):
+        # the product is the oracle; an extension output satisfies the
+        # relation at its rho1 and rho2, and a Jordan block at a label fails
+        # it there unless that label is taken twice
+        rng = random.Random(seed)
+        o = rng.choice(okubo_pool())
+        eigenvalues = [-label for label, _ in o.scheme.column_at_infinity()] + [gr(1), gr(-2)]
+        try:
+            o = extend_direct(o, ExtensionParams(rng.choice(eigenvalues), rng.choice(eigenvalues), 100))
+        except DegenerateExtensionError:
+            pass
+        eigenvalues = [-label for label, _ in o.scheme.column_at_infinity()] + [gr(1)]
+        for mu1 in eigenvalues:
+            for mu2 in eigenvalues:
+                product = o.a.shift(-mu1) * o.a.shift(-mu2)
+                assert yokoyama._annihilates(o.scheme, mu1, mu2) == product.is_zero()
+
+    def test_every_branch_is_reached(self):
+        seen = {case for seed in range(60) for case in transport_cases(seed)}
+        assert {("extension", "lemma"), ("restriction", "lemma"), ("restriction", "verified")} <= seen
+        assert ("extension", "raised") in seen and ("restriction", "raised") in seen
+        assert not {("extension", "verified"), ("extension", "dropped")} & seen
+
+    @pytest.mark.parametrize(
+        "name,mutant",
+        [
+            ("scheme_of_extension", lambda *args: exchanged_infinity(scheme_of_extension(*args))),
+            ("scheme_of_restriction", lambda s, block_sizes: scheme_of_restriction(exchanged_infinity(s), block_sizes)),
+        ],
+        ids=["extension", "restriction"],
+    )
+    def test_a_planted_lemma_mutation_fails(self, monkeypatch, name, mutant):
+        # the bookkeeping with the multiplicities of the two infinity parts
+        # exchanged: after the extension, before the restriction
+        monkeypatch.setattr(yokoyama, name, mutant)
+        with pytest.raises(AssertionError):
+            for seed in range(60):
+                for _ in transport_cases(seed):
+                    pass
+
+
+def exchanged_infinity(s: RiemannScheme) -> RiemannScheme:
+    """s with the labels of its two infinity parts exchanged, and s itself
+    when its infinity column has another number of parts."""
+    inf = s.column_at_infinity()
+    if len(inf) != 2:
+        return s
+    (l1, m1), (l2, m2) = inf
+    return RiemannScheme(s.poles, [[(l2, m1), (l1, m2)], *s.columns[1:]])
+
+
 def test_onf_from_scf_carries_the_scheme(monkeypatch):
     t = rigid_family_realization(4)
     seen = verify_scheme_keys(monkeypatch)
@@ -301,7 +475,7 @@ class TestSearchReturnsTheWinningRun:
             rho1, rho2 = rng.randint(1, 3), rng.randint(1, 3)
             if rank(o.a.shift(-rho1) * o.a.shift(-rho2)) == 0:
                 continue
-            eps = auto_epsilon_re(o, j, rho1, rho2)
+            eps = _re_search(o, j, rho1, rho2)[0]
             self.same(re_composite(o, j, rho1, rho2), re_composite(o, j, rho1, rho2, eps))
             done += 1
 
@@ -313,7 +487,7 @@ class TestSearchReturnsTheWinningRun:
         got = rere_composite(o, j, rho1, rho2, rho3)
         assert got.scheme is not None
         self.same(got, rere_composite(o, j, rho1, rho2, rho3, eps))
-        eps = auto_epsilon_re(o, j, rho1, rho2)
+        eps = _re_search(o, j, rho1, rho2)[0]
         self.same(re_composite(o, j, rho1, rho2), re_composite(o, j, rho1, rho2, eps))
 
 

@@ -9,6 +9,7 @@ from fuchsmc.errors import (
     ZeroRhoError,
 )
 from fuchsmc.generate import random_okubo
+from fuchsmc.katz import addition, drop_trailing_zero_pole, middle_convolution, swap_with_infinity
 from fuchsmc.linalg import ExactMatrix, rank
 from fuchsmc.okubo import OkuboSystem, check_onf_conditions, scf_from_onf
 from fuchsmc.scalars import gr
@@ -22,7 +23,7 @@ from fuchsmc.spectral import RiemannScheme
 from fuchsmc.yokoyama import (
     ExtensionParams,
     RestrictionParams,
-    auto_epsilon_re,
+    _re_search,
     auto_epsilon_rere,
     extend_composite,
     extend_direct,
@@ -31,13 +32,28 @@ from fuchsmc.yokoyama import (
     rere_composite,
     rere_katz_pipeline,
     restrict,
-    restrict_composite,
     scheme_of_extension,
     scheme_of_restriction,
     swap_blocks,
 )
 
 E = ExactMatrix.from_rows
+
+
+def restrict_composite(o: OkuboSystem, params: RestrictionParams):
+    """Restriction as a pipeline on the residue tuple, the oracle of the
+    closed form: convolve down by mu1, shift the deleted point by mu1 - mu2,
+    swap it with infinity, convolve up by mu1; the deleted point comes back
+    with a zero residue, which is dropped."""
+    p = o.num_points
+    t = scf_from_onf(swap_blocks(o, params.j, p))
+    t = middle_convolution(t, -params.mu1)
+    mu = [gr(0)] * p
+    mu[-1] = params.mu1 - params.mu2
+    t = addition(t, mu)
+    t = swap_with_infinity(t, p)
+    t = middle_convolution(t, params.mu1)
+    return drop_trailing_zero_pole(t)
 
 
 @pytest.fixture
@@ -177,16 +193,14 @@ class TestReComposite:
             w = o.a.shift(-rho1) * o.a.shift(-rho2)
             if rank(w) == 0:
                 continue
-            eps = auto_epsilon_re(o, j, rho1, rho2)
-            lhs = re_composite(o, j, rho1, rho2, eps)
+            eps, lhs = _re_search(o, j, rho1, rho2)
             rhs = re_katz_pipeline(o, j, rho1, rho2, eps)
             assert lhs.rank == o.rank + rank(w) - o.block_sizes[j - 1]
             assert matrix_tuples_equivalent(scf_from_onf(lhs).matrices, rhs.matrices)
             done += 1
 
     def test_pole_bookkeeping(self, rank1_onf):
-        eps = auto_epsilon_re(rank1_onf, 1, 1, 5)
-        lhs = re_composite(rank1_onf, 1, 1, 5, eps)
+        lhs = re_composite(rank1_onf, 1, 1, 5)
         # position 1 now carries the extension pole
         assert lhs.poles == (gr(1),)
 
