@@ -143,7 +143,7 @@ def cmd_reduce(args) -> int:
     if args.level == "scheme" and not text.lstrip().startswith("{"):
         source = parse_spectral_type(text)
     else:
-        source = ser.system_from_json(json.loads(text))
+        source = ser.system_from_text(text, args.input)
     for line in reduction_lines(source, args.mode, args.level):
         print(line)
     return 0

@@ -220,7 +220,7 @@ def middle_convolution(t: SchlesingerTuple, lam) -> SchlesingerTuple:
             im[k][k] += li * u
         mats.append(linalg._matrix(q, q, den, re, im))
     out = SchlesingerTuple(t.poles, mats)
-    return _attach_predicted(out, t.scheme, lambda s: predicted_scheme(s, lam), NotNormalizableError)
+    return _attach_predicted(out, t.scheme, lambda s: predicted_scheme(s, lam))
 
 
 # -- point bookkeeping operations -------------------------------------------------

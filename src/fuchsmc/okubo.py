@@ -17,7 +17,6 @@ from .errors import (
     DuplicatePoleError,
     EigenvalueCollisionError,
     InvariantError,
-    NotNormalizableError,
     NotOkuboConvertibleError,
     NotONFShapeError,
     PreconditionFailError,
@@ -224,7 +223,7 @@ def mc_via_images(o: OkuboSystem, lam) -> OkuboSystem:
     b = linalg.block_matrix([zeros[:j] + [c] + zeros[j + 1 :] for j, c in enumerate(images)])
     # the new coefficient matrix is the restricted sum
     out = OkuboSystem([c.ncols for c in images], o.poles, linalg.solve(b, gsum * b))
-    return _attach_predicted(out, o.scheme, lambda s: predicted_scheme(s, lam), NotNormalizableError)
+    return _attach_predicted(out, o.scheme, lambda s: predicted_scheme(s, lam))
 
 
 def euler_transform(o: OkuboSystem, lam) -> OkuboSystem:

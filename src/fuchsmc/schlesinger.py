@@ -19,6 +19,7 @@ from .errors import (
     DuplicatePoleError,
     InvariantError,
     NonSquareError,
+    NotNormalizableError,
     PartitionSizeMismatchError,
     PointMismatchError,
     SchemeUnavailableError,
@@ -91,10 +92,7 @@ class SchlesingerTuple:
 # verified ones; it checks the lemma's hypotheses and attaches the transported
 # scheme with `_attach_scheme`, verifying nothing.  A predicted transport rests
 # on genericity hypotheses that it does not check, so `_attach_predicted`
-# verifies its scheme once and drops it when the check fails.  An operation
-# whose lemma holds only under hypotheses it can read from the verified
-# schemes passes them to `_attach_predicted` as `exact`: the prediction is
-# attached by lemma where they hold and verified once where they do not.
+# verifies its scheme once and drops it when the check fails.
 
 
 def _attach_scheme(system, scheme: Optional[RiemannScheme]):
@@ -113,24 +111,19 @@ def _attach_scheme(system, scheme: Optional[RiemannScheme]):
     return out
 
 
-def _attach_predicted(system, scheme: Optional[RiemannScheme], predict, *undefined, exact=None):
+def _attach_predicted(system, scheme: Optional[RiemannScheme], predict):
     """system carrying predict(scheme), the scheme that an operation with
     genericity hypotheses predicts from its input's verified `scheme`, when
     that prediction verifies against system's residues; system itself when
-    scheme is None, when predict raises one of `undefined`, or when the
+    scheme is None, when predict raises NotNormalizableError, or when the
     prediction fails the check.  system is the operation's scheme-less output.
-
-    When exact(predicted) is true, the operation's transport lemma proves the
-    prediction, which is attached without the check.
     """
     if scheme is None:
         return system
     try:
         predicted = predict(scheme)
-    except undefined:
+    except NotNormalizableError:
         return system
-    if exact is not None and exact(predicted):
-        return _attach_scheme(system, predicted)
     from .okubo import OkuboSystem, scf_from_onf  # okubo imports this module
 
     t = scf_from_onf(system) if isinstance(system, OkuboSystem) else system

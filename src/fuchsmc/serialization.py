@@ -148,13 +148,19 @@ def system_to_json(system) -> dict:
     return onf_to_json(system)
 
 
+def system_from_text(text: str, source: str):
+    """The system in the JSON text of a file in either format; source names
+    the file in the ParseError for text that is not JSON."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{source}: {exc}") from exc
+    return system_from_json(data)
+
+
 def load_system(path: str):
     with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    return system_from_json(data)
+        return system_from_text(fh.read(), path)
 
 
 def save_system(path: str, system) -> None:

@@ -37,12 +37,12 @@ def _entry_key(e: Entry):
     return (-mult, k[0], k[1])
 
 
-def canonical_column(entries: Iterable[Entry], keep_zero: bool = False) -> Column:
+def canonical_column(entries: Iterable[Entry]) -> Column:
     out = []
     for label, mult in entries:
         if mult < 0:
             raise NegativePartError("negative multiplicity in a column")
-        if mult == 0 and not keep_zero:
+        if mult == 0:
             continue
         out.append((label, int(mult)))
     labelled = [e for e in out if e[0] is not None]
@@ -302,9 +302,12 @@ def parse_spectral_type(text: str) -> PartitionTuple:
                 close = chunk.find(")", i)
                 if close == -1:
                     raise ParseError(f"unbalanced parenthesis in {chunk!r}")
-                parts.append(int(chunk[i + 1 : close]))
+                inner = chunk[i + 1 : close]
+                if not inner.isdecimal():
+                    raise ParseError(f"bad part {inner!r} in {chunk!r}")
+                parts.append(int(inner))
                 i = close + 1
-            elif ch.isdigit():
+            elif ch.isdecimal():
                 parts.append(int(ch))
                 i += 1
             else:

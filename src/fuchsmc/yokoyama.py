@@ -3,9 +3,12 @@
 Extension adjoins a singular point and raises the rank by the dimension of
 IM (A - rho1)(A - rho2); restriction deletes a block and lowers it.  Both are
 closed-form block matrices, and each carries its Riemann scheme by a transport
-lemma stated in its docstring.  Extension is also realized as a pipeline of
-additions, rank-changing convolutions and point swaps (`extend_composite`);
-the two routes land in the same conjugacy class, which the tests exercise.
+lemma stated in its docstring.  Restriction is the inverse of extension:
+extending its output at (mu1, mu2) and the deleted pole gives back its input
+up to a block-diagonal conjugation, so its lemma follows from extension's.
+Extension is also realized as a pipeline of additions, rank-changing
+convolutions and point swaps (`extend_composite`); the two routes land in the
+same conjugacy class, which the tests exercise.
 The composite operators below package the restriction-of-extension
 identities used by the reduction driver.
 
@@ -44,7 +47,6 @@ from .katz import (
 )
 from .okubo import (
     OkuboSystem,
-    _invertible,
     _structural_zero,
     check_onf_conditions,
     euler_transform,
@@ -52,7 +54,7 @@ from .okubo import (
     scf_from_onf,
 )
 from .scalars import GaussianRational, gr
-from .schlesinger import SchlesingerTuple, _attach_predicted, _attach_scheme, is_irreducible
+from .schlesinger import SchlesingerTuple, _attach_scheme, is_irreducible
 from .spectral import RiemannScheme, canonical_column
 
 
@@ -204,44 +206,40 @@ def _swapped(items, i: int, j: int) -> list:
 
 
 def restrict(o: OkuboSystem, params: RestrictionParams) -> OkuboSystem:
-    """Delete the block at point j (after moving it last).
+    """Delete the block at point j (after moving it last); the inverse of
+    `extend_direct`.
 
     Defined for linearly irreducible systems whose coefficient matrix
     satisfies (A - mu1)(A - mu2) = 0, provided mu1 + mu2 misses the spectrum
-    of the target diagonal block.  With the deleted block last, write
-    A = [[A', B], [D, E]], E of size n_p, and F = mu1 + mu2 - E.  The scheme
-    is an exact transport (`scheme_of_restriction`) where this lemma's
-    hypotheses hold, and a prediction verified once where they do not
-    (mu1 = mu2, for one):
+    of the target diagonal block (the CR condition).  With the deleted block
+    last, write A = [[A', B], [D, E]], E of size n_p, s = mu1 + mu2 and
+    F = s - E.  An exact transport (`scheme_of_restriction`):
 
-    Lemma.  Let o carry a verified scheme whose infinity column has two
-    parts, with labels -mu1 != -mu2, neither zero, and multiplicities m1 and
-    m2, and let E have neither mu1 nor mu2 as an eigenvalue.  Then
-    A' is conjugate to F + mu1^(m1 - n_p) + mu2^(m2 - n_p), so -A' has the
-    column [-mu1:m1 - n_p, -mu2:m2 - n_p] followed by E's classes with their
-    labels lowered by mu1 + mu2.  When that column has no zero label, block
-    j keeps the column [0:n - n_p - n_j] followed by the classes of its
-    diagonal block.
+    Lemma.  Under these three hypotheses, let o, with block j moved last,
+    carry a verified scheme sigma.  Then scheme_of_restriction(sigma) is
+    the output's scheme.
 
-    Proof.  The blocks of (A - mu1)(A - mu2) = 0 read A'B = BF, DA' = FD,
-    DB = -(E - mu1)(E - mu2) and (A' - mu1)(A' - mu2) = -BD.  DB is
-    invertible, so B is injective, IM B meets ker D in 0, and by dimension
-    C^(n - n_p) is their direct sum.  Both summands are A'-invariant: A'
-    acts on IM B as F does, through B, and on ker D it is annihilated by
-    (x - mu1)(x - mu2), so it is diagonal there, with mu1 k1 times and mu2
-    k2 times.  A vector (u, w) lies in ker(A - mu1) exactly when
-    w = -(E - mu1)^-1 Du and Su = 0, where S = A' - mu1 - B(E - mu1)^-1 D.
-    S kills IM B, since SB = B(F - mu1) + B(E - mu2) = 0, and is A' - mu1
-    on ker D, so m1 = nullity(A - mu1) = n_p + k1; likewise k2 = m2 - n_p.
-    F has neither mu1 nor mu2 as an eigenvalue, since E has neither, so the
-    parts do not merge.  With A and, when the new column has no zero label,
-    A' invertible, `verify_scheme`'s block lemma reads E's classes and each
-    diagonal block's from o's scheme (`_structural_zero`) and gives the
-    output's finite columns, the diagonal blocks of A' being A's.
+    Proof.  (1) A is invertible: a common kernel vector of the residues,
+    which are A's block rows, spans an invariant line, and o is irreducible
+    of rank n >= 2.  A is not scalar either, as a scalar A leaves each
+    coordinate line invariant, so both mu are eigenvalues of A, and
+    nonzero.  (2) The blocks of (A - mu1)(A - mu2) = 0 read A'B = BF,
+    DA' = FD and (A' - mu1)(A' - mu2) = -BD.  So ker B is E-invariant and
+    0 + ker B is invariant under every residue; likewise C^(n - n_p) + IM D,
+    since ED = D(s - A').  Irreducibility makes B injective and D
+    surjective.  (3) A' is invertible: an eigenvector u of A' at lam not in
+    {mu1, mu2} lies in IM B by (2), say u = Bz, and then Fz = lam z; F is
+    invertible by CR.  (4) So W' = (A' - mu1)(A' - mu2) = -BD has image
+    IM B, and `extend_direct` of the output at (mu1, mu2, t_p) takes the
+    pivot columns C = BG of W', G invertible; then X = G^-1 D and
+    Y = G^-1 E G, from CX = -W' and CY = (s - A')C = BEG.  Its matrix is
+    diag(1, G)^-1 A diag(1, G), which keeps the blocks and so every
+    residue's class.  (5) By (3) and `extend_direct`'s lemma, sigma is
+    `scheme_of_extension` of the output's scheme sigma'.
+    `scheme_of_restriction` undoes that bookkeeping, as
+    r = n' - m1' - m2' = n_p, so it maps sigma to sigma'.
 
-    Every hypothesis is read from o's verified scheme: E's classes are
-    column p without its structural zero part, once A is invertible.  The
-    scheme also answers the quadratic relation (`_annihilates`); without
+    The scheme answers the quadratic relation (`_annihilates`); without
     one, the product is formed.
     """
     p = o.num_points
@@ -258,24 +256,15 @@ def restrict(o: OkuboSystem, params: RestrictionParams) -> OkuboSystem:
     if not is_irreducible(scf_from_onf(o)):
         raise NotIrreducibleError("restriction requires a linearly irreducible system")
     ow = swap_blocks(o, params.j, p)
-    npk = ow.block_sizes[-1]
     app = ow.diagonal_block(p)
-    if linalg.rank(app.shift(-(params.mu1 + params.mu2))) < npk:
+    if linalg.rank(app.shift(-(params.mu1 + params.mu2))) < app.nrows:
         raise CRViolatedError(
             "mu1 + mu2 is an eigenvalue of the deleted block; precompose a generic"
             " Euler transformation"
         )
     keep = [k for k in range(ow.rank) if k not in ow.block_range(p)]
     out = OkuboSystem(ow.block_sizes[:-1], ow.poles[:-1], ow.a.submatrix(keep, keep))
-    return _attach_predicted(
-        out,
-        ow.scheme,
-        lambda s: scheme_of_restriction(s, ow.block_sizes),
-        NotQ2Error,
-        CRViolatedError,
-        NotONFShapeError,
-        exact=lambda predicted: _restriction_lemma_holds(ow.scheme, npk) and _invertible(predicted),
-    )
+    return _attach_scheme(out, None if ow.scheme is None else scheme_of_restriction(ow.scheme, ow.block_sizes))
 
 
 def _annihilates(s: RiemannScheme, mu1, mu2) -> bool:
@@ -286,18 +275,6 @@ def _annihilates(s: RiemannScheme, mu1, mu2) -> bool:
     relation holds exactly when every label at infinity, counted once per
     part, is among -mu1 and -mu2, counted with repetition."""
     return not Counter(label for label, _ in s.column_at_infinity()) - Counter([-mu1, -mu2])
-
-
-def _restriction_lemma_holds(s: RiemannScheme, n_p: int) -> bool:
-    """Whether the hypotheses of `restrict`'s lemma hold for a verified scheme
-    with two parts at infinity, the deleted block of size n_p last: distinct
-    nonzero labels -mu1 and -mu2 at infinity, and neither mu1 nor mu2 among
-    the deleted block's labels."""
-    (l1, _), (l2, _) = s.column_at_infinity()
-    if l1 == l2 or not _invertible(s):
-        return False
-    block = _structural_zero(s.column_at(len(s.poles)), s.order, n_p)
-    return all(label not in (-l1, -l2) for label, _ in block)
 
 
 # -- restriction-of-extension composites ------------------------------------------
@@ -464,11 +441,13 @@ def scheme_of_restriction(s: RiemannScheme, block_sizes: Sequence[int]) -> Riema
 
     Requires exactly two parts at infinity (the quadratic-relation shape).
     The deleted column's non-kernel labels move to infinity shifted by
-    -(mu1 + mu2); the kernel parts shrink by the deleted block size.
-    Lemma (proof in `restrict`): for a verified s whose infinity labels
-    -mu1 != -mu2 are nonzero, whose deleted block has neither mu1 nor mu2
-    as a label, and whose new infinity column has no zero label, this is
-    exactly the scheme of `restrict`'s output.
+    -(mu1 + mu2); the kernel parts shrink by the deleted block size.  It
+    undoes `scheme_of_extension`: for the scheme s' of a normal form whose
+    extension at (mu1, mu2) adds r >= 1 rows,
+    scheme_of_restriction(scheme_of_extension(s', mu1, mu2, ...)) = s'.
+    Lemma (proof in `restrict`): for the verified s of an irreducible
+    normal form satisfying (A - mu1)(A - mu2) = 0 and the CR condition at
+    the last block, this is exactly the scheme of `restrict`'s output.
     """
     n = s.order
     p = len(s.poles)

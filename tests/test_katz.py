@@ -15,7 +15,6 @@ from fuchsmc.errors import (
     LengthMismatchError,
     NotAPermutationError,
     NotIrreducibleError,
-    NotNormalizableError,
     PreconditionFailError,
     SchemeUnavailableError,
 )
@@ -313,7 +312,7 @@ def _mc_by_quotient(t, lam):
     basis_inv = inverse(ExactMatrix.from_columns(span_basis, nrows=pn).hstack(comp_mat))
     mats = [(basis_inv * (g * comp_mat)).submatrix(range(s, pn), range(len(comp))) for g in big]
     out = SchlesingerTuple(t.poles, mats)
-    scheme = _attach_predicted(out, t.scheme, lambda s: predicted_scheme(s, lam), NotNormalizableError).scheme
+    scheme = _attach_predicted(out, t.scheme, lambda s: predicted_scheme(s, lam)).scheme
     return out if scheme is None else out.with_scheme(scheme)
 
 

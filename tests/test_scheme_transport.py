@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuchsmc import generate, modular, reduction, schlesinger, yokoyama
+from fuchsmc import generate, linalg, modular, reduction, schlesinger, yokoyama
 from fuchsmc import serialization as ser
 from fuchsmc.cli import main
 from fuchsmc.errors import (
@@ -29,8 +29,6 @@ from fuchsmc.errors import (
     EigenvalueCollisionError,
     InvariantError,
     NotOkuboConvertibleError,
-    NotONFShapeError,
-    NotQ2Error,
     SchemeUnavailableError,
 )
 from fuchsmc.generate import (
@@ -337,7 +335,6 @@ def transport_outcome(operation, system, params):
             bare,
             system.scheme,
             lambda s: scheme_of_extension(s, params.rho1, params.rho2, system.block_sizes, params.t_new),
-            NotONFShapeError,
         )
     else:
         ow = yokoyama.swap_blocks(system, params.j, system.num_points)
@@ -345,9 +342,6 @@ def transport_outcome(operation, system, params):
             bare,
             ow.scheme,
             lambda s: scheme_of_restriction(s, ow.block_sizes),
-            NotQ2Error,
-            CRViolatedError,
-            NotONFShapeError,
         )
     assert got.scheme == want.scheme
     if checked:
@@ -355,14 +349,11 @@ def transport_outcome(operation, system, params):
     return "lemma"
 
 
-def transport_cases(seed):
-    """(kind, outcome) of one extension of a pooled normal form and of
-    restrictions of its output, drawn by seed.  rho1 and rho2 are labels of
-    A or of a diagonal block, small integers or zero; rho1 = rho2 a third
-    of the time.  A zero rho, which ExtensionParams refuses, makes A_hat
-    singular.  The output is restricted at every point, after an Euler
-    shift, with mu1 and mu2 the shifted rho1 and rho2, so some deleted
-    blocks have mu1 or mu2 as an eigenvalue."""
+def transport_draw(seed):
+    """A pooled normal form, extension parameters for it and an Euler shift,
+    drawn by seed.  rho1 and rho2 are labels of A or of a diagonal block,
+    small integers or zero; rho1 = rho2 a third of the time.  A zero rho,
+    which ExtensionParams refuses, makes A_hat singular."""
     rng = random.Random(seed)
     o = rng.choice(okubo_pool())
     labels = [-label for label, _ in o.scheme.column_at_infinity()]
@@ -370,19 +361,53 @@ def transport_cases(seed):
     rho1 = rng.choice(labels + [gr(1), gr(2), gr(0)])
     rho2 = rho1 if rng.random() < 0.3 else rng.choice(labels + [gr(-1), gr(0)])
     params = SimpleNamespace(rho1=rho1, rho2=rho2, t_new=max(o.poles, key=lambda g: g.sort_key()) + 1)
-    outcome = transport_outcome(extend_direct, o, params)
-    yield "extension", outcome
-    if outcome == "raised":
+    return o, params, gr(rng.randint(-2, 2))
+
+
+def transport_cases(seed):
+    """(kind, outcome) of one extension of a pooled normal form and of the
+    restrictions of its output, drawn by `transport_draw`."""
+    o, params, _ = transport_draw(seed)
+    yield "extension", transport_outcome(extend_direct, o, params)
+    for system, restriction in restriction_inputs(seed):
+        yield "restriction", transport_outcome(restrict, system, restriction)
+
+
+def restriction_inputs(seed):
+    """(system, params) of each restriction drawn by seed, defined or not:
+    the extension output of `transport_draw`, after its Euler shift, at
+    every point, with mu1 and mu2 the shifted rho1 and rho2, so some
+    deleted blocks have mu1 or mu2 as an eigenvalue."""
+    o, params, eps = transport_draw(seed)
+    try:
+        ext = extend_direct(o, params)
+    except CalculusError:
         return
-    ext = extend_direct(o, params)
-    eps = gr(rng.randint(-2, 2))
     try:
         shifted = euler_transform(ext, eps)
     except (ConditionsFailError, EigenvalueCollisionError):
         return
     for j in range(1, shifted.num_points + 1):
-        restriction = RestrictionParams(rho1 + eps, rho2 + eps, j)
-        yield "restriction", transport_outcome(restrict, shifted, restriction)
+        yield shifted, RestrictionParams(params.rho1 + eps, params.rho2 + eps, j)
+
+
+def restrictions(seed):
+    """(system, params, output) of each defined restriction drawn by seed."""
+    for system, params in restriction_inputs(seed):
+        try:
+            yield system, params, restrict(system, params)
+        except CalculusError:
+            continue
+
+
+def equal_mus(system, params):
+    return params.mu1 == params.mu2
+
+
+def mu_in_deleted_block(system, params):
+    """Whether mu1 or mu2 is an eigenvalue of the deleted diagonal block."""
+    block = system.diagonal_block(params.j)
+    return any(rank(block.shift(-mu)) < block.nrows for mu in (params.mu1, params.mu2))
 
 
 class TestTransportLemmasAgainstVerification:
@@ -416,9 +441,62 @@ class TestTransportLemmasAgainstVerification:
 
     def test_every_branch_is_reached(self):
         seen = {case for seed in range(60) for case in transport_cases(seed)}
-        assert {("extension", "lemma"), ("restriction", "lemma"), ("restriction", "verified")} <= seen
+        assert {("extension", "lemma"), ("restriction", "lemma")} <= seen
         assert ("extension", "raised") in seen and ("restriction", "raised") in seen
         assert not {("extension", "verified"), ("extension", "dropped")} & seen
+        assert not {("restriction", "verified"), ("restriction", "dropped")} & seen
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=30, deadline=None)
+    def test_extension_undoes_restriction(self, seed):
+        # restrict's lemma, step by step: extending the output at (mu1, mu2)
+        # and the deleted pole gives back the input with its deleted block
+        # last, conjugated by diag(1, G), and with its scheme
+        for system, params, out in restrictions(seed):
+            ow = yokoyama.swap_blocks(system, params.j, system.num_points)
+            t_p = ow.poles[-1]
+            back = extend_direct(out, SimpleNamespace(rho1=params.mu1, rho2=params.mu2, t_new=t_p))
+            assert back.scheme == ow.scheme
+            assert back.block_sizes == ow.block_sizes and back.poles == ow.poles
+            n, n_hat = out.rank, ow.rank
+            assert back.a.submatrix(range(n), range(n)) == out.a == ow.a.submatrix(range(n), range(n))
+            g = linalg.solve(ow.a.submatrix(range(n), range(n, n_hat)), back.a.submatrix(range(n), range(n, n_hat)))
+            assert rank(g) == n_hat - n
+            conj = linalg.block_matrix([[ExactMatrix.identity(n), ExactMatrix.zeros(n, n_hat - n)],
+                                        [ExactMatrix.zeros(n_hat - n, n), g]])
+            assert conj * back.a == ow.a * conj
+            s = out.scheme
+            assert scheme_of_restriction(
+                scheme_of_extension(s, params.mu1, params.mu2, out.block_sizes, t_p), ow.block_sizes
+            ) == s
+
+    @pytest.mark.parametrize("kind", [equal_mus, mu_in_deleted_block])
+    def test_restriction_verifies_nothing(self, monkeypatch, kind):
+        # the lemma excludes neither mu1 = mu2 nor a deleted block with mu1
+        # or mu2 as an eigenvalue
+        system, params = next(
+            (system, params) for seed in range(100) for system, params, _ in restrictions(seed) if kind(system, params)
+        )
+        seen = verify_scheme_keys(monkeypatch)
+        out = restrict(system, params)
+        assert seen == [] and out.scheme is not None
+        assert verify_scheme(scf_from_onf(out), out.scheme)
+
+    def test_cr_condition_is_checked_without_a_scheme(self):
+        # scheme_of_restriction refuses a CR violation too, so a scheme-less
+        # input is the one that shows restrict's own check
+        refused = 0
+        for seed in range(30):
+            for system, params in restriction_inputs(seed):
+                try:
+                    restrict(system, params)
+                except CRViolatedError:
+                    with pytest.raises(CRViolatedError):
+                        restrict(system.with_scheme(None), params)
+                    refused += 1
+                except CalculusError:
+                    pass
+        assert refused
 
     @pytest.mark.parametrize(
         "name,mutant",

@@ -139,6 +139,14 @@ class TestReduce:
         out = capsys.readouterr().out
         assert "reached rank 1" in out and "step 1" not in out
 
+    @pytest.mark.parametrize("text", ["{bad", "111,21,21,21"])
+    def test_reduce_on_text_that_is_not_json_exits_2(self, tmp_path, capsys, text):
+        # a spectral type is read only with --level scheme
+        inp = tmp_path / "bad.txt"
+        inp.write_text(text)
+        assert main(["reduce", "--input", str(inp)]) == 2
+        assert "parse error" in capsys.readouterr().err
+
     def test_katz_matrix_mode_on_rigid_rank3(self, tmp_path, capsys):
         t = rigid_family_realization(3)
         inp = tmp_path / "t.json"

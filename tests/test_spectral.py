@@ -39,7 +39,7 @@ class TestTextSyntax:
     def test_round_trip(self, text):
         assert format_spectral_type(pt(text)) == text
 
-    @pytest.mark.parametrize("bad", ["", "11,", "1x1", "(11,2", "0,0"])
+    @pytest.mark.parametrize("bad", ["", "11,", "1x1", "(11,2", "0,0", "()", "(a)", "(1 0)"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ParseError):
             pt(bad)
