@@ -109,8 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_apply(args) -> int:
     system = ser.load_system(args.input)
-    with open(args.ops) as fh:
-        ops = ser.parse_operations(fh.read())
+    ops = ser.parse_operations(ser.read_text(args.ops))
     log = []
     for k, entry in enumerate(ops):
         try:
@@ -138,8 +137,7 @@ def cmd_apply(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    with open(args.input) as fh:
-        text = fh.read()
+    text = ser.read_text(args.input)
     if args.level == "scheme" and not text.lstrip().startswith("{"):
         source = parse_spectral_type(text)
     else:

@@ -197,6 +197,8 @@ def run_yokoyama_suite(seed: int, count: int, bound_n: int = 4) -> SuiteReport:
         )
 
         j = rng.randint(1, p)
+        # random_okubo proved o irreducible with A invertible, as the
+        # searches' cores take for granted
         try:
             eps, lhs = _re_search(o, j, rho1, rho2)
             rhs = re_katz_pipeline(o, j, rho1, rho2, eps)

@@ -345,8 +345,19 @@ def mc_max(t: SchlesingerTuple) -> SchlesingerTuple:
 
 
 def _mc_max(t: SchlesingerTuple) -> SchlesingerTuple:
-    """`mc_max` on a scheme-carrying tuple whose irreducibility the caller
-    has just checked."""
+    """`mc_max` on a scheme-carrying tuple of rank >= 2 that the caller has
+    proven irreducible.
+
+    Lemma.  The output is irreducible.
+
+    Proof.  An addition shifts each residue by a scalar, so it keeps every
+    invariant subspace.  An irreducible tuple of rank >= 2 satisfies
+    Dettweiler and Reiter's conditions (*) and (**): a nonzero vector in
+    the kernels of the A_i, i != j, and of A_j + tau spans an invariant
+    line, and a proper subspace that contains their images is invariant,
+    and nonzero unless every residue is scalar.  So their theorem makes the
+    convolution at lam != 0 irreducible; a rank-0 output raises.
+    """
     m = t.scheme.tuple_
     tau = _nonzero_slot_choice(m)
     cols = m.columns

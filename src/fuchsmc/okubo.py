@@ -166,6 +166,20 @@ def check_onf_conditions(o: OkuboSystem) -> bool:
     to it.  A carried scheme answers the rank: A is minus the residue at
     infinity, so it is invertible exactly when the verified infinity column
     has no zero label.
+
+    Lemma.  On an irreducible normal form of rank n >= 2 the conditions
+    hold; at rank 1 they say A != 0, which a scheme reads as `_invertible`.
+
+    Proof.  The residues are E_j A, with E_j the projection onto block j,
+    so a subspace that is A-invariant and graded (the sum of its
+    intersections with the blocks) is invariant under every residue.  If
+    the column test fails, some eigenvector v of A_ii is killed by the
+    other rows of its column strip; placed in block i, v is an
+    eigenvector of A, and it spans a graded line.  If the row test fails,
+    some left eigenvector w of A_ii kills the rest of its row strip; then
+    w applied to block i cuts out an A-invariant graded hyperplane.  A
+    kernel vector of A is killed by every residue, and it spans an
+    invariant line.  For n >= 2 each is a proper invariant subspace.
     """
     n = o.rank
     if o.scheme is not None:
@@ -229,7 +243,17 @@ def mc_via_images(o: OkuboSystem, lam) -> OkuboSystem:
 def euler_transform(o: OkuboSystem, lam) -> OkuboSystem:
     """A -> A + lambda, defined when -lambda misses the spectrum of A.
 
-    Composes additively in lambda.  An exact transport (`scheme_of_euler`):
+    Composes additively in lambda.  `check_onf_conditions` proves A
+    invertible, and `_euler_transform` shifts.
+    """
+    if not check_onf_conditions(o):
+        raise ConditionsFailError("normal-form genericity conditions fail")
+    return _euler_transform(o, lam)
+
+
+def _euler_transform(o: OkuboSystem, lam) -> OkuboSystem:
+    """`euler_transform` of a normal form whose A the caller has proven
+    invertible.  An exact transport (`scheme_of_euler`):
 
     Lemma.  Let o carry a verified scheme, with A and A + lambda invertible.
     The residue at infinity -(A + lambda) has the classes of -A with every
@@ -244,16 +268,26 @@ def euler_transform(o: OkuboSystem, lam) -> OkuboSystem:
     [0:n - n_j] followed by the classes of the diagonal block (n_j = n
     leaves one point, whose residue is the whole matrix).
 
-    `check_onf_conditions` proves A invertible, the rank check proves
-    A + lambda invertible, and `_structural_zero` finds each [0:n - n_j].
+    Lemma (the shift keeps irreducibility).  With A and A + lambda
+    invertible, o is irreducible exactly when the output is.
+
+    Proof.  Let V be invariant under every E_j (A + lambda).  Their sum
+    A + lambda maps V into V, so its inverse does, and so does
+    M = (A + lambda)^-1 A.  Then E_j A = E_j (A + lambda) M maps V into V.
+    The converse is the same argument with A^-1.
+
+    A + lambda is singular exactly when lambda is a label at infinity, the
+    residue there being -A; a carried scheme answers that, and without one
+    the rank is formed.  `_structural_zero` finds each [0:n - n_j].
     """
     lam = gr(lam)
-    if not check_onf_conditions(o):
-        raise ConditionsFailError("normal-form genericity conditions fail")
     if lam.is_zero():
         return o
-    n = o.rank
-    if linalg.rank(o.a.shift(lam)) < n:
+    if o.scheme is not None:
+        collides = any(label == lam for label, _ in o.scheme.column_at_infinity())
+    else:
+        collides = linalg.rank(o.a.shift(lam)) < o.rank
+    if collides:
         raise EigenvalueCollisionError("-lambda is an eigenvalue of the coefficient matrix")
     out = OkuboSystem(o.block_sizes, o.poles, o.a.shift(lam))
     scheme = None if o.scheme is None else scheme_of_euler(o.scheme, o.block_sizes, lam)

@@ -9,17 +9,17 @@ from itertools import count
 from typing import Iterator
 
 from .errors import (
-    CalculusError,
     CRViolatedError,
     EigenvalueCollisionError,
     InvariantError,
     NotGenericError,
+    NotIrreducibleError,
     SchemeUnavailableError,
 )
-from .katz import _mc_max, mc_max
+from .katz import _mc_max
 from .okubo import (
     OkuboSystem,
-    euler_transform,
+    _euler_transform,
     onf_from_scf,
     pick_generic,
     scf_from_onf,
@@ -48,10 +48,10 @@ from .spectral import (
 )
 from .yokoyama import (
     RestrictionParams,
+    _restrict,
+    _rere_search,
     _swap_points,
     _swapped,
-    rere_composite,
-    restrict,
     scheme_of_extension,
     scheme_of_restriction,
 )
@@ -155,16 +155,22 @@ def _with_scheme(system):
     return _attach_scheme(system, infer_scheme(t))
 
 
+def _require_irreducible(t: SchlesingerTuple) -> None:
+    """The one irreducibility proof of a reduction, on its input; each
+    step's lemmas carry it to the next stage."""
+    if not is_irreducible(t):
+        raise NotIrreducibleError("reduction requires an irreducible system")
+
+
 def _katz_reduction(system) -> Iterator[str]:
     system = _with_scheme(system)
     t = scf_from_onf(system) if isinstance(system, OkuboSystem) else system
-    if not is_irreducible(t):
-        raise CalculusError("reduction requires an irreducible system")
+    _require_irreducible(t)
     idx0 = idx_of(t)
-    # t was just checked; every later step checks its own input
+    # each stage is irreducible by `_mc_max`'s lemma
     return _reduce(
         (t.rank, idx0, t.scheme.spectral_type(), t),
-        lambda system, m: _system_stage((_mc_max if system is t else mc_max)(system), idx0),
+        lambda system, m: _system_stage(_mc_max(system), idx0),
     )
 
 
@@ -173,11 +179,16 @@ def _yokoyama_reduction(system) -> Iterator[str]:
     o = onf_from_scf(system) if isinstance(system, SchlesingerTuple) else system
     idx0 = idx_of(o)
 
-    def step(o, m):
-        move = _yokoyama_move(o.scheme, m)
+    def step(state, m):
+        move = _yokoyama_move(state.scheme, m)
         if move is None:
             return None
-        return _system_stage(_attempt_rere(o, *move) if move else _restrict_with_shift(o), idx0)
+        # the input is proven irreducible before the first round, and the
+        # lemmas of `yokoyama` carry that to every stage; each stage has
+        # rank >= 2, so A is invertible too
+        if state is o:
+            _require_irreducible(scf_from_onf(o))
+        return _system_stage(_attempt_rere(state, *move) if move else _restrict_with_shift(state), idx0)
 
     return _reduce((o.rank, idx0, o.scheme.spectral_type(), o), step)
 
@@ -224,15 +235,19 @@ def _reduction_point(m: PartitionTuple):
 
 
 def _restrict_with_shift(o: OkuboSystem) -> OkuboSystem:
-    """Generic Euler shift followed by deleting the last block."""
+    """Generic Euler shift followed by deleting the last block.  o is an
+    irreducible stage of rank >= 2 with two parts at infinity, so A is
+    invertible, o has two points or more and (A - mu1)(A - mu2) = 0; each
+    shift keeps irreducibility (`_euler_transform`) and shifts the
+    relation, as `_restrict` requires."""
     p = o.num_points
     inf_col = o.scheme.column_at_infinity()
     mu1, mu2 = -inf_col[0][0], -inf_col[1][0]
     for k in range(0, 40):
         eps = gr(k)
         try:
-            shifted = o if k == 0 else euler_transform(o, eps)
-            return restrict(shifted, RestrictionParams(mu1 + eps, mu2 + eps, p))
+            shifted = o if k == 0 else _euler_transform(o, eps)
+            return _restrict(shifted, RestrictionParams(mu1 + eps, mu2 + eps, p))
         except (CRViolatedError, EigenvalueCollisionError):
             continue
     raise NotGenericError("no small shift unlocks the restriction")
@@ -242,7 +257,7 @@ def _attempt_rere(o, j, rho1, rho2, rho3):
     # fall back to a fresh third parameter when the drawn one is blocked
     for third in [rho3] + [gr(k) for k in range(1, 12)]:
         try:
-            return rere_composite(o, j, rho1, rho2, third)
+            return _rere_search(o, j, rho1, rho2, third)[1]
         except NotGenericError as exc:
             blocked = exc
     raise blocked

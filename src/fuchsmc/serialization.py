@@ -158,9 +158,17 @@ def system_from_text(text: str, source: str):
     return system_from_json(data)
 
 
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; any other bytes raise ParseError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def load_system(path: str):
-    with open(path) as fh:
-        return system_from_text(fh.read(), path)
+    return system_from_text(read_text(path), path)
 
 
 def save_system(path: str, system) -> None:

@@ -12,6 +12,17 @@ same conjugacy class, which the tests exercise.
 The composite operators below package the restriction-of-extension
 identities used by the reduction driver.
 
+Irreducibility is proven once, on a round's input, and carried through
+each stage by three lemmas, so the stages run the private cores
+(`_extend_direct`, `okubo._euler_transform`, `_restrict`), which check
+nothing that the lemmas give:
+1. the normal-form conditions follow from irreducibility at rank >= 2, and
+   at rank 1 they say A != 0 (`check_onf_conditions`);
+2. the Euler shift keeps irreducibility (`okubo._euler_transform`);
+3. extension and restriction keep it (`_extend_direct`, `_restrict`).
+The public operations keep every check they make, and the public
+composites prove their input irreducible at entry.
+
 Pole bookkeeping: the operator identities act on matrix tuples, so pole values
 travel as labels.  A restriction at point j leaves the extension's new pole
 sitting at position j; the second extension of the two-step composite reuses
@@ -47,9 +58,9 @@ from .katz import (
 )
 from .okubo import (
     OkuboSystem,
+    _euler_transform,
     _structural_zero,
     check_onf_conditions,
-    euler_transform,
     pick_generic,
     scf_from_onf,
 )
@@ -96,7 +107,21 @@ def extend_direct(o: OkuboSystem, params: ExtensionParams) -> OkuboSystem:
     A_hat = [[A, C], [X, Y]] with CX = -W and CY = (s - A)C.  W = CR, with R
     the nonzero rows of W's rref, so X = -R; and (s - A)C is the pivot
     columns of (s - A)W = W(s - A) = CR(s - A), so Y = -X(A - s) on the
-    pivot columns.  An exact transport (`scheme_of_extension`):
+    pivot columns.
+
+    `check_onf_conditions` proves A invertible, and `_extend_direct`
+    builds A_hat.
+    """
+    if params.t_new in o.poles:
+        raise DuplicatePoleError(f"pole {params.t_new} already present")
+    if not check_onf_conditions(o):
+        raise ConditionsFailError("extension needs the normal-form genericity conditions")
+    return _extend_direct(o, params)
+
+
+def _extend_direct(o: OkuboSystem, params: ExtensionParams) -> OkuboSystem:
+    """`extend_direct` of a normal form whose A the caller has proven
+    invertible, at a new pole.  An exact transport (`scheme_of_extension`):
 
     Lemma.  Let o carry a verified scheme, with A invertible and r >= 1.  Let
     m1 be the first Weyr count of A at rho1, and m2 the first at rho2, or
@@ -131,14 +156,23 @@ def extend_direct(o: OkuboSystem, params: ExtensionParams) -> OkuboSystem:
     The same lemma on o reads A's blocks from o's scheme
     (`_structural_zero`).
 
-    `check_onf_conditions` proves A invertible, and r = 0 raises.  A_hat
-    need not be invertible: the lemma holds for a zero rho too, which
-    ExtensionParams refuses.
+    Lemma (extension keeps irreducibility).  If o is irreducible, so is
+    A_hat.
+
+    Proof.  Let V be invariant under every residue E_j A_hat.  Each
+    E_j A_hat V lies in V and in block j, and their sum A_hat V has V's
+    dimension, as A_hat is invertible (its eigenvalues are among the
+    nonzero rho1 and rho2).  So V is graded: V = V1 + V2, V1 in C^n and V2
+    in the new block.  A_hat (y, 0) = (Ay, Xy) and A_hat (0, z) = (Cz, Yz),
+    so V1 is A-invariant and graded, hence invariant under o's residues:
+    V1 is 0 or C^n.  If V1 = 0, then Cz = 0 on V2, and C is injective, so
+    V = 0.  If V1 = C^n, then V2 contains the image of X, of rank r, so V
+    is everything.
+
+    r = 0 raises; the caller has proven A invertible, as the scheme lemma
+    needs.  A_hat need not be invertible for that lemma: it holds for a
+    zero rho too, which ExtensionParams refuses.
     """
-    if params.t_new in o.poles:
-        raise DuplicatePoleError(f"pole {params.t_new} already present")
-    if not check_onf_conditions(o):
-        raise ConditionsFailError("extension needs the normal-form genericity conditions")
     a = o.a
     n = o.rank
     w = a.shift(-params.rho1) * a.shift(-params.rho2)
@@ -211,11 +245,33 @@ def restrict(o: OkuboSystem, params: RestrictionParams) -> OkuboSystem:
 
     Defined for linearly irreducible systems whose coefficient matrix
     satisfies (A - mu1)(A - mu2) = 0, provided mu1 + mu2 misses the spectrum
-    of the target diagonal block (the CR condition).  With the deleted block
-    last, write A = [[A', B], [D, E]], E of size n_p, s = mu1 + mu2 and
-    F = s - E.  An exact transport (`scheme_of_restriction`):
+    of the target diagonal block (the CR condition).  The first two are
+    checked here and CR by `_restrict`.  The scheme answers the quadratic
+    relation (`_annihilates`); without one, the product is formed.
+    """
+    p = o.num_points
+    if not 1 <= params.j <= p:
+        raise IndexRangeError(f"block index {params.j} out of range")
+    if p < 2:
+        raise IndexRangeError("cannot restrict a single-point system")
+    if o.scheme is not None:
+        quadratic = _annihilates(o.scheme, params.mu1, params.mu2)
+    else:
+        quadratic = (o.a.shift(-params.mu1) * o.a.shift(-params.mu2)).is_zero()
+    if not quadratic:
+        raise NotQ2Error("coefficient matrix does not satisfy the quadratic relation")
+    if not is_irreducible(scf_from_onf(o)):
+        raise NotIrreducibleError("restriction requires a linearly irreducible system")
+    return _restrict(o, params)
 
-    Lemma.  Under these three hypotheses, let o, with block j moved last,
+
+def _restrict(o: OkuboSystem, params: RestrictionParams) -> OkuboSystem:
+    """`restrict` of an irreducible normal form with (A - mu1)(A - mu2) = 0
+    and at least two points, as the caller has proven.  With the deleted
+    block last, write A = [[A', B], [D, E]], E of size n_p, s = mu1 + mu2
+    and F = s - E.  An exact transport (`scheme_of_restriction`):
+
+    Lemma.  Under these hypotheses and CR, let o, with block j moved last,
     carry a verified scheme sigma.  Then scheme_of_restriction(sigma) is
     the output's scheme.
 
@@ -239,32 +295,38 @@ def restrict(o: OkuboSystem, params: RestrictionParams) -> OkuboSystem:
     `scheme_of_restriction` undoes that bookkeeping, as
     r = n' - m1' - m2' = n_p, so it maps sigma to sigma'.
 
-    The scheme answers the quadratic relation (`_annihilates`); without
-    one, the product is formed.
+    Lemma (restriction keeps irreducibility).  The output is irreducible.
+
+    Proof.  Let V' be invariant under the output's residues.  A' is
+    invertible by (3), so V' is graded and A'-invariant, as in
+    `_extend_direct`'s proof.  The extension of (4) has W' = -CX, and
+    C Y X = (s - A') C X = C X (s - A'), so YX = X(s - A') as C is
+    injective.  Hence V = V' + X V' is graded and invariant under that
+    extension's matrix, which maps (y, Xz) to (A'y - W'z,
+    Xy + X(s - A')z); so V is invariant under its residues.  By (4) these
+    are o's residues, conjugated by diag(1, G) and with block j moved
+    last, so V, and with it V', is 0 or everything.
+
+    CR says that mu1 + mu2 is no eigenvalue of the deleted diagonal block.
+    A carried scheme answers it, as `scheme_of_restriction` raises
+    CRViolatedError when mu1 + mu2 labels one of that block's classes;
+    without a scheme the rank is formed.
     """
     p = o.num_points
-    if not 1 <= params.j <= p:
-        raise IndexRangeError(f"block index {params.j} out of range")
-    if p < 2:
-        raise IndexRangeError("cannot restrict a single-point system")
-    if o.scheme is not None:
-        quadratic = _annihilates(o.scheme, params.mu1, params.mu2)
-    else:
-        quadratic = (o.a.shift(-params.mu1) * o.a.shift(-params.mu2)).is_zero()
-    if not quadratic:
-        raise NotQ2Error("coefficient matrix does not satisfy the quadratic relation")
-    if not is_irreducible(scf_from_onf(o)):
-        raise NotIrreducibleError("restriction requires a linearly irreducible system")
     ow = swap_blocks(o, params.j, p)
-    app = ow.diagonal_block(p)
-    if linalg.rank(app.shift(-(params.mu1 + params.mu2))) < app.nrows:
-        raise CRViolatedError(
-            "mu1 + mu2 is an eigenvalue of the deleted block; precompose a generic"
-            " Euler transformation"
-        )
+    if ow.scheme is None:
+        app = ow.diagonal_block(p)
+        if linalg.rank(app.shift(-(params.mu1 + params.mu2))) < app.nrows:
+            raise CRViolatedError(
+                "mu1 + mu2 is an eigenvalue of the deleted block; precompose a generic"
+                " Euler transformation"
+            )
+        scheme = None
+    else:
+        scheme = scheme_of_restriction(ow.scheme, ow.block_sizes)
     keep = [k for k in range(ow.rank) if k not in ow.block_range(p)]
     out = OkuboSystem(ow.block_sizes[:-1], ow.poles[:-1], ow.a.submatrix(keep, keep))
-    return _attach_scheme(out, None if ow.scheme is None else scheme_of_restriction(ow.scheme, ow.block_sizes))
+    return _attach_scheme(out, scheme)
 
 
 def _annihilates(s: RiemannScheme, mu1, mu2) -> bool:
@@ -289,22 +351,37 @@ def re_composite(
     dim IM (A - rho1)(A - rho2) - dim IM A_j.  epsilon must avoid a finite
     exceptional set; when omitted, the smallest positive integer for which
     every stage is defined is chosen, and the run that found it is returned.
+    o must be irreducible (`_round_hypotheses`).
     """
+    _round_hypotheses(o)
     if epsilon is None:
         return _re_search(o, j, rho1, rho2)[1]
     return _re_stages(o, j, gr(rho1), gr(rho2), gr(epsilon))
 
 
+def _round_hypotheses(o: OkuboSystem) -> None:
+    """The hypotheses that the stages of a round carry by the module's
+    lemmas: o irreducible, with A invertible.  The second follows from the
+    first at rank >= 2 (`check_onf_conditions`' lemma), and at rank 1 it
+    says A != 0."""
+    if not is_irreducible(scf_from_onf(o)):
+        raise NotIrreducibleError("a round requires a linearly irreducible system")
+    if o.a.is_zero():
+        raise ConditionsFailError("extension needs the normal-form genericity conditions")
+
+
 def _re_stages(o, j, rho1, rho2, eps) -> OkuboSystem:
+    # o is irreducible with A invertible, and the lemmas carry both facts to
+    # every stage; the extension gives the shifted quadratic relation
     params = ExtensionParams(rho1, rho2, pick_generic(list(o.poles)))
-    ext = extend_direct(o, params)
+    ext = _extend_direct(o, params)
     if eps.is_zero():
         raise NotGenericError("epsilon must be nonzero")
     try:
-        eu = euler_transform(ext, eps)
+        eu = _euler_transform(ext, eps)
     except EigenvalueCollisionError as exc:
         raise NotGenericError(f"epsilon {eps} collides with the extended spectrum") from exc
-    return restrict(eu, RestrictionParams(rho1 + eps, rho2 + eps, j))
+    return _restrict(eu, RestrictionParams(rho1 + eps, rho2 + eps, j))
 
 
 def _re_search(o, j, rho1, rho2):
@@ -346,29 +423,32 @@ def rere_composite(
     Equals a convolution sandwich around a single scalar shift at j (see
     rere_katz_pipeline); the second extension reuses the deleted pole so the
     pole sets agree on the nose.  When epsilon is omitted it is chosen as in
-    re_composite, and the run that found it is returned.
+    re_composite, and the run that found it is returned.  o must be
+    irreducible (`_round_hypotheses`).
     """
+    _round_hypotheses(o)
     if epsilon is None:
         return _rere_search(o, j, rho1, rho2, rho3)[1]
     return _rere_stages(o, j, gr(rho1), gr(rho2), gr(rho3), gr(epsilon))
 
 
 def _rere_stages(o, j, rho1, rho2, rho3, eps) -> OkuboSystem:
+    # as in _re_stages, with mid's A invertible by `_restrict`'s proof; an
+    # eps that blocks the second restriction fails its CR test
     pole_j = o.poles[j - 1]
     rho1p = rho1 + eps
     rho2p = rho1 + rho2 + rho3 + eps
     if rho1p.is_zero() or rho2p.is_zero():
         raise NotGenericError("epsilon zeroes a second-stage extension parameter")
     mid = _re_stages(o, j, rho1, rho2, eps)
-    stage2 = extend_direct(mid, ExtensionParams(rho1p, rho2p, pole_j))
-    app = stage2.diagonal_block(j)
-    if linalg.rank(app.shift(-(rho1p + rho2p))) < stage2.block_sizes[j - 1]:
-        raise NotGenericError("epsilon leaves the second restriction blocked")
-    return restrict(stage2, RestrictionParams(rho1p, rho2p, j))
+    stage2 = _extend_direct(mid, ExtensionParams(rho1p, rho2p, pole_j))
+    return _restrict(stage2, RestrictionParams(rho1p, rho2p, j))
 
 
 def auto_epsilon_rere(o, j, rho1, rho2, rho3):
-    """Smallest positive integer shift making both rounds defined."""
+    """Smallest positive integer shift making both rounds defined; o must be
+    irreducible (`_round_hypotheses`)."""
+    _round_hypotheses(o)
     return _rere_search(o, j, rho1, rho2, rho3)[0]
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuchsmc import generate, linalg, modular, reduction, schlesinger, yokoyama
+from fuchsmc import generate, linalg, modular, okubo, reduction, schlesinger, yokoyama
 from fuchsmc import serialization as ser
 from fuchsmc.cli import main
 from fuchsmc.errors import (
@@ -142,14 +142,32 @@ def test_katz_reduce_verifies_each_scheme_once(tmp_path, monkeypatch, capsys, de
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_katz_reduce_checks_each_tuple_irreducible_once(tmp_path, monkeypatch, capsys, n):
-    # the driver checks its input; the first mc_max step does not check it again
+    # the driver checks its input; `_mc_max`'s lemma carries the fact to
+    # every later stage
     inp = tmp_path / f"rigid{n}.json"
     ser.save_system(str(inp), rigid_family_realization(n))
     seen = call_keys(monkeypatch, "is_irreducible", lambda t: (t.poles, t.matrices))
     assert main(["reduce", "--input", str(inp), "--mode", "katz"]) == 0
     assert "reached rank 1" in capsys.readouterr().out
-    assert len(seen) == n - 1
-    assert len(set(seen)) == len(seen)
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_yokoyama_reduce_checks_irreducibility_once(tmp_path, monkeypatch, capsys, n):
+    # the load is the one proof; extension, the Euler shift and restriction
+    # carry it by their lemmas, and no stage checks the normal-form conditions
+    inp = tmp_path / f"rigid{n}.json"
+    ser.save_system(str(inp), rigid_onf(n))
+    seen = call_keys(monkeypatch, "is_irreducible", lambda t: (t.poles, t.matrices))
+    conditions = []
+    original = okubo.check_onf_conditions
+    for modname, module in list(sys.modules.items()):
+        if modname.startswith("fuchsmc") and getattr(module, "check_onf_conditions", None) is original:
+            monkeypatch.setattr(module, "check_onf_conditions", lambda o: conditions.append(o) or original(o))
+    assert main(["reduce", "--input", str(inp), "--mode", "yokoyama"]) == 0
+    assert capsys.readouterr().out == GOLDEN_REDUCE[(n, "yokoyama")]
+    assert len(seen) == 1
+    assert conditions == []
 
 
 def test_yokoyama_reduce_proves_each_fact_cheaply(tmp_path, monkeypatch, capsys):

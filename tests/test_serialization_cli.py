@@ -131,6 +131,26 @@ class TestApply:
         rc = main(["idx", "--input", str(tmp_path / "nope.json")])
         assert rc == 2
 
+    def test_ops_file_that_is_not_utf8_exits_2(self, workdir, capsys):
+        tmp, inp = workdir
+        ops = tmp / "ops.jsonl"
+        ops.write_bytes(NOT_UTF8)
+        rc = main(["apply", "--input", str(inp), "--ops", str(ops), "--output", str(tmp / "o.json")])
+        assert rc == 2
+        assert "parse error" in capsys.readouterr().err
+
+
+# a UTF-16 byte-order mark and a NUL: no UTF-8 decoder accepts the first byte
+NOT_UTF8 = b"\xff\xfe\x00"
+
+
+@pytest.mark.parametrize("command", ["reduce", "scheme"])
+def test_input_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    inp = tmp_path / "bad.json"
+    inp.write_bytes(NOT_UTF8)
+    assert main([command, "--input", str(inp)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
 
 class TestReduce:
     def test_rank_one_input_zero_steps(self, workdir, capsys):
