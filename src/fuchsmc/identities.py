@@ -35,15 +35,15 @@ from .spectral import d_max, katz_reduce, lemma_ineq_holds, ord_of
 from .yokoyama import (
     ExtensionParams,
     RestrictionParams,
-    _re_search,
-    _rere_search,
+    _plan_system,
+    _run_plan,
     extend_composite,
     extend_direct,
     re_katz_pipeline,
     rere_katz_pipeline,
     restrict,
 )
-from .errors import NotGenericError, NotOkuboConvertibleError
+from .errors import DegenerateExtensionError, NotGenericError, NotOkuboConvertibleError
 
 
 @dataclass
@@ -159,6 +159,9 @@ def run_yokoyama_suite(seed: int, count: int, bound_n: int = 4) -> SuiteReport:
         name = f"onf[{i}] n={n} p={p}"
         rho1 = gr(rng.randint(1, 3))
         rho2 = gr(rng.randint(1, 3))
+        # a degenerate extension adds nothing: redraw, as the double identity does
+        while _image_rank(o, rho1, rho2) == 0:
+            rho1, rho2 = gr(rng.randint(1, 3)), gr(rng.randint(1, 3))
         t_new = gr(p)  # poles are 0..p-1
         params = ExtensionParams(rho1, rho2, t_new)
 
@@ -198,10 +201,11 @@ def run_yokoyama_suite(seed: int, count: int, bound_n: int = 4) -> SuiteReport:
 
         j = rng.randint(1, p)
         # random_okubo proved o irreducible with A invertible, as the
-        # searches' cores take for granted
+        # planned operations take for granted
         try:
-            eps, lhs = _re_search(o, j, rho1, rho2)
-            rhs = re_katz_pipeline(o, j, rho1, rho2, eps)
+            plan = _plan_system(o, (j, rho1, rho2))
+            lhs = _run_plan(o, plan)
+            rhs = re_katz_pipeline(o, j, rho1, rho2, plan.shift)
             ok = lhs.rank == rhs.rank and matrix_tuples_equivalent(
                 scf_from_onf(lhs).matrices, rhs.matrices
             )
@@ -211,23 +215,20 @@ def run_yokoyama_suite(seed: int, count: int, bound_n: int = 4) -> SuiteReport:
         except CalculusError as exc:
             rep.add(name, "restriction-of-extension pipeline identity", False, str(exc))
 
-        # the two-round identity needs every stage defined; certain parameter
-        # collisions (for example rho2 hitting the spectrum of the shifted
-        # intermediate) block it for every epsilon, so redraw those
-        done = False
+        # redraw parameters that block the two rounds at every epsilon or leave rank 0
         for attempt in range(8):
             rho3 = gr(rng.randint(1, 3 + attempt))
             rho2b = gr(rng.randint(1, 3 + attempt)) if attempt else rho2
             try:
-                eps2, lhs2 = _rere_search(o, j, rho1, rho2b, rho3)
-            except NotGenericError:
+                plan2 = _plan_system(o, (j, rho1, rho2b, rho3))
+            except (NotGenericError, DegenerateExtensionError):
                 continue
-            rhs2 = rere_katz_pipeline(o, j, rho1, rho3, eps2)
+            lhs2 = _run_plan(o, plan2)
+            rhs2 = rere_katz_pipeline(o, j, rho1, rho3, plan2.shift)
             ok = lhs2.rank == rhs2.rank and is_equivalent(scf_from_onf(lhs2), rhs2)
             rep.add(name, "double restriction-of-extension identity", ok, f"j={j}")
-            done = True
             break
-        if not done:
+        else:
             rep.add(
                 name,
                 "double restriction-of-extension identity",

@@ -32,7 +32,8 @@ from .spectral import Column, RiemannScheme, canonical_column
 class OkuboSystem:
     """Block sizes, poles and the single coefficient matrix of a normal-form
     system; immutable, optionally with a verified scheme.  The residue tuple
-    is built by the first `scf_from_onf` and kept."""
+    is built by the first `scf_from_onf` and kept.  A block of size 0 is a
+    point with a zero residue, whose column is [0:n]."""
 
     __slots__ = ("block_sizes", "poles", "a", "scheme", "_residues")
 
@@ -47,8 +48,8 @@ class OkuboSystem:
         poles = tuple(gr(t) for t in poles)
         if len(block_sizes) != len(poles):
             raise SizeMismatchError("one block per pole required")
-        if any(b < 1 for b in block_sizes):
-            raise SizeMismatchError("block sizes must be positive")
+        if any(b < 0 for b in block_sizes):
+            raise SizeMismatchError("block sizes must not be negative")
         if len(set(poles)) != len(poles):
             raise DuplicatePoleError("poles must be pairwise distinct")
         n = sum(block_sizes)
@@ -132,7 +133,7 @@ def onf_from_scf(t: SchlesingerTuple) -> OkuboSystem:
     if 0 in blocks:
         j = blocks.index(0) + 1
         raise NotOkuboConvertibleError(
-            f"the residue at t_{j} = {format_scalar(t.poles[j - 1])} is zero; a normal form has no empty block"
+            f"the residue at t_{j} = {format_scalar(t.poles[j - 1])} is zero and would leave an empty block"
         )
     g = linalg.block_matrix([images])
     if linalg.rank(g) != n:

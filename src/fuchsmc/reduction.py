@@ -9,23 +9,12 @@ from itertools import count
 from typing import Iterator
 
 from .errors import (
-    CRViolatedError,
-    EigenvalueCollisionError,
     InvariantError,
-    NotGenericError,
     NotIrreducibleError,
     SchemeUnavailableError,
 )
 from .katz import _mc_max
-from .okubo import (
-    OkuboSystem,
-    _euler_transform,
-    onf_from_scf,
-    pick_generic,
-    scf_from_onf,
-    scheme_of_euler,
-)
-from .scalars import gr
+from .okubo import OkuboSystem, onf_from_scf, pick_generic, scf_from_onf
 from .schlesinger import (
     SchlesingerTuple,
     _attach_scheme,
@@ -46,15 +35,7 @@ from .spectral import (
     ord_of,
     parse_spectral_type,
 )
-from .yokoyama import (
-    RestrictionParams,
-    _restrict,
-    _rere_search,
-    _swap_points,
-    _swapped,
-    scheme_of_extension,
-    scheme_of_restriction,
-)
+from .yokoyama import _run_plan, _scheme_of_plan, plan_round
 
 
 def idx_of(system) -> int:
@@ -188,7 +169,7 @@ def _yokoyama_reduction(system) -> Iterator[str]:
         # rank >= 2, so A is invertible too
         if state is o:
             _require_irreducible(scf_from_onf(o))
-        return _system_stage(_attempt_rere(state, *move) if move else _restrict_with_shift(state), idx0)
+        return _system_stage(_run_plan(state, plan_round(state.scheme, state.block_sizes, move)), idx0)
 
     return _reduce((o.rank, idx0, o.scheme.spectral_type(), o), step)
 
@@ -198,7 +179,7 @@ def _scheme_step(state, m):
     move = _yokoyama_move(s, m)
     if move is None:
         return None
-    s, blocks = _rere_scheme_step(s, blocks, *move) if move else _restriction_scheme_step(s, blocks)
+    s, blocks = _scheme_of_plan(s, blocks, plan_round(s, blocks, move))
     return _type_stage(s.spectral_type(), (s, blocks))
 
 
@@ -232,78 +213,3 @@ def _reduction_point(m: PartitionTuple):
         if m01 - mj1 + mj2 > 0:
             return j
     return None
-
-
-def _restrict_with_shift(o: OkuboSystem) -> OkuboSystem:
-    """Generic Euler shift followed by deleting the last block.  o is an
-    irreducible stage of rank >= 2 with two parts at infinity, so A is
-    invertible, o has two points or more and (A - mu1)(A - mu2) = 0; each
-    shift keeps irreducibility (`_euler_transform`) and shifts the
-    relation, as `_restrict` requires."""
-    p = o.num_points
-    inf_col = o.scheme.column_at_infinity()
-    mu1, mu2 = -inf_col[0][0], -inf_col[1][0]
-    for k in range(0, 40):
-        eps = gr(k)
-        try:
-            shifted = o if k == 0 else _euler_transform(o, eps)
-            return _restrict(shifted, RestrictionParams(mu1 + eps, mu2 + eps, p))
-        except (CRViolatedError, EigenvalueCollisionError):
-            continue
-    raise NotGenericError("no small shift unlocks the restriction")
-
-
-def _attempt_rere(o, j, rho1, rho2, rho3):
-    # fall back to a fresh third parameter when the drawn one is blocked
-    for third in [rho3] + [gr(k) for k in range(1, 12)]:
-        try:
-            return _rere_search(o, j, rho1, rho2, third)[1]
-        except NotGenericError as exc:
-            blocked = exc
-    raise blocked
-
-
-def _restriction_scheme_step(s, blocks):
-    inf_col = s.column_at_infinity()
-    mu_sum = -(inf_col[0][0] + inf_col[1][0])
-    forbidden = [label - mu_sum for label, _ in s.column_at(len(blocks))]
-    eps = pick_generic([gr(0)] + forbidden + [-l for l, _ in inf_col])
-    shifted = scheme_of_euler(s, blocks, eps)
-    return scheme_of_restriction(shifted, blocks), blocks[:-1]
-
-
-def _rere_scheme_step(s, blocks, j, rho1, rho2, rho3):
-    """One two-round extension/restriction step on labelled data only."""
-    col_j = s.column_at(j)
-    # known exceptional values; a restriction may still find mu1 + mu2 among
-    # the labels of its deleted block, the one error another eps can cure,
-    # hence the retry on CRViolatedError (anything else propagates)
-    forbidden = [gr(0), -rho1, -rho2, -(rho1 + rho2 + rho3)]
-    forbidden += [label - rho1 - rho2 for label, _ in col_j]
-    tried = set()
-    for _ in range(24):
-        eps = pick_generic(forbidden + sorted(tried, key=lambda g: g.sort_key()))
-        tried.add(eps)
-        try:
-            return _rere_scheme_once(s, blocks, j, rho1, rho2, rho3, eps)
-        except CRViolatedError:
-            continue
-    raise NotGenericError("no small shift makes the scheme-level step defined")
-
-
-def _rere_scheme_once(s, blocks, j, rho1, rho2, rho3, eps):
-    s1 = scheme_of_extension(s, rho1, rho2, blocks)
-    b1 = blocks + [s1.order - s.order]
-    s2 = _swap_points(scheme_of_euler(s1, b1, eps), j, len(b1))
-    b2 = _swapped(b1, j, len(b1))
-    s3 = scheme_of_restriction(s2, b2)
-    b3 = b2[:-1]
-
-    rho1p = rho1 + eps
-    rho2p = rho1 + rho2 + rho3 + eps
-    s4 = scheme_of_extension(s3, rho1p, rho2p, b3)
-    b4 = b3 + [s4.order - s3.order]
-    s5 = _swap_points(s4, j, len(b4))
-    b5 = _swapped(b4, j, len(b4))
-    s6 = scheme_of_restriction(s5, b5)
-    return s6, b5[:-1]

@@ -453,7 +453,14 @@ def infer_scheme(t: SchlesingerTuple) -> RiemannScheme:
 
 def _class_column(m: ExactMatrix) -> Optional[Column]:
     """The canonical column of m's conjugacy class, or None when m has an
-    eigenvalue outside Q(i).
+    eigenvalue outside Q(i)."""
+    parts = _gaussian_parts(m)
+    return canonical_column(parts) if sum(k for _, k in parts) == m.nrows else None
+
+
+def _gaussian_parts(m: ExactMatrix) -> list:
+    """The parts of m's class column whose labels lie in Q(i): the whole
+    column when every eigenvalue does.
 
     m = A/d with A over Z[i], and an eigenvalue z/d of m in Q(i) has z a root
     of the monic characteristic polynomial of A, so z lies in Z[i] and among
@@ -469,6 +476,4 @@ def _class_column(m: ExactMatrix) -> Optional[Column]:
                 break
             entries.append((lam, nullity - prev))
             prev = nullity
-    if sum(part for _, part in entries) != m.nrows:
-        return None
-    return canonical_column(entries)
+    return entries

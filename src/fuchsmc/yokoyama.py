@@ -10,7 +10,9 @@ Extension is also realized as a pipeline of additions, rank-changing
 convolutions and point swaps (`extend_composite`); the two routes land in the
 same conjugacy class, which the tests exercise.
 The composite operators below package the restriction-of-extension
-identities used by the reduction driver.
+identities; one planner (`plan_round`) reads their parameters, and those of
+both levels of the reduction driver, from the labels.  An extension with
+(A - rho1)(A - rho2) = 0 adds an empty block, a point with a zero residue.
 
 Irreducibility is proven once, on a round's input, and carried through
 each stage by three lemmas, so the stages run the private cores
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import (
@@ -41,7 +43,6 @@ from .errors import (
     CRViolatedError,
     DegenerateExtensionError,
     DuplicatePoleError,
-    EigenvalueCollisionError,
     IndexRangeError,
     NotGenericError,
     NotIrreducibleError,
@@ -63,9 +64,10 @@ from .okubo import (
     check_onf_conditions,
     pick_generic,
     scf_from_onf,
+    scheme_of_euler,
 )
 from .scalars import GaussianRational, gr
-from .schlesinger import SchlesingerTuple, _attach_scheme, is_irreducible
+from .schlesinger import SchlesingerTuple, _attach_scheme, _gaussian_parts, is_irreducible
 from .spectral import RiemannScheme, canonical_column
 
 
@@ -110,20 +112,23 @@ def extend_direct(o: OkuboSystem, params: ExtensionParams) -> OkuboSystem:
     pivot columns.
 
     `check_onf_conditions` proves A invertible, and `_extend_direct`
-    builds A_hat.
+    builds A_hat.  r = 0 raises: the new block would be empty.
     """
     if params.t_new in o.poles:
         raise DuplicatePoleError(f"pole {params.t_new} already present")
     if not check_onf_conditions(o):
         raise ConditionsFailError("extension needs the normal-form genericity conditions")
-    return _extend_direct(o, params)
+    out = _extend_direct(o, params)
+    if out.block_sizes[-1] == 0:
+        raise DegenerateExtensionError("(A - rho1)(A - rho2) vanishes; the extension would add an empty block")
+    return out
 
 
 def _extend_direct(o: OkuboSystem, params: ExtensionParams) -> OkuboSystem:
     """`extend_direct` of a normal form whose A the caller has proven
     invertible, at a new pole.  An exact transport (`scheme_of_extension`):
 
-    Lemma.  Let o carry a verified scheme, with A invertible and r >= 1.  Let
+    Lemma.  Let o carry a verified scheme, with A invertible and r >= 0.  Let
     m1 be the first Weyr count of A at rho1, and m2 the first at rho2, or
     the second when rho1 = rho2 (the parts `scheme_of_extension` takes from
     the infinity column).  Then -A_hat has the column [-rho1:n - m2,
@@ -169,7 +174,10 @@ def _extend_direct(o: OkuboSystem, params: ExtensionParams) -> OkuboSystem:
     V = 0.  If V1 = C^n, then V2 contains the image of X, of rank r, so V
     is everything.
 
-    r = 0 raises; the caller has proven A invertible, as the scheme lemma
+    Both lemmas hold at r = 0, where C, X and Y are empty: A_hat = A, and
+    the new point is an empty block, whose zero residue has the column
+    [0:n], as o's infinity column without the two parts is empty (r = n -
+    m1 - m2).  The caller has proven A invertible, as the scheme lemma
     needs.  A_hat need not be invertible for that lemma: it holds for a
     zero rho too, which ExtensionParams refuses.
     """
@@ -178,10 +186,6 @@ def _extend_direct(o: OkuboSystem, params: ExtensionParams) -> OkuboSystem:
     w = a.shift(-params.rho1) * a.shift(-params.rho2)
     reduced, pivots = linalg.rref(w)
     r = len(pivots)
-    if r == 0:
-        raise DegenerateExtensionError(
-            "(A - rho1)(A - rho2) vanishes; the extension would add an empty block"
-        )
     c = w.submatrix(range(n), pivots)
     x = -reduced.submatrix(range(r), range(n))
     y = x * a.shift(-(params.rho1 + params.rho2)).submatrix(range(n), pivots)
@@ -229,6 +233,8 @@ def swap_blocks(o: OkuboSystem, i: int, j: int) -> OkuboSystem:
 def _swap_points(s: RiemannScheme, i: int, j: int) -> RiemannScheme:
     """The scheme with finite points i and j (1-based) exchanged, poles and
     columns together: `swap_blocks` on labelled data."""
+    if i == j:
+        return s
     return RiemannScheme(_swapped(s.poles, i, j), s.columns[:1] + tuple(_swapped(s.columns[1:], i, j)))
 
 
@@ -312,10 +318,9 @@ def _restrict(o: OkuboSystem, params: RestrictionParams) -> OkuboSystem:
     CRViolatedError when mu1 + mu2 labels one of that block's classes;
     without a scheme the rank is formed.
     """
-    p = o.num_points
-    ow = swap_blocks(o, params.j, p)
-    if ow.scheme is None:
-        app = ow.diagonal_block(p)
+    p, j = o.num_points, params.j
+    if o.scheme is None:
+        app = o.diagonal_block(j)
         if linalg.rank(app.shift(-(params.mu1 + params.mu2))) < app.nrows:
             raise CRViolatedError(
                 "mu1 + mu2 is an eigenvalue of the deleted block; precompose a generic"
@@ -323,10 +328,12 @@ def _restrict(o: OkuboSystem, params: RestrictionParams) -> OkuboSystem:
             )
         scheme = None
     else:
-        scheme = scheme_of_restriction(ow.scheme, ow.block_sizes)
-    keep = [k for k in range(ow.rank) if k not in ow.block_range(p)]
-    out = OkuboSystem(ow.block_sizes[:-1], ow.poles[:-1], ow.a.submatrix(keep, keep))
-    return _attach_scheme(out, scheme)
+        scheme = scheme_of_restriction(_swap_points(o.scheme, j, p), _swapped(o.block_sizes, j, p))
+    # `swap_blocks(o, j, p)` without its last block: block p takes j's place
+    kept = _swapped(range(1, p + 1), j, p)[:-1]
+    idx = [k for b in kept for k in o.block_range(b)]
+    sizes, poles = [o.block_sizes[b - 1] for b in kept], [o.poles[b - 1] for b in kept]
+    return _attach_scheme(OkuboSystem(sizes, poles, o.a.submatrix(idx, idx)), scheme)
 
 
 def _annihilates(s: RiemannScheme, mu1, mu2) -> bool:
@@ -349,14 +356,12 @@ def re_composite(
 
     The net effect replaces the block at j; the rank changes by
     dim IM (A - rho1)(A - rho2) - dim IM A_j.  epsilon must avoid a finite
-    exceptional set; when omitted, the smallest positive integer for which
-    every stage is defined is chosen, and the run that found it is returned.
-    o must be irreducible (`_round_hypotheses`).
+    exceptional set; when omitted, the planner picks the smallest positive
+    integer for which every stage is defined (`plan_round`).  o must be
+    irreducible (`_round_hypotheses`).
     """
     _round_hypotheses(o)
-    if epsilon is None:
-        return _re_search(o, j, rho1, rho2)[1]
-    return _re_stages(o, j, gr(rho1), gr(rho2), gr(epsilon))
+    return _run_plan(o, _plan_system(o, (j, gr(rho1), gr(rho2)), epsilon))
 
 
 def _round_hypotheses(o: OkuboSystem) -> None:
@@ -368,37 +373,6 @@ def _round_hypotheses(o: OkuboSystem) -> None:
         raise NotIrreducibleError("a round requires a linearly irreducible system")
     if o.a.is_zero():
         raise ConditionsFailError("extension needs the normal-form genericity conditions")
-
-
-def _re_stages(o, j, rho1, rho2, eps) -> OkuboSystem:
-    # o is irreducible with A invertible, and the lemmas carry both facts to
-    # every stage; the extension gives the shifted quadratic relation
-    params = ExtensionParams(rho1, rho2, pick_generic(list(o.poles)))
-    ext = _extend_direct(o, params)
-    if eps.is_zero():
-        raise NotGenericError("epsilon must be nonzero")
-    try:
-        eu = _euler_transform(ext, eps)
-    except EigenvalueCollisionError as exc:
-        raise NotGenericError(f"epsilon {eps} collides with the extended spectrum") from exc
-    return _restrict(eu, RestrictionParams(rho1 + eps, rho2 + eps, j))
-
-
-def _re_search(o, j, rho1, rho2):
-    return _first_working_epsilon(lambda eps: _re_stages(o, j, gr(rho1), gr(rho2), eps))
-
-
-def _first_working_epsilon(runner, bound: int = 60):
-    """The first shift eps = 1, 2, ... for which runner(eps) is defined, with
-    the result of that run."""
-    for k in range(1, bound):
-        eps = gr(k)
-        try:
-            result = runner(eps)
-        except (NotGenericError, CRViolatedError, DegenerateExtensionError, ZeroRhoError):
-            continue
-        return eps, result
-    raise NotGenericError("no small integer epsilon makes the pipeline defined")
 
 
 def re_katz_pipeline(o: OkuboSystem, j: int, rho1, rho2, epsilon) -> SchlesingerTuple:
@@ -422,40 +396,18 @@ def rere_composite(
 
     Equals a convolution sandwich around a single scalar shift at j (see
     rere_katz_pipeline); the second extension reuses the deleted pole so the
-    pole sets agree on the nose.  When epsilon is omitted it is chosen as in
-    re_composite, and the run that found it is returned.  o must be
-    irreducible (`_round_hypotheses`).
+    pole sets agree on the nose.  When epsilon is omitted it is planned as
+    in re_composite.  o must be irreducible (`_round_hypotheses`).
     """
     _round_hypotheses(o)
-    if epsilon is None:
-        return _rere_search(o, j, rho1, rho2, rho3)[1]
-    return _rere_stages(o, j, gr(rho1), gr(rho2), gr(rho3), gr(epsilon))
-
-
-def _rere_stages(o, j, rho1, rho2, rho3, eps) -> OkuboSystem:
-    # as in _re_stages, with mid's A invertible by `_restrict`'s proof; an
-    # eps that blocks the second restriction fails its CR test
-    pole_j = o.poles[j - 1]
-    rho1p = rho1 + eps
-    rho2p = rho1 + rho2 + rho3 + eps
-    if rho1p.is_zero() or rho2p.is_zero():
-        raise NotGenericError("epsilon zeroes a second-stage extension parameter")
-    mid = _re_stages(o, j, rho1, rho2, eps)
-    stage2 = _extend_direct(mid, ExtensionParams(rho1p, rho2p, pole_j))
-    return _restrict(stage2, RestrictionParams(rho1p, rho2p, j))
+    return _run_plan(o, _plan_system(o, (j, gr(rho1), gr(rho2), gr(rho3)), epsilon))
 
 
 def auto_epsilon_rere(o, j, rho1, rho2, rho3):
-    """Smallest positive integer shift making both rounds defined; o must be
+    """The epsilon that `rere_composite` plans when none is given; o must be
     irreducible (`_round_hypotheses`)."""
     _round_hypotheses(o)
-    return _rere_search(o, j, rho1, rho2, rho3)[0]
-
-
-def _rere_search(o, j, rho1, rho2, rho3):
-    return _first_working_epsilon(
-        lambda eps: _rere_stages(o, j, gr(rho1), gr(rho2), gr(rho3), eps)
-    )
+    return _plan_system(o, (j, gr(rho1), gr(rho2), gr(rho3))).shift
 
 
 def rere_katz_pipeline(
@@ -470,6 +422,140 @@ def rere_katz_pipeline(
     mu[j - 1] = rho1 + rho3
     t = addition(t, mu)
     return middle_convolution(t, rho1 + epsilon)
+
+
+# -- the planner -------------------------------------------------------------------
+
+
+class Plan(NamedTuple):
+    """A round's shift (eps, or the k of a shifted restriction) and its
+    operations, each a name ("extend", "euler", "restrict") and parameters."""
+
+    shift: GaussianRational
+    steps: tuple
+
+
+def plan_round(scheme: RiemannScheme, blocks: Sequence[int], move, epsilon=None) -> Plan:
+    """The plan of one round, from labelled data alone: move is () for a
+    shifted restriction of the last block, (j, rho1, rho2) for one round at
+    point j (`re_composite`) and (j, rho1, rho2, rho3) for two
+    (`rere_composite`); `_plan` reads the shift from the labels.
+    The scheme level applies the plan with the transports (`_scheme_of_plan`)
+    and the matrix level with the operations (`_run_plan`)."""
+    def classes(j):
+        return _structural_zero(scheme.column_at(j), scheme.order, blocks[j - 1])
+    return _plan(scheme.poles, blocks, move, scheme.column_at_infinity(), classes, epsilon)
+
+
+def _plan_system(o: OkuboSystem, move, epsilon=None) -> Plan:
+    """`plan_round` of a normal form; without a scheme, on the parts with
+    labels in Q(i) of the classes of -A and of the deleted block, as every
+    value the plan tests lies in Q(i)."""
+    if o.scheme is not None:
+        return plan_round(o.scheme, o.block_sizes, move, epsilon)
+    inf = _gaussian_parts(-o.a)
+    return _plan(o.poles, o.block_sizes, move, inf, lambda j: _gaussian_parts(o.diagonal_block(j)), epsilon)
+
+
+def _plan(poles, blocks, move, inf, classes, epsilon) -> Plan:
+    """The plan from the labels at infinity (inf) and the classes of the
+    deleted block j (the last one for a shifted restriction).  Its shift is
+    the given epsilon, or the first of k = 0, 1, ... < 40 (shifted
+    restriction) or eps = 1, 2, ... < 60 (rounds) that blocks no operation.
+    A shift blocks an operation when it is:
+    - a label at infinity, -rho1 or -rho2 after an extension (the Euler
+      collision of `_euler_transform`, by `scheme_of_extension`);
+    - one at which mu1 + mu2, moved by twice the shift, labels a class of
+      the deleted block, moved by the shift (CR, `_restrict`).  The second
+      round deletes the first extension's new block, with the classes
+      rho1 + rho2 + l for the labels l left at infinity;
+    - eps = 0, or zeroes rho1 + eps or rho1 + rho2 + rho3 + eps.
+    An extension with r = n - m1 - m2 = 0 adds an empty block, and a round
+    that would leave rank 0 raises DegenerateExtensionError."""
+    j = move[0] if move else len(blocks)
+    if not 1 <= j <= len(blocks):
+        raise IndexRangeError(f"block index {j} out of range")
+    n, nj, cls = sum(blocks), blocks[j - 1], classes(j)
+    deleted = [label for label, _ in cls]
+    if not move:
+        (l1, _), (l2, _) = inf
+        ranks, shifts, mu_sum = [n - nj], range(40), -(l1 + l2)
+
+        def blocks_an_operation(k):
+            # k = 0 shifts nothing, so only CR can block it
+            return (k and k in [label for label, _ in inf]) or mu_sum + k in deleted
+    else:
+        rho1, rho2 = move[1], move[2]
+        m1, rest = _split_slot(inf, -rho1)
+        m2, rest = _split_slot(rest, -rho2)
+        ranks, shifts, s12 = [n - m1 - m2 + n - nj], range(1, 60), rho1 + rho2
+        ext_inf = [label for label, m in ((-rho1, n - m2), (-rho2, n - m1)) if m]
+        if len(move) == 4:
+            rho3, s13, left = move[3], rho1 + move[3], [label for label, _ in rest]
+            if nj == n:  # else the second round leaves n - nj + r2 > 0
+                # the labels at infinity after the first restriction, less
+                # eps, give r2 (`scheme_of_restriction`)
+                mid = [(-rho1, n - m2 - nj), (-rho2, n - m1 - nj)]
+                mid += [(label - s12, m) for label, m in cls]
+                m1p, mid = _split_slot(mid, -rho1)
+                m2p, _ = _split_slot(mid, -(s12 + rho3))
+                ranks.append(n - nj + ranks[0] - m1p - m2p)
+
+        def blocks_an_operation(eps):
+            if eps.is_zero() or eps in ext_inf or s12 + eps in deleted:
+                return True
+            return len(move) == 4 and (
+                (rho1 + eps).is_zero() or (s12 + rho3 + eps).is_zero() or s13 + eps in left
+            )
+
+    if 0 in ranks:
+        raise DegenerateExtensionError("the round would leave rank 0")
+    if epsilon is not None:
+        shifts = [epsilon]
+    shift = next((gr(k) for k in shifts if not blocks_an_operation(gr(k))), None)
+    if shift is None and epsilon is not None:
+        raise NotGenericError(f"epsilon {epsilon} blocks an operation of the round")
+    if shift is None:
+        raise NotGenericError(f"no shift from {shifts[0]} to {shifts[-1]} leaves every operation defined")
+    if not move:
+        restriction = ("restrict", RestrictionParams(shift - l1, shift - l2, j))
+        return Plan(shift, ((("euler", shift),) if shift else ()) + (restriction,))
+    steps = (
+        ("extend", ExtensionParams(rho1, rho2, pick_generic(list(poles)))),
+        ("euler", shift),
+        ("restrict", RestrictionParams(rho1 + shift, rho2 + shift, j)),
+    )
+    if len(move) == 4:
+        rho1p, rho2p = rho1 + shift, s12 + rho3 + shift
+        steps += (
+            ("extend", ExtensionParams(rho1p, rho2p, poles[j - 1])),
+            ("restrict", RestrictionParams(rho1p, rho2p, j)),
+        )
+    return Plan(shift, steps)
+
+
+def _run_plan(o: OkuboSystem, plan: Plan) -> OkuboSystem:
+    """The plan's operations on o, each once; o must be irreducible with A
+    invertible (`_round_hypotheses`)."""
+    ops = {"extend": _extend_direct, "euler": _euler_transform, "restrict": _restrict}
+    for name, params in plan.steps:
+        o = ops[name](o, params)
+    return o
+
+
+def _scheme_of_plan(s: RiemannScheme, blocks: Sequence[int], plan: Plan):
+    """The scheme and block sizes after the plan's operations, each carried
+    by its lemma: `_run_plan` on labelled data."""
+    for name, params in plan.steps:
+        if name == "extend":
+            out = scheme_of_extension(s, params.rho1, params.rho2, blocks, params.t_new)
+            s, blocks = out, (*blocks, out.order - s.order)
+        elif name == "euler":
+            s = scheme_of_euler(s, blocks, params)
+        else:
+            blocks = tuple(_swapped(blocks, params.j, len(blocks)))
+            s, blocks = scheme_of_restriction(_swap_points(s, params.j, len(blocks)), blocks), blocks[:-1]
+    return s, blocks
 
 
 # -- scheme-level transforms -------------------------------------------------------

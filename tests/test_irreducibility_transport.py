@@ -20,6 +20,7 @@ from fuchsmc.cli import main
 from fuchsmc.errors import (
     ConditionsFailError,
     CRViolatedError,
+    DegenerateExtensionError,
     EigenvalueCollisionError,
     NotGenericError,
     NotIrreducibleError,
@@ -40,14 +41,16 @@ from fuchsmc.schlesinger import _is_irreducible_by_closure, infer_scheme, is_irr
 from fuchsmc.yokoyama import (
     ExtensionParams,
     RestrictionParams,
-    _re_search,
-    _rere_search,
+    _plan_system,
+    _run_plan,
     auto_epsilon_rere,
     extend_direct,
     re_composite,
     rere_composite,
     restrict,
 )
+
+from yokoyama_cases import case_a
 
 E = ExactMatrix.from_rows
 
@@ -94,14 +97,17 @@ def with_inferred_scheme(o):
 
 
 class TestStagesStayIrreducible:
-    @given(st.sampled_from([3, 4, 5]), st.sampled_from(["katz", "yokoyama"]))
-    @settings(max_examples=6, deadline=None)
+    # case (a)'s first round adds an empty block at its second extension
+    @given(st.sampled_from([3, 4, 5, "case a"]), st.sampled_from(["katz", "yokoyama"]))
+    @settings(max_examples=8, deadline=None)
     def test_every_driver_stage(self, n, mode):
-        t = rigid_family_realization(n)
-        source = t if mode == "katz" else onf_from_scf(t)
+        if n == "case a":
+            source = scf_from_onf(case_a()) if mode == "katz" else case_a()
+        else:
+            t = rigid_family_realization(n)
+            source = t if mode == "katz" else onf_from_scf(t)
         stage_of = reduction._system_stage
-        targets = CORES + [(reduction, "_euler_transform"), (reduction, "_restrict")]
-        with recorded_outputs(targets) as inner, mock.patch.object(
+        with recorded_outputs(CORES) as inner, mock.patch.object(
             reduction, "_system_stage", lambda system, idx0: inner.append(system) or stage_of(system, idx0)
         ):
             lines = list(reduction.reduction_lines(source, mode, "matrix"))
@@ -124,10 +130,10 @@ class TestStagesStayIrreducible:
         j = rng.randint(1, o.num_points)
         rho1, rho2, rho3 = (gr(r) for r in rhos)
         with recorded_outputs(CORES) as stages:
-            for search, args in ((_re_search, ()), (_rere_search, (rho3,))):
+            for move in ((j, rho1, rho2), (j, rho1, rho2, rho3)):
                 try:
-                    search(o, j, rho1, rho2, *args)
-                except NotGenericError:
+                    _run_plan(o, _plan_system(o, move))
+                except (NotGenericError, DegenerateExtensionError):
                     pass
         assert all(irreducible_by_both(s) for s in stages)
 

@@ -3,7 +3,7 @@
 An exact transport attaches its scheme by lemma, with `verify_scheme` kept
 as the oracle; a predicted one is verified once against the output it is
 attached to; a scheme from outside (constructor, with_scheme, file) is still
-verified; an epsilon search returns the run that found epsilon; and the
+verified; a composite without epsilon runs the epsilon it plans; and the
 reduction driver's output is unchanged.
 """
 
@@ -52,7 +52,7 @@ from fuchsmc.spectral import RiemannScheme, canonical_column
 from fuchsmc.yokoyama import (
     ExtensionParams,
     RestrictionParams,
-    _re_search,
+    _plan_system,
     auto_epsilon_rere,
     extend_direct,
     re_composite,
@@ -172,36 +172,35 @@ def test_yokoyama_reduce_checks_irreducibility_once(tmp_path, monkeypatch, capsy
 
 def test_yokoyama_reduce_proves_each_fact_cheaply(tmp_path, monkeypatch, capsys):
     # restrict's irreducibility precondition is decided from the input's
-    # scheme, with no characteristic-polynomial roots, and a block swap
-    # carries its scheme instead of verifying it again
+    # scheme, with no characteristic-polynomial roots, and a restriction
+    # carries its scheme by its lemma instead of verifying it again
     inp = tmp_path / "rigid5.json"
     ser.save_system(str(inp), rigid_onf(5))
     roots = []
     original_roots = modular.roots
     monkeypatch.setattr(modular, "roots", lambda *a: roots.append(a) or original_roots(*a))
-    in_swap, swaps = [], []
-    original_swap = yokoyama.swap_blocks
+    in_restrict, restricted = [], []
+    original_restrict = yokoyama._restrict
 
-    def swapping(*args):
-        in_swap.append(True)
+    def restricting(*args):
+        in_restrict.append(True)
         try:
-            out = original_swap(*args)
+            out = original_restrict(*args)
         finally:
-            in_swap.pop()
-        swaps.append(out)
+            in_restrict.pop()
+        restricted.append(out)
         return out
 
-    monkeypatch.setattr(yokoyama, "swap_blocks", swapping)
-    checked = call_keys(monkeypatch, "verify_scheme", lambda t, s: bool(in_swap))
+    monkeypatch.setattr(yokoyama, "_restrict", restricting)
+    checked = call_keys(monkeypatch, "verify_scheme", lambda t, s: bool(in_restrict))
     irreducible = call_keys(monkeypatch, "is_irreducible", lambda t: t.scheme is not None)
     assert main(["reduce", "--input", str(inp), "--mode", "yokoyama"]) == 0
     assert capsys.readouterr().out == GOLDEN_REDUCE[(5, "yokoyama")]
     assert irreducible and all(irreducible)
     assert roots == []
     assert checked and not any(checked)
-    swapped = [o for o in swaps if o.scheme is not None]
-    assert swapped
-    for o in swapped:  # the carried scheme is still the system's
+    assert restricted and all(o.scheme is not None for o in restricted)
+    for o in restricted:  # the carried scheme is still the system's
         assert schlesinger.verify_scheme(scf_from_onf(o), o.scheme)
 
 
@@ -571,7 +570,7 @@ class TestSearchReturnsTheWinningRun:
             rho1, rho2 = rng.randint(1, 3), rng.randint(1, 3)
             if rank(o.a.shift(-rho1) * o.a.shift(-rho2)) == 0:
                 continue
-            eps = _re_search(o, j, rho1, rho2)[0]
+            eps = _plan_system(o, (j, gr(rho1), gr(rho2))).shift
             self.same(re_composite(o, j, rho1, rho2), re_composite(o, j, rho1, rho2, eps))
             done += 1
 
@@ -583,7 +582,7 @@ class TestSearchReturnsTheWinningRun:
         got = rere_composite(o, j, rho1, rho2, rho3)
         assert got.scheme is not None
         self.same(got, rere_composite(o, j, rho1, rho2, rho3, eps))
-        eps = _re_search(o, j, rho1, rho2)[0]
+        eps = _plan_system(o, (j, gr(rho1), gr(rho2))).shift
         self.same(re_composite(o, j, rho1, rho2), re_composite(o, j, rho1, rho2, eps))
 
 
@@ -647,32 +646,22 @@ class TestInvariantErrorsPropagate:
         with pytest.raises(InvariantError, match="reducible"):
             rigid_family_realization(3)
 
-    def test_scheme_level_step_retries_only_genericity(self, monkeypatch):
+    def test_scheme_level_step_applies_one_plan(self, monkeypatch):
+        # the scheme level plans the round once and carries the scheme
+        # through its operations; a breach there propagates, and nothing retries
         o = rigid_onf(4)
-        args = (o.scheme, list(o.block_sizes), *reduction_parameters(o))
-        want = reduction._rere_scheme_step(*args)
-        once, calls = reduction._rere_scheme_once, []
-
-        def failing(error):
-            def attempt(*a):
-                calls.append(a[-1])
-                if len(calls) == 1:
-                    raise error("injected")
-                return once(*a)
-
-            return attempt
-
-        # a shift that collides is retried with the next one
-        monkeypatch.setattr(reduction, "_rere_scheme_once", failing(CRViolatedError))
-        got = reduction._rere_scheme_step(*args)
-        assert len(calls) == 2 and calls[0] != calls[1]
-        assert got[1] == want[1] and got[0].spectral_type() == want[0].spectral_type()
-        # an invariant breach is not
-        calls.clear()
-        monkeypatch.setattr(reduction, "_rere_scheme_once", failing(InvariantError))
+        state, m = (o.scheme, o.block_sizes), o.scheme.spectral_type()
+        plans, plan_round = [], reduction.plan_round
+        monkeypatch.setattr(reduction, "plan_round", lambda *a: plans.append(plan_round(*a)) or plans[-1])
+        rank, _, _, (s, blocks) = reduction._scheme_step(state, m)
+        assert len(plans) == 1
+        assert (s, blocks) == yokoyama._scheme_of_plan(*state, plans[0])
+        assert rank == s.order == 3
+        calls = []
+        monkeypatch.setattr(yokoyama, "scheme_of_restriction", lambda *a: calls.append(a) or self.breach())
         with pytest.raises(InvariantError, match="injected"):
-            reduction._rere_scheme_step(*args)
-        assert len(calls) == 1
+            reduction._scheme_step(state, m)
+        assert len(calls) == 1 and len(plans) == 2
 
 
 # `fuchsmc reduce` stdout on the rigid family, recorded before schemes were

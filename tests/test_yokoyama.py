@@ -23,7 +23,8 @@ from fuchsmc.spectral import RiemannScheme
 from fuchsmc.yokoyama import (
     ExtensionParams,
     RestrictionParams,
-    _re_search,
+    _plan_system,
+    _run_plan,
     auto_epsilon_rere,
     extend_composite,
     extend_direct,
@@ -193,8 +194,9 @@ class TestReComposite:
             w = o.a.shift(-rho1) * o.a.shift(-rho2)
             if rank(w) == 0:
                 continue
-            eps, lhs = _re_search(o, j, rho1, rho2)
-            rhs = re_katz_pipeline(o, j, rho1, rho2, eps)
+            plan = _plan_system(o, (j, rho1, rho2))
+            lhs = _run_plan(o, plan)
+            rhs = re_katz_pipeline(o, j, rho1, rho2, plan.shift)
             assert lhs.rank == o.rank + rank(w) - o.block_sizes[j - 1]
             assert matrix_tuples_equivalent(scf_from_onf(lhs).matrices, rhs.matrices)
             done += 1
