@@ -7,17 +7,16 @@ instances everywhere.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Optional
 
 from . import linalg
-from .errors import CalculusError, InvariantError, SchemeUnavailableError
+from .errors import CalculusError, InvariantError
 from .katz import middle_convolution, addition
 from .linalg import ExactMatrix
 from .okubo import OkuboSystem, check_onf_conditions, pick_generic
 from .scalars import gr
-from .schlesinger import SchlesingerTuple, infer_scheme, is_irreducible
+from .schlesinger import SchlesingerTuple, is_irreducible
 from .spectral import PartitionTuple, RiemannScheme, format_spectral_type
 
 
@@ -173,28 +172,3 @@ def _raise_rank(t: SchlesingerTuple, expected_type: str) -> SchlesingerTuple:
         if format_spectral_type(out.scheme.spectral_type()) == expected_type:
             return out
     raise CalculusError(f"could not raise rank toward {expected_type}")
-
-
-def find_basic_2x2_tuple() -> SchlesingerTuple:
-    """Brute-force search for a rank-2, four-point basic tuple whose residues
-    are small integer rank-one matrices and whose spectral type is
-    11,11,11,11.  Deterministic: the first hit in lexicographic order wins.
-    """
-    vals = [-1, 0, 1, 2]
-    rank1 = []
-    for a in itertools.product(vals, repeat=4):
-        m = ExactMatrix.from_rows([[a[0], a[1]], [a[2], a[3]]])
-        if a[0] + a[3] != 0 and linalg.rank(m) == 1:
-            rank1.append(m)
-    for m1, m2, m3 in itertools.product(rank1, repeat=3):
-        t = SchlesingerTuple([0, 1, 2], [m1, m2, m3])
-        if not is_irreducible(t):
-            continue
-        try:
-            sch = infer_scheme(t)
-        except SchemeUnavailableError:
-            continue
-        if format_spectral_type(sch.spectral_type()) != "11,11,11,11":
-            continue
-        return t.with_scheme(sch)
-    raise CalculusError("no basic rank-2 tuple found in the search box")

@@ -51,7 +51,6 @@ matrix), which makes every construction built on them deterministic.
 from __future__ import annotations
 
 from bisect import bisect
-from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
@@ -59,7 +58,7 @@ from typing import Iterable, Iterator, Sequence
 from . import modular
 from .modular import dot
 from .errors import NonSquareError, SizeMismatchError
-from .scalars import ZERO, GaussianRational, gr
+from .scalars import ZERO, GaussianRational, from_triple, gr
 
 Vector = tuple[GaussianRational, ...]
 IntRow = tuple[list[int], list[int]]
@@ -77,7 +76,7 @@ class ExactMatrix:
         entries = [[_integer_pair(x) for x in r] for r in rows]
         # the lcm of the entry denominators leaves the triple reduced: a prime
         # power exactly dividing it exactly divides some entry's denominator,
-        # and that entry's numerator is prime to it
+        # and that entry's numerators are not both multiples of the prime
         den = lcm(*(d for r in entries for d, _, _ in r))
         self.nrows, self.ncols, self.den = nrows, ncols, den
         self.re = tuple(tuple(x * (den // d) for d, x, _ in r) for r in entries)
@@ -301,14 +300,13 @@ def _scalar(x: int, y: int, den: int) -> GaussianRational:
     """(x + y i)/den."""
     if not (x or y):
         return ZERO
-    return GaussianRational(Fraction(x, den), Fraction(y, den))
+    return from_triple(x, y, den)
 
 
 def _integer_pair(c) -> tuple[int, int, int]:
-    """(d, cr, ci) with gr(c) = (cr + ci i)/d and d > 0."""
+    """(d, cr, ci) with gr(c) = (cr + ci i)/d and d > 0, reduced."""
     c = gr(c)
-    d = lcm(c.re.denominator, c.im.denominator)
-    return d, c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator)
+    return c.den, c.x, c.y
 
 
 def _scaled(m: ExactMatrix, den: int) -> IntMatrix:

@@ -357,11 +357,9 @@ def spin_dim(v: list[int], mats: Sequence[list[list[int]]], p: int) -> int:
 def reduce_scalar(c, p: int) -> Optional[int]:
     """A Gaussian rational mod p with i -> iota, or None when p divides a
     denominator."""
-    if c.re.denominator % p == 0 or c.im.denominator % p == 0:
+    if c.den % p == 0:
         return None
-    re = c.re.numerator * pow(c.re.denominator, -1, p)
-    im = c.im.numerator * pow(c.im.denominator, -1, p)
-    return (re + sqrt_minus_one(p) * im) % p
+    return (c.x + sqrt_minus_one(p) * c.y) * pow(c.den, -1, p) % p
 
 
 def full_matrix_algebra(mats, hints: Iterable[tuple] = ()) -> bool:

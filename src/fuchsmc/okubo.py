@@ -310,7 +310,7 @@ def scheme_of_euler(
     for j, nj in enumerate(block_sizes, start=1):
         rest = _structural_zero(s.column_at(j), n, nj)
         cols.append(canonical_column([(gr(0), n - nj)] + [(l + lam, m) for l, m in rest]))
-    return RiemannScheme(s.poles, cols)
+    return RiemannScheme._of_canonical(s.poles, cols)
 
 
 def _invertible(s: RiemannScheme) -> bool:

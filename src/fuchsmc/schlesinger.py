@@ -26,7 +26,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .linalg import ExactMatrix
-from .scalars import ONE, ZERO, format_scalar, gr
+from .scalars import format_scalar, gr
 from .spectral import Column, RiemannScheme, canonical_column
 
 
@@ -315,35 +315,10 @@ def is_equivalent(a: SchlesingerTuple, b: SchlesingerTuple) -> bool:
 # -- conjugacy classes from (eigenvalue, multiplicity) data ----------------------
 
 
-def build_L(parts: Sequence[tuple]) -> ExactMatrix:
-    """The normalized block upper-bidiagonal class representative.
-
-    Parts are sorted canonically (multiplicity descending, label ties by
-    (re, im)); diagonal blocks are scalar, and each superdiagonal block is the
-    rectangular identity, so repeated eigenvalues across consecutive blocks
-    encode nontrivial Jordan structure.
-    """
-    entries = canonical_column([(gr(l), int(m)) for l, m in parts])
-    if not entries:
-        raise PartitionSizeMismatchError("empty part list")
-    n = sum(m for _, m in entries)
-    rows = [[ZERO] * n for _ in range(n)]
-    offset = 0
-    for idx, (label, m) in enumerate(entries):
-        for i in range(m):
-            rows[offset + i][offset + i] = label
-        if idx + 1 < len(entries):
-            nxt = entries[idx + 1][1]
-            for i in range(nxt):
-                rows[offset + i][offset + m + i] = ONE
-        offset += m
-    return ExactMatrix(n, n, rows)
-
-
 def matches_conjugacy_class(m: ExactMatrix, parts: Sequence[tuple]) -> bool:
-    """Whether m lies in the class of the normalized representative with the
-    given parts: the nullity of each prefix product (m - c_1)...(m - c_k) of
-    the canonical column must be m_1 + ... + m_k.  The nullities come from
+    """Whether m lies in the class the parts (label, multiplicity) give:
+    the nullity of each prefix product (m - c_1)...(m - c_k) of the
+    canonical column must be m_1 + ... + m_k.  The nullities come from
     `linalg.nullity_chain`, which forms none of the products and stops at
     the first prefix that fails."""
     if not m.is_square():

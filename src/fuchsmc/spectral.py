@@ -61,7 +61,17 @@ class PartitionTuple:
     __slots__ = ("columns",)
 
     def __init__(self, columns: Sequence[Iterable[Entry]]):
-        cols = tuple(canonical_column(c) for c in columns)
+        self._set_columns(tuple(canonical_column(c) for c in columns))
+
+    @classmethod
+    def _of_canonical(cls, columns: Sequence[Column]) -> "PartitionTuple":
+        """The tuple of columns that are canonical already: each one a
+        `canonical_column` output, which is not sorted again."""
+        m = cls.__new__(cls)
+        m._set_columns(tuple(columns))
+        return m
+
+    def _set_columns(self, cols: tuple[Column, ...]) -> None:
         if not cols:
             raise InconsistentColumnsError("a partition tuple needs at least one column")
         sums = [sum(m for _, m in c) for c in cols]
@@ -86,7 +96,9 @@ class PartitionTuple:
         return tuple(tuple(m for _, m in c) for c in self.columns)
 
     def strip_labels(self) -> "PartitionTuple":
-        return PartitionTuple.from_multiplicities(self.multiplicities())
+        # canonical order puts multiplicities in descending order, so the
+        # unlabelled columns are canonical as they stand
+        return PartitionTuple._of_canonical([tuple((None, m) for _, m in c) for c in self.columns])
 
     def has_labels(self) -> bool:
         return all(all(lbl is not None for lbl, _ in c) for c in self.columns)
@@ -257,6 +269,12 @@ class RiemannScheme:
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "tuple_", pt)
 
+    @classmethod
+    def _of_canonical(cls, poles: Sequence[GaussianRational], columns: Sequence[Column]) -> "RiemannScheme":
+        """The scheme of columns that are `canonical_column` outputs already,
+        which are not sorted again; the other checks are the constructor's."""
+        return cls(poles, PartitionTuple._of_canonical(columns))
+
     @property
     def columns(self) -> tuple[Column, ...]:
         return self.tuple_.columns
@@ -273,7 +291,10 @@ class RiemannScheme:
         return self.tuple_.columns[j]
 
     def spectral_type(self) -> PartitionTuple:
-        return self.tuple_.strip_labels()
+        """The labels stripped, computed once per scheme."""
+        if "_type" not in self.__dict__:
+            object.__setattr__(self, "_type", self.tuple_.strip_labels())
+        return self._type
 
     def __repr__(self):
         pts = ["inf"] + [format_scalar(t) for t in self.poles]

@@ -235,7 +235,8 @@ def _swap_points(s: RiemannScheme, i: int, j: int) -> RiemannScheme:
     columns together: `swap_blocks` on labelled data."""
     if i == j:
         return s
-    return RiemannScheme(_swapped(s.poles, i, j), s.columns[:1] + tuple(_swapped(s.columns[1:], i, j)))
+    columns = s.columns[:1] + tuple(_swapped(s.columns[1:], i, j))
+    return RiemannScheme._of_canonical(_swapped(s.poles, i, j), columns)
 
 
 def _swapped(items, i: int, j: int) -> list:
@@ -598,8 +599,7 @@ def scheme_of_extension(
     t_new = pick_generic(list(s.poles)) if t_new is None else gr(t_new)
     if t_new in s.poles:
         raise DuplicatePoleError(f"pole {t_new} already present")
-    poles = list(s.poles) + [t_new]
-    return RiemannScheme(poles, cols)
+    return RiemannScheme._of_canonical((*s.poles, t_new), cols)
 
 
 def scheme_of_restriction(s: RiemannScheme, block_sizes: Sequence[int]) -> RiemannScheme:
@@ -643,4 +643,4 @@ def scheme_of_restriction(s: RiemannScheme, block_sizes: Sequence[int]) -> Riema
     for j, nj in enumerate(block_sizes[:-1], start=1):
         rest_j = _structural_zero(s.column_at(j), n, nj)
         cols.append(canonical_column([(gr(0), n_check - nj)] + rest_j))
-    return RiemannScheme(s.poles[:-1], cols)
+    return RiemannScheme._of_canonical(s.poles[:-1], cols)

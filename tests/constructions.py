@@ -1,0 +1,63 @@
+"""Constructions that only the tests use: the normalized representative of a
+conjugacy class, and a basic rank-2 tuple found by a deterministic search."""
+
+import itertools
+from typing import Sequence
+
+from fuchsmc import linalg
+from fuchsmc.errors import CalculusError, PartitionSizeMismatchError, SchemeUnavailableError
+from fuchsmc.linalg import ExactMatrix
+from fuchsmc.scalars import ONE, ZERO, gr
+from fuchsmc.schlesinger import SchlesingerTuple, infer_scheme, is_irreducible
+from fuchsmc.spectral import canonical_column, format_spectral_type
+
+
+def build_L(parts: Sequence[tuple]) -> ExactMatrix:
+    """The normalized block upper-bidiagonal class representative.
+
+    Parts are sorted canonically (multiplicity descending, label ties by
+    (re, im)); diagonal blocks are scalar, and each superdiagonal block is the
+    rectangular identity, so repeated eigenvalues across consecutive blocks
+    encode nontrivial Jordan structure.
+    """
+    entries = canonical_column([(gr(l), int(m)) for l, m in parts])
+    if not entries:
+        raise PartitionSizeMismatchError("empty part list")
+    n = sum(m for _, m in entries)
+    rows = [[ZERO] * n for _ in range(n)]
+    offset = 0
+    for idx, (label, m) in enumerate(entries):
+        for i in range(m):
+            rows[offset + i][offset + i] = label
+        if idx + 1 < len(entries):
+            nxt = entries[idx + 1][1]
+            for i in range(nxt):
+                rows[offset + i][offset + m + i] = ONE
+        offset += m
+    return ExactMatrix(n, n, rows)
+
+
+
+def find_basic_2x2_tuple() -> SchlesingerTuple:
+    """Brute-force search for a rank-2, four-point basic tuple whose residues
+    are small integer rank-one matrices and whose spectral type is
+    11,11,11,11.  Deterministic: the first hit in lexicographic order wins.
+    """
+    vals = [-1, 0, 1, 2]
+    rank1 = []
+    for a in itertools.product(vals, repeat=4):
+        m = ExactMatrix.from_rows([[a[0], a[1]], [a[2], a[3]]])
+        if a[0] + a[3] != 0 and linalg.rank(m) == 1:
+            rank1.append(m)
+    for m1, m2, m3 in itertools.product(rank1, repeat=3):
+        t = SchlesingerTuple([0, 1, 2], [m1, m2, m3])
+        if not is_irreducible(t):
+            continue
+        try:
+            sch = infer_scheme(t)
+        except SchemeUnavailableError:
+            continue
+        if format_spectral_type(sch.spectral_type()) != "11,11,11,11":
+            continue
+        return t.with_scheme(sch)
+    raise CalculusError("no basic rank-2 tuple found in the search box")

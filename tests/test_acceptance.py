@@ -6,8 +6,8 @@ budgets, asserted directly.
 
 import time
 
+from constructions import find_basic_2x2_tuple
 from fuchsmc.generate import (
-    find_basic_2x2_tuple,
     rigid_family_realization,
     rigid_family_type,
 )

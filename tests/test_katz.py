@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constructions import find_basic_2x2_tuple
 from fuchsmc import linalg
 from fuchsmc.errors import (
     DuplicatePoleError,
@@ -18,7 +19,7 @@ from fuchsmc.errors import (
     PreconditionFailError,
     SchemeUnavailableError,
 )
-from fuchsmc.generate import find_basic_2x2_tuple, random_schlesinger, rigid_family_realization
+from fuchsmc.generate import random_schlesinger, rigid_family_realization
 from fuchsmc.identities import run_katz_suite
 from fuchsmc.katz import (
     _mc_max,

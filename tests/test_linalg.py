@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from constructions import build_L
 from fuchsmc import linalg
 from fuchsmc.errors import NonSquareError, PreconditionFailError, SizeMismatchError
 from fuchsmc.generate import random_schlesinger
@@ -33,7 +34,7 @@ from fuchsmc.linalg import (
 from fuchsmc.modular import PRIMES
 from fuchsmc.okubo import onf_from_scf
 from fuchsmc.scalars import ONE, ZERO, GaussianRational, format_scalar, gr
-from fuchsmc.schlesinger import SchlesingerTuple, build_L, matches_conjugacy_class
+from fuchsmc.schlesinger import SchlesingerTuple, matches_conjugacy_class
 from fuchsmc.serialization import system_to_json
 from fuchsmc.spectral import canonical_column
 

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuchsmc import cli, generate, schlesinger
+import constructions
+from fuchsmc import cli, schlesinger
 from fuchsmc.errors import SchemeUnavailableError
 from fuchsmc.generate import rigid_family_realization
 from fuchsmc.linalg import ExactMatrix, inverse
@@ -455,8 +456,8 @@ def test_recorded_basic_search(monkeypatch):
         visited.append(t)
         return infer_scheme(t)
 
-    monkeypatch.setattr(generate, "infer_scheme", recording)
-    found = generate.find_basic_2x2_tuple()
+    monkeypatch.setattr(constructions, "infer_scheme", recording)
+    found = constructions.find_basic_2x2_tuple()
     assert [inferred(t) for t in visited] == RECORDED_BASIC
     assert repr(found.scheme) == RECORDED_BASIC[-1]
 

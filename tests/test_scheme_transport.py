@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constructions import find_basic_2x2_tuple
 from fuchsmc import generate, linalg, modular, okubo, reduction, schlesinger, yokoyama
 from fuchsmc import serialization as ser
 from fuchsmc.cli import main
@@ -32,7 +33,6 @@ from fuchsmc.errors import (
     SchemeUnavailableError,
 )
 from fuchsmc.generate import (
-    find_basic_2x2_tuple,
     random_okubo,
     rigid_family_realization,
 )
@@ -48,7 +48,7 @@ from fuchsmc.linalg import ExactMatrix, rank
 from fuchsmc.okubo import OkuboSystem, euler_transform, onf_from_scf, scf_from_onf
 from fuchsmc.scalars import gr
 from fuchsmc.schlesinger import SchlesingerTuple, infer_scheme, verify_scheme
-from fuchsmc.spectral import RiemannScheme, canonical_column
+from fuchsmc.spectral import PartitionTuple, RiemannScheme, canonical_column
 from fuchsmc.yokoyama import (
     ExtensionParams,
     RestrictionParams,
@@ -531,6 +531,54 @@ class TestTransportLemmasAgainstVerification:
             for seed in range(60):
                 for _ in transport_cases(seed):
                     pass
+
+
+def transported_schemes(seed):
+    """Each scheme the scheme-level transports build from the draw of
+    `transport_draw`: the Euler shift of the pooled scheme, its extension,
+    the extension's Euler shift, and each point of that moved last and
+    restricted."""
+    o, params, eps = transport_draw(seed)
+    s, blocks = o.scheme, tuple(o.block_sizes)
+    yield okubo.scheme_of_euler(s, blocks, eps)
+    try:
+        s = scheme_of_extension(s, params.rho1, params.rho2, blocks, params.t_new)
+    except CalculusError:
+        return
+    blocks += (s.order - o.rank,)
+    s = okubo.scheme_of_euler(s, blocks, eps)
+    yield s
+    p = len(blocks)
+    for j in range(1, p + 1):
+        swapped = yokoyama._swap_points(s, j, p)
+        yield swapped
+        try:
+            yield scheme_of_restriction(swapped, yokoyama._swapped(blocks, j, p))
+        except CalculusError:
+            pass
+
+
+class TestSchemesCanonicalizedOnce:
+    """The transports sort each column once, with `canonical_column`, and
+    build their scheme without sorting it again; the sorting constructor is
+    the oracle."""
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=60, deadline=None)
+    def test_each_transport_builds_what_the_sorting_constructor_builds(self, seed):
+        for s in transported_schemes(seed):
+            assert s == RiemannScheme(s.poles, s.columns)
+            assert s.spectral_type() == PartitionTuple.from_multiplicities(s.tuple_.multiplicities())
+            assert s.spectral_type() is s.spectral_type()
+
+    def test_a_planted_skipped_sort_fails(self, monkeypatch):
+        # the Euler shift's columns without their sort: the structural zero
+        # part stays first where it sorts later
+        monkeypatch.setattr(okubo, "canonical_column", lambda entries: tuple((l, m) for l, m in entries if m))
+        with pytest.raises(AssertionError):
+            for seed in range(60):
+                for s in transported_schemes(seed):
+                    assert s == RiemannScheme(s.poles, s.columns)
 
 
 def exchanged_infinity(s: RiemannScheme) -> RiemannScheme:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constructions import build_L, find_basic_2x2_tuple
 from fuchsmc import linalg, modular, schlesinger
 from fuchsmc.errors import (
     DuplicatePoleError,
@@ -28,7 +29,6 @@ from fuchsmc.schlesinger import (
     _attach_scheme,
     _equivalent_by_sylvester,
     _is_irreducible_by_closure,
-    build_L,
     check_star_conditions,
     index_of_rigidity,
     infer_scheme,
@@ -182,8 +182,6 @@ class TestIndexOfRigidity:
 
     def test_four_point_rank_two_is_zero(self):
         # residues of a basic tuple: three rank-one pieces with simple spectra
-        from fuchsmc.generate import find_basic_2x2_tuple
-
         t = find_basic_2x2_tuple()
         assert index_of_rigidity(t) == 0
 

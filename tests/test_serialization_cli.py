@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from constructions import find_basic_2x2_tuple
 from fuchsmc import reduction
 from fuchsmc import serialization as ser
 from fuchsmc.cli import main
 from fuchsmc.errors import ParseError
-from fuchsmc.generate import find_basic_2x2_tuple, rigid_family_realization
+from fuchsmc.generate import rigid_family_realization
 from fuchsmc.linalg import ExactMatrix
 from fuchsmc.okubo import OkuboSystem, onf_from_scf, scf_from_onf
 from fuchsmc.reduction import idx_of
@@ -289,6 +290,10 @@ MALFORMED = {
     "part as a string": _with_scheme_columns([["-1"], [{"value": "1", "mult": 1}]]),
     "mult not a number": _with_scheme_columns([[{"value": "-1", "mult": "x"}], [{"value": "1", "mult": 1}]]),
     "block as a string": {"blocks": ["a"], "poles": ["0"], "A": [["1"]]},
+    # scalars outside the grammar, which int() alone would read as 12, 1000 and -1/2
+    "pole with a space inside": {"poles": ["1 2"], "matrices": [[["1"]]]},
+    "entry with an underscore": {"poles": ["0"], "matrices": [[["1_000"]]]},
+    "negative denominator": {"poles": ["0"], "matrices": [[["1/-2"]]]},
 }
 
 
@@ -317,6 +322,7 @@ class TestIdxSchemeConvert:
         with pytest.raises(ParseError):
             ser.load_system(str(inp))
         assert main(["scheme", "--input", str(inp)]) == 2
+        assert main(["scheme", "--input", str(inp), "--infer"]) == 2
         assert "parse error" in capsys.readouterr().err
 
     def test_convert_round_trip(self, workdir, tmp_path):
