@@ -41,7 +41,7 @@ in the Vector views of `ConvolutionData`.
 from __future__ import annotations
 
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import (
@@ -64,13 +64,7 @@ from .schlesinger import (
     is_irreducible,
     residue_at_infinity,
 )
-from .spectral import (
-    Column,
-    PartitionTuple,
-    RiemannScheme,
-    canonical_column,
-    tau_max,
-)
+from .spectral import Column, RiemannScheme, canonical_column
 
 
 def addition(t: SchlesingerTuple, mu: Sequence) -> SchlesingerTuple:
@@ -87,15 +81,17 @@ def addition(t: SchlesingerTuple, mu: Sequence) -> SchlesingerTuple:
         # the same tuple; rebuilding it would only verify its scheme again
         return t
     mats = [m.shift(c) for m, c in zip(t.matrices, mu)]
-    scheme = None
-    if t.scheme is not None:
-        cols = zip(t.scheme.columns, [-sum(mu, gr(0))] + mu)
-        scheme = RiemannScheme(t.poles, [_shift_column(col, c) for col, c in cols])
+    scheme = None if t.scheme is None else _shifted(t.scheme, mu)
     return _attach_scheme(SchlesingerTuple(t.poles, mats), scheme)
 
 
-def _shift_column(col: Column, delta: GaussianRational) -> Column:
-    return canonical_column([(label + delta, mult) for label, mult in col])
+def _shifted(s: RiemannScheme, mu: Sequence[GaussianRational]) -> RiemannScheme:
+    """The labels of s moved as `addition` moves them.  One constant moves a
+    whole column, which keeps the canonical (-mult, re, im) order, so the
+    columns are not sorted again."""
+    deltas = [-sum(mu, gr(0)), *mu]
+    cols = [tuple((label + c, mult) for label, mult in col) for col, c in zip(s.columns, deltas)]
+    return RiemannScheme._of_canonical(s.poles, cols)
 
 
 Row = tuple[int, IntRow]  # (f, v) is the vector v / v[f]
@@ -123,16 +119,6 @@ class ConvolutionData:
     k_basis = property(lambda self: _vectors(self.k_rows))
     l_basis = property(lambda self: _vectors(self.l_rows))
     span_basis = property(lambda self: _vectors(self.span_rows))
-
-    @property
-    def big_matrices(self) -> list[ExactMatrix]:
-        """G_1, ..., G_p, built on each read."""
-        p, zero = len(self.residues), ExactMatrix.zeros(self.residues[0].nrows)
-        out = []
-        for j in range(p):
-            b_j = [m.shift(self.lam) if nu == j else m for nu, m in enumerate(self.residues)]
-            out.append(linalg.block_matrix([b_j if i == j else [zero] * p for i in range(p)]))
-        return out
 
 
 def convolution(t: SchlesingerTuple, lam) -> ConvolutionData:
@@ -238,7 +224,7 @@ def swap_with_infinity(t: SchlesingerTuple, j: int) -> SchlesingerTuple:
     if t.scheme is not None:
         cols = list(t.scheme.columns)
         cols[0], cols[j] = cols[j], cols[0]
-        scheme = RiemannScheme(t.poles, cols)
+        scheme = RiemannScheme._of_canonical(t.poles, cols)
     return _attach_scheme(SchlesingerTuple(t.poles, mats), scheme)
 
 
@@ -251,10 +237,8 @@ def permute(t: SchlesingerTuple, sigma: Sequence[int]) -> SchlesingerTuple:
         raise NotAPermutationError(f"{sigma!r} is not a permutation of 1..{p}")
     mats = [t.matrices[s - 1] for s in sigma]
     poles = [t.poles[s - 1] for s in sigma]
-    scheme = None
-    if t.scheme is not None:
-        cols = t.scheme.columns
-        scheme = RiemannScheme(poles, [cols[0]] + [cols[s] for s in sigma])
+    cols = None if t.scheme is None else t.scheme.columns
+    scheme = None if cols is None else RiemannScheme._of_canonical(poles, [cols[0]] + [cols[s] for s in sigma])
     return _attach_scheme(SchlesingerTuple(poles, mats), scheme)
 
 
@@ -273,7 +257,7 @@ def append_infinity_pole(t: SchlesingerTuple, t_new) -> SchlesingerTuple:
     scheme = None
     if t.scheme is not None:
         cols = t.scheme.columns
-        scheme = RiemannScheme(poles, [canonical_column([(gr(0), t.rank)]), *cols[1:], cols[0]])
+        scheme = RiemannScheme._of_canonical(poles, [((gr(0), t.rank),), *cols[1:], cols[0]])
     return _attach_scheme(SchlesingerTuple(poles, mats), scheme)
 
 
@@ -284,9 +268,7 @@ def drop_trailing_zero_pole(t: SchlesingerTuple) -> SchlesingerTuple:
         raise IndexRangeError("cannot drop the only point")
     if not t.matrices[-1].is_zero():
         raise PreconditionFailError("last residue is not zero")
-    scheme = None
-    if t.scheme is not None:
-        scheme = RiemannScheme(t.poles[:-1], t.scheme.columns[:-1])
+    scheme = None if t.scheme is None else RiemannScheme._of_canonical(t.poles[:-1], t.scheme.columns[:-1])
     return _attach_scheme(SchlesingerTuple(t.poles[:-1], t.matrices[:-1]), scheme)
 
 
@@ -302,6 +284,7 @@ def predicted_scheme(s: RiemannScheme, lam) -> RiemannScheme:
     multiplicities drop by the slot defect d; remaining labels shift by
     -lam at infinity and +lam at finite points.  For lam = 0 the convolution
     is the identity up to conjugacy and the scheme is returned unchanged.
+    The convolution half of `plan_step`; each column is sorted once.
     """
     lam = gr(lam)
     if lam.is_zero():
@@ -317,7 +300,7 @@ def predicted_scheme(s: RiemannScheme, lam) -> RiemannScheme:
         if top - d < 0:
             raise NotNormalizableError("top multiplicity at a finite point would become negative")
         new_cols.append(canonical_column([(gr(0), top - d)] + [(x + lam, m) for x, m in rest]))
-    return RiemannScheme(s.poles, new_cols)
+    return RiemannScheme._of_canonical(s.poles, new_cols)
 
 
 def _split_slot(col: Column, value: GaussianRational) -> tuple[int, list]:
@@ -331,8 +314,8 @@ def _split_slot(col: Column, value: GaussianRational) -> tuple[int, list]:
 
 
 def mc_max(t: SchlesingerTuple) -> SchlesingerTuple:
-    """The canonical reduction step: additions that zero the maximal finite
-    slots, then the convolution at the maximal slot total.
+    """The canonical reduction step (`plan_step`): additions that zero the
+    maximal finite slots, then the convolution at the maximal slot total.
 
     The order drops by the slot defect exactly when that total is nonzero;
     slot ties are retried to avoid a zero total when possible.
@@ -346,7 +329,8 @@ def mc_max(t: SchlesingerTuple) -> SchlesingerTuple:
 
 def _mc_max(t: SchlesingerTuple) -> SchlesingerTuple:
     """`mc_max` on a scheme-carrying tuple of rank >= 2 that the caller has
-    proven irreducible.
+    proven irreducible: `plan_step` of its scheme applied to the residues,
+    whose scheme is verified once against the output.
 
     Lemma.  The output is irreducible.
 
@@ -358,30 +342,38 @@ def _mc_max(t: SchlesingerTuple) -> SchlesingerTuple:
     and nonzero unless every residue is scalar.  So their theorem makes the
     convolution at lam != 0 irreducible; a rank-0 output raises.
     """
-    m = t.scheme.tuple_
-    tau = _nonzero_slot_choice(m)
-    cols = m.columns
-    lam = sum((col[ti - 1][0] for col, ti in zip(cols, tau)), gr(0))
-    if lam.is_zero():
-        raise PreconditionFailError(
-            "every maximal slot choice sums to zero; the reduction step is undefined"
-        )
-    mu = [-col[ti - 1][0] for col, ti in zip(cols[1:], tau[1:])]
-    return middle_convolution(addition(t, mu), lam)
+    step = plan_step(t.scheme)
+    out = middle_convolution(addition(t.with_scheme(None), step.mu), step.lam)
+    return _attach_predicted(out, t.scheme, lambda _: step.scheme)
 
 
-def _nonzero_slot_choice(m: PartitionTuple) -> tuple[int, ...]:
-    base = tau_max(m)
-    cols = m.columns
-    total = sum((col[t - 1][0] for col, t in zip(cols, base)), gr(0))
-    if not total.is_zero():
-        return base
-    # retry alternative maximal slots one column at a time
-    for j, col in enumerate(cols):
-        top = col[base[j] - 1][1]
-        for i, (label, mult) in enumerate(col):
-            if mult == top and i != base[j] - 1:
-                alt = total - col[base[j] - 1][0] + label
-                if not alt.is_zero():
-                    return base[:j] + (i + 1,) + base[j + 1 :]
-    return base
+class KatzStep(NamedTuple):
+    """A Katz step on labels: each column's slot (1-based, infinity first),
+    the additions mu, the convolution parameter lam and the next scheme."""
+
+    slots: tuple[int, ...]
+    mu: tuple[GaussianRational, ...]
+    lam: GaussianRational
+    scheme: RiemannScheme
+
+
+def plan_step(s: RiemannScheme) -> KatzStep:
+    """The step of `mc_max` read from the scheme s alone, the Katz
+    counterpart of `yokoyama.plan_round`.  Each slot is its column's first
+    part (`tau_max`) and lam is the sum of their labels.  On a zero lam, the
+    first other part of a column's largest multiplicity whose label differs
+    from its slot's takes the slot; with none, the step is undefined.  mu
+    moves the finite slots to 0, and infinity's slot to lam (`_shifted`),
+    and `predicted_scheme` convolves at lam.
+    """
+    cols = s.columns
+    slots, labels = [1] * len(cols), [col[0][0] for col in cols]
+    if sum(labels, gr(0)).is_zero():
+        retry = ((j, i) for j, col in enumerate(cols) for i, (label, mult) in enumerate(col)
+                 if mult == col[0][1] and label != labels[j])
+        j, i = next(retry, (None, None))
+        if j is None:
+            raise PreconditionFailError("every maximal slot choice sums to zero; the reduction step is undefined")
+        slots[j], labels[j] = i + 1, cols[j][i][0]
+    mu, lam = tuple(-label for label in labels[1:]), sum(labels, gr(0))
+    return KatzStep(tuple(slots), mu, lam, predicted_scheme(_shifted(s, mu), lam))

@@ -1,7 +1,8 @@
 """The reduction driver: Katz's and Yokoyama's reductions are one loop
 (report the stage, stop at rank 1 or at a basic type, else take one step)
-with different steps: `mc_max`, restriction-of-extension rounds on a system
-or on its scheme, or the precomputed `katz_reduce` chain of a bare type."""
+with different steps: a Katz step (`plan_step`, applied to the residues by
+`_mc_max`) or restriction-of-extension rounds (`plan_round`), on a system or
+on its scheme, or the precomputed `katz_reduce` chain of a bare type."""
 
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from .errors import (
     NotIrreducibleError,
     SchemeUnavailableError,
 )
-from .katz import _mc_max
-from .okubo import OkuboSystem, onf_from_scf, pick_generic, scf_from_onf
+from .katz import _mc_max, plan_step
+from .okubo import OkuboSystem, _structural_zero, onf_from_scf, pick_generic, scf_from_onf
 from .schlesinger import (
     SchlesingerTuple,
     _attach_scheme,
@@ -63,7 +64,7 @@ def reduction_lines(source, mode: str, level: str) -> Iterator[str]:
     if source.scheme is None:
         raise SchemeUnavailableError("scheme-level reduction needs a declared scheme")
     if mode == "katz":
-        return _type_reduction(source.scheme.spectral_type())
+        return _reduce(_type_stage(source.scheme.spectral_type(), source.scheme), _katz_scheme_step)
     o = source if isinstance(source, OkuboSystem) else onf_from_scf(source)
     stage = _type_stage(source.scheme.spectral_type(), (source.scheme, list(o.block_sizes)))
     return _reduce(stage, _scheme_step)
@@ -155,13 +156,18 @@ def _katz_reduction(system) -> Iterator[str]:
     )
 
 
+def _katz_scheme_step(s: RiemannScheme, m):
+    s = plan_step(s).scheme
+    return _type_stage(s.spectral_type(), s)
+
+
 def _yokoyama_reduction(system) -> Iterator[str]:
     system = _with_scheme(system)
     o = onf_from_scf(system) if isinstance(system, SchlesingerTuple) else system
     idx0 = idx_of(o)
 
     def step(state, m):
-        move = _yokoyama_move(state.scheme, m)
+        move = _yokoyama_move(state.scheme, m, state.block_sizes)
         if move is None:
             return None
         # the input is proven irreducible before the first round, and the
@@ -176,18 +182,40 @@ def _yokoyama_reduction(system) -> Iterator[str]:
 
 def _scheme_step(state, m):
     s, blocks = state
-    move = _yokoyama_move(s, m)
+    move = _yokoyama_move(s, m, blocks)
     if move is None:
         return None
     s, blocks = _scheme_of_plan(s, blocks, plan_round(s, blocks, move))
     return _type_stage(s.spectral_type(), (s, blocks))
 
 
-def _yokoyama_move(s: RiemannScheme, m: PartitionTuple):
-    """The next Yokoyama step from the stage with scheme s and type m: () for
-    a shifted restriction of the last block, (j, rho1, rho2, rho3) for two
-    extension/restriction rounds at the reduction point j, None when no
-    reduction point is left."""
+def _yokoyama_move(s: RiemannScheme, m: PartitionTuple, blocks):
+    """The next Yokoyama step from the stage with scheme s, type m and block
+    sizes blocks: () for a shifted restriction of the last block,
+    (j, rho1, rho2, rho3) for two extension/restriction rounds at the
+    reduction point j, None when no reduction point is left.  -rho1 and
+    -rho2 label infinity's two first parts, -rho3 block j's largest class.
+
+    Lemma.  With a1 the multiplicity of -rho1 at infinity, z = n - n_j that
+    of column j's structural zero and c1 that of rho3's class, the rounds
+    lower the rank by a1 + c1 - z >= m01 - mj1 + mj2, `_reduction_point`'s
+    defect.
+
+    Proof.  The rounds are `rere_katz_pipeline`: convolve at -rho1, add
+    rho1 + rho3 at j, convolve at rho1 + eps, with eps clear of the label
+    collisions of `yokoyama._plan`.  A convolution at lam lowers the rank by
+    the multiplicity of lam at infinity plus those of 0 at the finite
+    points, less (p - 1) times the rank.  The first pins a1 and the
+    structural zeros, which sum to (p - 1)n: the rank falls by a1, and the
+    blocks keep their sizes.  The addition puts rho3's class at 0 and the
+    structural zero at rho1 + rho3, so the second pins nothing at infinity,
+    the structural zeros at k != j and c1 at j: the rank falls by c1 - z.
+    If z is a largest part of column j, mj1 = z and mj2 = c1 (a tie sorts
+    either way); else mj1 = c1 and z <= mj2 <= c1.  Minus column j's second
+    label, taken before, is 0 when a class ties with z and sorts first: the
+    second convolution pins nothing at j, the fall is a1 - z, and at a1 = z
+    the rounds only move labels.
+    """
     inf_col = s.column_at_infinity()
     if len(inf_col) < 2:
         raise SchemeUnavailableError("need at least two parts at infinity")
@@ -198,8 +226,8 @@ def _yokoyama_move(s: RiemannScheme, m: PartitionTuple):
     j = _reduction_point(m)
     if j is None:
         return None
-    col_j = s.column_at(j)
-    rho3 = -col_j[1][0] if len(col_j) > 1 else pick_generic([0])
+    classes = _structural_zero(s.column_at(j), s.order, blocks[j - 1])
+    rho3 = -classes[0][0] if classes else pick_generic([0])
     return j, -inf_col[0][0], -inf_col[1][0], rho3
 
 

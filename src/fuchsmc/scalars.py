@@ -20,10 +20,13 @@ Examples: "3", "-1/2", "1/2+3i", "-i", "2-1/3i".
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction as _Q
 from math import gcd, lcm
 
 from .errors import ParseError
+
+_HASH = sys.hash_info
 
 
 def _new(x: int, y: int, den: int) -> "GaussianRational":
@@ -153,7 +156,16 @@ class GaussianRational:
         return self.x == other.x and self.y == other.y and self.den == other.den
 
     def __hash__(self):
-        return hash((self.x, self.y, self.den))
+        """A real value hashes as the int or Fraction it equals, by Python's
+        rule for rationals: |x|/den modulo the hash prime with x's sign, or
+        the infinity hash when the prime divides den.  No builtin number
+        equals a non-real value, so that hashes its triple."""
+        x, y, den = self.x, self.y, self.den
+        if y or den == 1:
+            return hash((x, y, den)) if y else hash(x)
+        h = hash(abs(x) * pow(den, -1, _HASH.modulus)) if den % _HASH.modulus else _HASH.inf
+        h = h if x >= 0 else -h
+        return -2 if h == -1 else h
 
     def sort_key(self):
         """A key ordering as the lexicographic (re, im) pair of rationals: the

@@ -129,24 +129,14 @@ def idx_spec(m: PartitionTuple) -> int:
 
 def d_tau(m: PartitionTuple, tau: Sequence[int]) -> int:
     """Defect of the slot choice tau (1-based per column; out of range counts 0)."""
-    n = ord_of(m)
-    p = m.p
-    total = 0
-    for col, t in zip(m.columns, tau):
-        if 1 <= t <= len(col):
-            total += col[t - 1][1]
-    return total - (p - 1) * n
+    total = sum(col[t - 1][1] for col, t in zip(m.columns, tau) if 1 <= t <= len(col))
+    return total - (m.p - 1) * ord_of(m)
 
 
 def tau_max(m: PartitionTuple) -> tuple[int, ...]:
-    """Per column, the first index of a maximal multiplicity (1-based)."""
-    out = []
-    for col in m.columns:
-        best = max(range(len(col)), key=lambda i: col[i][1])
-        # ties resolve to the first entry in canonical order
-        first = next(i for i in range(len(col)) if col[i][1] == col[best][1])
-        out.append(first + 1)
-    return tuple(out)
+    """Per column, the first index of a maximal multiplicity (1-based),
+    which the canonical order puts first."""
+    return (1,) * m.num_points
 
 
 def d_max(m: PartitionTuple) -> int:
@@ -158,50 +148,12 @@ def is_basic(m: PartitionTuple) -> bool:
 
 
 def partial_max(m: PartitionTuple) -> PartitionTuple:
-    """One reduction step: subtract d_max at the maximal slots.
-
-    When labels are present they are transported the way the matrix-level
-    operation (addition to zero the finite slots, then the rank-changing
-    convolution at the slot total) moves them.
-    """
-    d = d_max(m)
-    tau = tau_max(m)
-    labelled = m.has_labels()
-    lam = None
-    if labelled:
-        lam = _slot_total(m, tau)
-    new_cols = []
-    for j, (col, t) in enumerate(zip(m.columns, tau)):
-        slot = t - 1
-        if col[slot][1] - d < 0:
-            raise NegativePartError(
-                "reduction step drives a multiplicity negative (no irreducible realization)"
-            )
-        entries = []
-        for i, (label, mult) in enumerate(col):
-            new_mult = mult - d if i == slot else mult
-            if labelled:
-                label = _transport_label(label, col[slot][0], lam, at_infinity=(j == 0), is_slot=(i == slot))
-            entries.append((label, new_mult))
-        new_cols.append(canonical_column(entries))
-    return PartitionTuple(new_cols)
-
-
-def _slot_total(m: PartitionTuple, tau: Sequence[int]) -> GaussianRational:
-    total = gr(0)
-    for col, t in zip(m.columns, tau):
-        total = total + col[t - 1][0]
-    return total
-
-
-def _transport_label(label, slot_label, lam, at_infinity: bool, is_slot: bool):
-    if at_infinity:
-        if is_slot:
-            return -lam
-        return label - slot_label
-    if is_slot:
-        return gr(0)
-    return label - slot_label + lam
+    """One reduction step on multiplicities: subtract d_max at the maximal
+    slots (`tau_max`).  Labels are dropped; `katz.plan_step` moves them."""
+    d, cols = d_max(m), m.multiplicities()
+    if any(col[0] < d for col in cols):
+        raise NegativePartError("reduction step drives a multiplicity negative (no irreducible realization)")
+    return PartitionTuple.from_multiplicities([(col[0] - d, *col[1:]) for col in cols])
 
 
 def katz_reduce(m: PartitionTuple) -> tuple[PartitionTuple, list[PartitionTuple]]:

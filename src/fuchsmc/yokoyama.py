@@ -461,8 +461,8 @@ def _plan_system(o: OkuboSystem, move, epsilon=None) -> Plan:
 def _plan(poles, blocks, move, inf, classes, epsilon) -> Plan:
     """The plan from the labels at infinity (inf) and the classes of the
     deleted block j (the last one for a shifted restriction).  Its shift is
-    the given epsilon, or the first of k = 0, 1, ... < 40 (shifted
-    restriction) or eps = 1, 2, ... < 60 (rounds) that blocks no operation.
+    the given epsilon, or the first of k = 0, 1, ... (shifted restriction)
+    or eps = 1, 2, ... (rounds) that blocks no operation.
     A shift blocks an operation when it is:
     - a label at infinity, -rho1 or -rho2 after an extension (the Euler
       collision of `_euler_transform`, by `scheme_of_extension`);
@@ -472,15 +472,20 @@ def _plan(poles, blocks, move, inf, classes, epsilon) -> Plan:
       rho1 + rho2 + l for the labels l left at infinity;
     - eps = 0, or zeroes rho1 + eps or rho1 + rho2 + rho3 + eps.
     An extension with r = n - m1 - m2 = 0 adds an empty block, and a round
-    that would leave rank 0 raises DegenerateExtensionError."""
+    that would leave rank 0 raises DegenerateExtensionError.
+
+    Lemma.  One of the first 4 + |cls| + |inf| + 1 shifts blocks nothing.
+    Proof.  Each value a rule names blocks one shift: two extension labels,
+    two zeroed parameters, one per class of the deleted block and one per
+    label left at infinity (|inf| + |cls| for a shifted restriction)."""
     j = move[0] if move else len(blocks)
     if not 1 <= j <= len(blocks):
         raise IndexRangeError(f"block index {j} out of range")
     n, nj, cls = sum(blocks), blocks[j - 1], classes(j)
-    deleted = [label for label, _ in cls]
+    deleted, bound = [label for label, _ in cls], 4 + len(cls) + len(inf)
     if not move:
         (l1, _), (l2, _) = inf
-        ranks, shifts, mu_sum = [n - nj], range(40), -(l1 + l2)
+        ranks, shifts, mu_sum = [n - nj], range(bound + 1), -(l1 + l2)
 
         def blocks_an_operation(k):
             # k = 0 shifts nothing, so only CR can block it
@@ -489,7 +494,7 @@ def _plan(poles, blocks, move, inf, classes, epsilon) -> Plan:
         rho1, rho2 = move[1], move[2]
         m1, rest = _split_slot(inf, -rho1)
         m2, rest = _split_slot(rest, -rho2)
-        ranks, shifts, s12 = [n - m1 - m2 + n - nj], range(1, 60), rho1 + rho2
+        ranks, shifts, s12 = [n - m1 - m2 + n - nj], range(1, bound + 2), rho1 + rho2
         ext_inf = [label for label, m in ((-rho1, n - m2), (-rho2, n - m1)) if m]
         if len(move) == 4:
             rho3, s13, left = move[3], rho1 + move[3], [label for label, _ in rest]
@@ -514,10 +519,8 @@ def _plan(poles, blocks, move, inf, classes, epsilon) -> Plan:
     if epsilon is not None:
         shifts = [epsilon]
     shift = next((gr(k) for k in shifts if not blocks_an_operation(gr(k))), None)
-    if shift is None and epsilon is not None:
+    if shift is None:  # by the lemma, only a given epsilon
         raise NotGenericError(f"epsilon {epsilon} blocks an operation of the round")
-    if shift is None:
-        raise NotGenericError(f"no shift from {shifts[0]} to {shifts[-1]} leaves every operation defined")
     if not move:
         restriction = ("restrict", RestrictionParams(shift - l1, shift - l2, j))
         return Plan(shift, ((("euler", shift),) if shift else ()) + (restriction,))

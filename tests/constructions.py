@@ -1,5 +1,6 @@
 """Constructions that only the tests use: the normalized representative of a
-conjugacy class, and a basic rank-2 tuple found by a deterministic search."""
+conjugacy class, a basic rank-2 tuple found by a deterministic search, and
+the big matrices of a convolution."""
 
 import itertools
 from typing import Sequence
@@ -61,3 +62,14 @@ def find_basic_2x2_tuple() -> SchlesingerTuple:
             continue
         return t.with_scheme(sch)
     raise CalculusError("no basic rank-2 tuple found in the search box")
+
+
+def big_matrices(cd) -> list[ExactMatrix]:
+    """G_1, ..., G_p of the convolution data cd (`katz.convolution`): G_j
+    vanishes outside row block j, which is (A_1 ... A_j + lambda ... A_p)."""
+    p, zero = len(cd.residues), ExactMatrix.zeros(cd.residues[0].nrows)
+    out = []
+    for j in range(p):
+        b_j = [m.shift(cd.lam) if nu == j else m for nu, m in enumerate(cd.residues)]
+        out.append(linalg.block_matrix([b_j if i == j else [zero] * p for i in range(p)]))
+    return out

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from constructions import find_basic_2x2_tuple
+import yokoyama_cases
+from constructions import big_matrices, find_basic_2x2_tuple
 from fuchsmc import linalg
+from fuchsmc.cli import main
 from fuchsmc.errors import (
+    CalculusError,
     DuplicatePoleError,
     IndexRangeError,
     InvariantError,
@@ -19,7 +22,7 @@ from fuchsmc.errors import (
     PreconditionFailError,
     SchemeUnavailableError,
 )
-from fuchsmc.generate import random_schlesinger, rigid_family_realization
+from fuchsmc.generate import random_scheme_tuple, random_schlesinger, rigid_family_realization
 from fuchsmc.identities import run_katz_suite
 from fuchsmc.katz import (
     _mc_max,
@@ -30,6 +33,7 @@ from fuchsmc.katz import (
     mc_max,
     middle_convolution,
     permute,
+    plan_step,
     predicted_scheme,
     swap_with_infinity,
 )
@@ -41,6 +45,8 @@ from fuchsmc.linalg import (
     kernel_basis,
     rank,
 )
+from fuchsmc.okubo import onf_from_scf, scf_from_onf
+from fuchsmc.reduction import reduction_lines
 from fuchsmc.scalars import ZERO, gr
 from fuchsmc.schlesinger import (
     SchlesingerTuple,
@@ -49,7 +55,7 @@ from fuchsmc.schlesinger import (
     is_equivalent,
     residue_at_infinity,
 )
-from fuchsmc.serialization import system_to_json
+from fuchsmc.serialization import save_system, system_to_json
 from fuchsmc.spectral import RiemannScheme, d_max, format_spectral_type, ord_of
 
 E = ExactMatrix.from_rows
@@ -88,13 +94,13 @@ class TestConvolution:
     def test_single_point_block(self):
         t = SchlesingerTuple([0], [E([[4]])])
         cd = convolution(t, gr(3))
-        assert cd.big_matrices == [E([[7]])]
+        assert big_matrices(cd) == [E([[7]])]
 
     def test_two_point_assembly(self):
         t = SchlesingerTuple([0, 1], [E([[2]]), E([[3]])])
         cd = convolution(t, gr(5))
-        assert cd.big_matrices[0] == E([[7, 3], [0, 0]])
-        assert cd.big_matrices[1] == E([[0, 0], [2, 8]])
+        assert big_matrices(cd)[0] == E([[7, 3], [0, 0]])
+        assert big_matrices(cd)[1] == E([[0, 0], [2, 8]])
 
     def test_invertible_residues_have_trivial_kernel(self):
         t = SchlesingerTuple([0, 1], [E([[2]]), E([[3]])])
@@ -274,6 +280,109 @@ class TestMcMax:
         assert out.rank >= t.rank
 
 
+def normal_form_tuple(seed):
+    """The residue tuple of the normal form of a `random_scheme_tuple` draw
+    of rank 2 to 8, or None."""
+    rng = random.Random(seed)
+    try:
+        t = random_scheme_tuple(rng, rng.choice([2, 3, 4]), rng.choice([1, 2, 3]))
+        return scf_from_onf(onf_from_scf(t)) if 2 <= t.rank <= 8 else None
+    except CalculusError:
+        return None
+
+
+def slot_labels_by_the_rule(s):
+    """The slot labels of the step as the rule reads in words: per column
+    the first part of largest multiplicity; on a zero total, the first
+    choice with one such part of one column replaced by another of a
+    different label.  None when every choice sums to zero."""
+    tops = [[label for label, mult in col if mult == col[0][1]] for col in s.columns]
+    first = [labels[0] for labels in tops]
+    choices = [first] + [
+        first[:j] + [label] + first[j + 1 :] for j, labels in enumerate(tops) for label in labels if label != first[j]
+    ]
+    return next((c for c in choices if not sum(c, ZERO).is_zero()), None)
+
+
+def katz_step_by_the_rule(t):
+    """mu, lam and the public operations' output for the step of
+    `slot_labels_by_the_rule`, or None; each operation verifies the scheme
+    it predicts."""
+    labels = slot_labels_by_the_rule(t.scheme)
+    if labels is None:
+        return None
+    mu, lam = [-label for label in labels[1:]], sum(labels, ZERO)
+    return mu, lam, middle_convolution(addition(t, mu), lam)
+
+
+class TestPlanStep:
+    """`plan_step` is the step that the matrix level verifies and attaches."""
+
+    @given(st.one_of(st.integers(2, 8).map(lambda n: ("rigid", n)), st.integers(0, 10**6).map(lambda k: ("random", k))))
+    # non-semisimple classes: a repeated label at infinity's slot (28), at a
+    # finite slot's 0 (19) and elsewhere (0, 4)
+    @example(("random", 0))
+    @example(("random", 4))
+    @example(("random", 19))
+    @example(("random", 28))
+    @settings(max_examples=40, deadline=None)
+    def test_the_plan_is_the_verified_matrix_step(self, which):
+        kind, k = which
+        t = rigid_family_realization(k) if kind == "rigid" else normal_form_tuple(k)
+        assume(t is not None)
+        while t.rank > 1 and d_max(t.scheme.spectral_type()) > 0:
+            want = katz_step_by_the_rule(t)
+            if want is None:
+                with pytest.raises(PreconditionFailError):
+                    plan_step(t.scheme)
+                return
+            mu, lam, out = want
+            step = plan_step(t.scheme)
+            assert (list(step.mu), step.lam) == (mu, lam)
+            assert out.scheme is not None and step.scheme == out.scheme
+            got = _mc_max(t)
+            assert got.matrices == out.matrices and got.scheme == step.scheme
+            t = got
+
+    def test_a_zero_total_retries_a_tied_slot(self):
+        # the first parts -5, 1 and 4 sum to zero; -1 is infinity's other
+        # part of multiplicity 1
+        s = RiemannScheme(
+            [0, 1], [[(gr(-5), 1), (gr(-1), 1), (gr(0), 1)], [(gr(1), 1), (gr(2), 1), (gr(3), 1)], [(gr(4), 2), (gr(-8), 1)]]
+        )
+        step = plan_step(s)
+        assert step.slots == (2, 1, 1) and step.lam == gr(4)
+        assert [-c for c in step.mu] == slot_labels_by_the_rule(s)[1:] == [gr(1), gr(4)]
+        deltas = [-sum(step.mu, ZERO), *step.mu]
+        shifted = RiemannScheme(s.poles, [[(l + c, m) for l, m in col] for col, c in zip(s.columns, deltas)])
+        assert step.scheme == predicted_scheme(shifted, step.lam)
+
+    def test_a_zero_total_is_refused_at_both_levels(self, tmp_path, capsys):
+        # diagonal residues: every slot sits on the first two coordinates, so
+        # the slot labels sum to zero, and no column has a tie to retry
+        poles = [0, 1, 2]
+        t = SchlesingerTuple(poles, [ExactMatrix.diagonal(d) for d in ([1, 1, 2], [3, 3, 5], [-2, -2, 7])])
+        t = t.with_scheme(RiemannScheme(poles, [[(gr(-2), 2), (gr(-14), 1)], [(gr(1), 2), (gr(2), 1)], [(gr(3), 2), (gr(5), 1)], [(gr(-2), 2), (gr(7), 1)]]))
+        with pytest.raises(PreconditionFailError, match="sums to zero"):
+            plan_step(t.scheme)
+        with pytest.raises(PreconditionFailError, match="sums to zero"):
+            _mc_max(t)
+        inp = tmp_path / "diagonal.json"
+        save_system(str(inp), t)
+        assert main(["reduce", "--input", str(inp), "--mode", "katz", "--level", "scheme"]) == 1
+        assert "sums to zero" in capsys.readouterr().err
+        assert main(["reduce", "--input", str(inp), "--mode", "katz"]) == 1
+        assert "irreducible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", [f"rigid {n}" for n in range(2, 13)] + ["a", "b", "c"])
+def test_katz_levels_print_the_same_lines(case):
+    source = rigid_family_realization(int(case[6:])) if case.startswith("rigid") else getattr(yokoyama_cases, f"case_{case}")()
+    matrix = list(reduction_lines(source, "katz", "matrix"))
+    assert matrix == list(reduction_lines(source, "katz", "scheme"))
+    assert matrix[-1] == "reached rank 1"
+
+
 # -- oracle: the quotient construction on the whole convolution space ---------------
 
 
@@ -323,7 +432,7 @@ def assert_same_as_quotient(t, lam):
     lam = gr(lam)
     cd = convolution(t, lam)
     big, k_basis, l_basis, span_basis, comp = _convolution_by_quotient(t, lam)
-    assert cd.big_matrices == big
+    assert big_matrices(cd) == big
     assert cd.k_basis == k_basis and cd.l_basis == l_basis
     assert cd.span_basis == span_basis and cd.complement_basis == comp
     try:

@@ -7,6 +7,8 @@ level runs them, each once, so both levels print the same lines; a
 degenerate extension adds an empty block instead of blocking the round.
 """
 
+from itertools import islice
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from fuchsmc.cli import main
 from fuchsmc.errors import DegenerateExtensionError, NotGenericError
 from fuchsmc.generate import rigid_family_realization
 from fuchsmc.linalg import ExactMatrix
-from fuchsmc.okubo import OkuboSystem, _euler_transform, euler_transform, onf_from_scf, scf_from_onf
+from fuchsmc.okubo import OkuboSystem, _euler_transform, _structural_zero, euler_transform, onf_from_scf, scf_from_onf
 from fuchsmc.scalars import gr
 from fuchsmc.schlesinger import _is_irreducible_by_closure, infer_scheme, is_irreducible, verify_scheme
 from fuchsmc.spectral import RiemannScheme
@@ -27,6 +29,7 @@ from fuchsmc.yokoyama import (
     _plan_system,
     _restrict,
     _run_plan,
+    _scheme_of_plan,
     extend_direct,
     plan_round,
     rere_composite,
@@ -34,7 +37,7 @@ from fuchsmc.yokoyama import (
     scheme_of_extension,
     swap_blocks,
 )
-from yokoyama_cases import case_a, case_b, oracle, random_normal_forms
+from yokoyama_cases import case_a, case_b, case_c, oracle, random_normal_forms, scheme_lines, tied_scheme
 
 CAP = 40  # stage lines; a stage repeated without end fails the test instead
 
@@ -67,9 +70,31 @@ class TestRoadmapCases:
         assert lines(case_a(), "matrix") == lines(case_a(), "scheme") == want
 
     def test_case_b_ends_with_the_same_lines_at_both_levels(self):
-        matrix = lines(case_b(), "matrix")
-        assert matrix == lines(case_b(), "scheme")
-        assert matrix[-1] == "reached rank 1"
+        # its rank-4 stage repeated 20 times while rho3 was read as minus the
+        # second label of the column, the structural zero's 0 there
+        want = [
+            "step 0: rank 5, idx 2, type 221,32,32,41",
+            "step 1: rank 4, idx 2, type 211,31,22,31",
+            "step 2: rank 2, idx 2, type 11,11,2,11",
+            "step 3: rank 1, idx 2, type 1,1,1",
+            "reached rank 1",
+        ]
+        assert lines(case_b(), "matrix") == lines(case_b(), "scheme") == want
+
+    def test_tied_column_reaches_rank_1(self):
+        # 211,31,31,22 once repeated without end at both levels: its column
+        # [-53:2 0:2] lists the class first
+        want = [
+            "step 0: rank 6, idx 2, type 321,42,42,42",
+            "step 1: rank 5, idx 2, type 221,41,32,32",
+            "step 2: rank 4, idx 2, type 211,31,31,22",
+            "step 3: rank 2, idx 2, type 11,11,11,2",
+            "step 4: rank 2, idx 2, type 11,11,11",
+            "step 5: rank 1, idx 2, type 1,1",
+            "reached rank 1",
+        ]
+        assert list(islice(scheme_lines(*tied_scheme()), CAP)) == want
+        assert lines(case_c(), "matrix") == lines(case_c(), "scheme") == want
 
     def test_case_a_from_a_file(self, tmp_path, capsys):
         inp = tmp_path / "case_a.json"
@@ -91,6 +116,42 @@ def test_levels_print_the_same_lines(k):
     assert matrix[-1] == "reached rank 1"
 
 
+def test_two_rounds_lower_the_rank_as_the_move_proves():
+    # `reduction._yokoyama_move`'s lemma: a1 + c1 - z, at least the defect
+    rounds = 0
+    for o in CORPUS:
+        s, blocks = o.scheme, o.block_sizes
+        while s.order > 1:
+            m = s.spectral_type()
+            move = reduction._yokoyama_move(s, m, blocks)
+            if move is None:
+                break
+            out, out_blocks = _scheme_of_plan(s, blocks, plan_round(s, blocks, move))
+            if len(move) == 4:
+                n, j, col = s.order, move[0], m.columns[move[0]]
+                classes = _structural_zero(s.column_at(j), n, blocks[j - 1])
+                fall = s.column_at_infinity()[0][1] + (classes[0][1] if classes else 0) - (n - blocks[j - 1])
+                assert n - out.order == fall >= m.columns[0][0][1] - col[0][1] + (col[1][1] if len(col) > 1 else 0)
+                rounds += 1
+            s, blocks = out, out_blocks
+    assert rounds > 100
+
+
+def test_the_shift_search_is_bounded_by_counting():
+    # rank 64, type 1^64,(63)1,1^64: the labels 1..62 left at infinity block
+    # every eps up to 62, beyond the 59 of a fixed search
+    inf = [(gr(-200), 1), (gr(-199), 1)] + [(gr(k), 1) for k in range(1, 63)]
+    col_2 = [(gr(0), 1)] + [(gr(k), 1) for k in range(200, 263)]
+    s = RiemannScheme([0, 1], [inf, [(gr(0), 63), (gr(-16107), 1)], col_2])
+    blocks = (1, 63)
+    move = reduction._yokoyama_move(s, s.spectral_type(), blocks)
+    assert move == (2, gr(200), gr(199), gr(-200))
+    plan = plan_round(s, blocks, move)
+    assert plan.shift == gr(63)
+    out, _ = _scheme_of_plan(s, blocks, plan)
+    assert out.order < s.order
+
+
 class TestPlannerAgainstTheSearches:
     @staticmethod
     def walk(o, stages=10):
@@ -98,7 +159,7 @@ class TestPlannerAgainstTheSearches:
         for _ in range(stages):
             if o.rank == 1:
                 return
-            move = reduction._yokoyama_move(o.scheme, o.scheme.spectral_type())
+            move = reduction._yokoyama_move(o.scheme, o.scheme.spectral_type(), o.block_sizes)
             if move is None:
                 return
             yield o, move
@@ -184,7 +245,7 @@ def test_a_round_that_would_leave_rank_0_is_refused():
 
 def test_explicit_epsilon_is_checked_against_the_labels():
     o = onf_from_scf(rigid_family_realization(3))
-    j, rho1, rho2, rho3 = reduction._yokoyama_move(o.scheme, o.scheme.spectral_type())
+    j, rho1, rho2, rho3 = reduction._yokoyama_move(o.scheme, o.scheme.spectral_type(), o.block_sizes)
     # -rho1 is a label at infinity of the extension: the Euler shift collides
     with pytest.raises(NotGenericError, match="epsilon"):
         rere_composite(o, j, rho1, rho2, rho3, -rho1)

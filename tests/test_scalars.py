@@ -1,4 +1,5 @@
 import operator
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -236,3 +237,27 @@ def test_a_planted_sort_key_mutation_fails(monkeypatch, mutant):
     monkeypatch.setattr(GaussianRational, "sort_key", mutant)
     with pytest.raises(AssertionError):
         assert_orders_as_oracle(TIES)
+
+
+P = sys.hash_info.modulus
+
+
+@given(
+    st.one_of(st.integers(), st.integers(-(10**30), 10**30).map(lambda k: k * P)),
+    st.one_of(
+        st.integers(1, 10**6),
+        st.integers(1, 10**6).map(lambda k: k * P),
+        st.integers(2**61, 2**200),
+    ),
+)
+@settings(max_examples=300)
+def test_a_real_value_hashes_as_the_int_or_fraction_it_equals(num, den):
+    # the hash prime dividing den gives the infinity hash, and dividing num
+    # gives 0, both branches of Python's rule for rationals
+    q = Fraction(num, den)
+    g = gr(q)
+    assert g == q and hash(g) == hash(q)
+    if q.denominator == 1:
+        assert g == q.numerator and hash(g) == hash(q.numerator)
+        assert len({g, q.numerator}) == 1
+    assert {q: "q"}[g] == "q"

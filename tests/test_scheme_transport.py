@@ -8,6 +8,7 @@ reduction driver's output is unchanged.
 """
 
 import functools
+import itertools
 import json
 import random
 import sys
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from constructions import find_basic_2x2_tuple
-from fuchsmc import generate, linalg, modular, okubo, reduction, schlesinger, yokoyama
+from fuchsmc import generate, katz, linalg, modular, okubo, reduction, schlesinger, yokoyama
 from fuchsmc import serialization as ser
 from fuchsmc.cli import main
 from fuchsmc.errors import (
@@ -42,6 +43,7 @@ from fuchsmc.katz import (
     drop_trailing_zero_pole,
     middle_convolution,
     permute,
+    plan_step,
     swap_with_infinity,
 )
 from fuchsmc.linalg import ExactMatrix, rank
@@ -558,15 +560,36 @@ def transported_schemes(seed):
             pass
 
 
+def katz_transported_schemes(seed):
+    """Each scheme the Katz transports build from the residue tuple of the
+    normal form of `transport_draw`: an addition, a permutation, each swap
+    with infinity, the infinity column appended as a point and dropped
+    again, and the reduction step when it is defined."""
+    o, _, _ = transport_draw(seed)
+    rng, t = random.Random(seed), scf_from_onf(o)
+    p = t.num_points
+    yield addition(t, [rng.randint(-3, 3) for _ in range(p)]).scheme
+    yield permute(t, rng.sample(range(1, p + 1), p)).scheme
+    for j in range(1, p + 1):
+        yield swap_with_infinity(t, j).scheme
+    appended = append_infinity_pole(t, max(t.poles, key=lambda g: g.sort_key()) + 1)
+    yield appended.scheme
+    yield drop_trailing_zero_pole(swap_with_infinity(appended, p + 1)).scheme
+    try:
+        yield plan_step(t.scheme).scheme
+    except CalculusError:
+        pass
+
+
 class TestSchemesCanonicalizedOnce:
-    """The transports sort each column once, with `canonical_column`, and
-    build their scheme without sorting it again; the sorting constructor is
-    the oracle."""
+    """The transports sort each column once, with `canonical_column`, or
+    move canonical columns in an order-keeping way, and build their scheme
+    without sorting it again; the sorting constructor is the oracle."""
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
     def test_each_transport_builds_what_the_sorting_constructor_builds(self, seed):
-        for s in transported_schemes(seed):
+        for s in itertools.chain(transported_schemes(seed), katz_transported_schemes(seed)):
             assert s == RiemannScheme(s.poles, s.columns)
             assert s.spectral_type() == PartitionTuple.from_multiplicities(s.tuple_.multiplicities())
             assert s.spectral_type() is s.spectral_type()
@@ -578,6 +601,14 @@ class TestSchemesCanonicalizedOnce:
         with pytest.raises(AssertionError):
             for seed in range(60):
                 for s in transported_schemes(seed):
+                    assert s == RiemannScheme(s.poles, s.columns)
+
+    def test_a_planted_skipped_sort_in_the_convolution_fails(self, monkeypatch):
+        # the convolution's slot parts stay first where they sort later
+        monkeypatch.setattr(katz, "canonical_column", lambda entries: tuple((l, m) for l, m in entries if m))
+        with pytest.raises(AssertionError):
+            for seed in range(60):
+                for s in katz_transported_schemes(seed):
                     assert s == RiemannScheme(s.poles, s.columns)
 
 

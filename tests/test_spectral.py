@@ -6,6 +6,7 @@ from fuchsmc.errors import (
     ParseError,
     PreconditionFailError,
 )
+from fuchsmc.katz import plan_step
 from fuchsmc.scalars import gr
 from fuchsmc.spectral import (
     BASIC_TABLE_IDX0,
@@ -120,8 +121,9 @@ class TestReduction:
             [(gr(0), 1), (gr(-2), 1)],
             [(gr(0), 1), (gr(-3), 1)],
         ]
-        m = PartitionTuple(cols)
-        out = partial_max(m)
+        step = plan_step(RiemannScheme([0, 1], cols))
+        assert step.slots == (1, 1, 1) and step.lam == gr(-3)
+        out = step.scheme.tuple_
         assert ord_of(out) == 1
         labels = [col[0][0] for col in out.columns]
         assert labels[0] == gr(3) - gr(2)           # remaining infinity label

@@ -4,7 +4,9 @@ The oracles are the trial-run searches that chose a round's parameters
 before `yokoyama.plan_round`: they run every stage at eps = 1, 2, ... (or
 shift k = 0, 1, ...) and take the first run in which no stage raises.
 The cases are ROADMAP item 1's normal forms (a) and (b), on which the matrix
-level of `reduce --mode yokoyama` once repeated a stage without end.
+level of `reduce --mode yokoyama` once repeated a stage without end, and
+(c), on which both levels did, as each move took the structural zero of a
+tied column for a class.
 """
 
 import random
@@ -18,9 +20,12 @@ from fuchsmc.errors import (
     NotGenericError,
     ZeroRhoError,
 )
+from fuchsmc import reduction
 from fuchsmc.generate import random_scheme_tuple
+from fuchsmc.katz import addition, middle_convolution, plan_step
 from fuchsmc.linalg import ExactMatrix
 from fuchsmc.okubo import OkuboSystem, _euler_transform, onf_from_scf, pick_generic
+from fuchsmc.schlesinger import SchlesingerTuple
 from fuchsmc.scalars import gr
 from fuchsmc.spectral import RiemannScheme
 from fuchsmc.yokoyama import ExtensionParams, RestrictionParams, _extend_direct, _restrict
@@ -66,6 +71,52 @@ def case_b() -> OkuboSystem:
         ],
     )
     return OkuboSystem([2, 2, 1], [0, 1, 2], a, scheme)
+
+
+def tied_scheme():
+    """Rank 6, type 321,42,42,42 with blocks (2, 2, 2): its rank-4 stage
+    211,31,31,22 has the column [-53:2 0:2] at the reduction point, where
+    the class -53 sorts before the structural zero."""
+    scheme = RiemannScheme(
+        [0, 1, 2],
+        [
+            [(gr(48), 3), (gr(-11), 2), (gr(-104), 1)],
+            [(gr(0), 4), (gr(53), 2)],
+            [(gr(0), 4), (gr(-7), 2)],
+            [(gr(0), 4), (gr(-55), 2)],
+        ],
+    )
+    return scheme, (2, 2, 2)
+
+
+def case_c() -> OkuboSystem:
+    """`tied_scheme` realized: the normal form of `realize`'s tuple."""
+    o = onf_from_scf(realize(tied_scheme()[0]))
+    assert o.block_sizes == tied_scheme()[1]
+    return o
+
+
+def scheme_lines(scheme, blocks):
+    """The lines of the Yokoyama scheme level on a scheme with block sizes."""
+    stage = reduction._type_stage(scheme.spectral_type(), (scheme, tuple(blocks)))
+    return reduction._reduce(stage, reduction._scheme_step)
+
+
+def realize(scheme) -> SchlesingerTuple:
+    """A tuple carrying the scheme: Katz's algorithm run backwards.  The
+    scheme is reduced to rank 1 on labels (`plan_step`), and each step is
+    undone on matrices, convolving at -lam and adding -mu; every scheme the
+    convolutions predict is verified, and must be the recorded one."""
+    steps = []
+    while scheme.order > 1:
+        step = plan_step(scheme)
+        steps.append((scheme, step))
+        scheme = step.scheme
+    t = SchlesingerTuple(scheme.poles, [ExactMatrix.from_rows([[col[0][0]]]) for col in scheme.columns[1:]], scheme)
+    for before, step in reversed(steps):
+        t = addition(middle_convolution(t, -step.lam), [-c for c in step.mu])
+        assert t.scheme == before
+    return t
 
 
 def random_normal_forms(count: int, max_rank: int):
