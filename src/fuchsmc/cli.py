@@ -213,15 +213,16 @@ def cmd_idx(args) -> int:
 
 
 def cmd_scheme(args) -> int:
+    # the loader verifies a declared scheme; the command checks an inferred one
     system = ser.load_system(args.input)
     t = scf_from_onf(system) if isinstance(system, OkuboSystem) else system
     scheme = t.scheme
-    if scheme is None and args.infer:
-        scheme = infer_scheme(t)
     if scheme is None:
-        raise SchemeUnavailableError("no declared scheme; rerun with --infer")
-    if not verify_scheme(t, scheme):
-        raise InvariantError("scheme fails verification")
+        if not args.infer:
+            raise SchemeUnavailableError("no declared scheme; rerun with --infer")
+        scheme = infer_scheme(t)
+        if not verify_scheme(t, scheme):
+            raise InvariantError("scheme fails verification")
     print(json.dumps(ser.scheme_to_json(scheme), indent=1))
     print(f"verified; spectral type {format_spectral_type(scheme.spectral_type())}")
     return 0

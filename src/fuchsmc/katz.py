@@ -1,12 +1,15 @@
 """Rank-preserving and rank-changing operations on residue tuples.
 
 Every operation carries a Riemann scheme by one rule (see
-`schlesinger._attach_scheme`).  Additions, point swaps, permutations and
-adding or dropping a zero residue are exact transports: each output residue
-is an input residue, the residue at infinity, a scalar shift of one of them,
-or zero, so the scheme is attached with no verification.  The convolution's
-scheme is a prediction that holds under genericity hypotheses (Dettweiler
-and Reiter), so it is verified once and dropped when it fails.
+`schlesinger._attach_scheme`): a lemma gives it from the input's verified
+scheme, and the operation checks the lemma's hypotheses.  Additions, point
+swaps, permutations and adding or dropping a zero residue are exact
+transports: each output residue is an input residue, the residue at
+infinity, a scalar shift of one of them, or zero.  The convolution's scheme
+is Dettweiler and Reiter's (`predicted_scheme`), which the reduction step
+`_mc_max` has proven applies.  The public `middle_convolution` proves none
+of its hypotheses, so it verifies its prediction once and drops it when it
+fails.
 
 The middle convolution of (A_1, ..., A_p) at lambda (Dettweiler and Reiter,
 J. Symbolic Comput. 30 (2000)) is the action of the convolution tuple on
@@ -34,8 +37,8 @@ lambda, W = (A_1 ... A_p).  So no elimination needs to be pn x pn:
   same matrices.
 
 Every step runs on the Z[i] rows the residues store (`linalg._kernel_rows`,
-integer kernel products, `linalg._reduced`); Gaussian rationals appear only
-in the Vector views of `ConvolutionData`.
+integer kernel products, `linalg._reduced`); no basis is read back as
+Gaussian-rational vectors.
 """
 
 from __future__ import annotations
@@ -55,14 +58,14 @@ from .errors import (
     PreconditionFailError,
     SchemeUnavailableError,
 )
-from .linalg import ExactMatrix, IntRow, Vector
+from .linalg import ExactMatrix, IntRow
 from .scalars import GaussianRational, gr
 from .schlesinger import (
     SchlesingerTuple,
-    _attach_predicted,
     _attach_scheme,
     is_irreducible,
     residue_at_infinity,
+    verify_scheme,
 )
 from .spectral import Column, RiemannScheme, canonical_column
 
@@ -101,8 +104,7 @@ class ConvolutionData:
     """K, L and the quotient coordinates of the convolution tuple.
 
     K, L and the independent choice from K + L are Z[i] rows (f, v), each
-    the vector v / v[f], as `linalg._kernel_rows` gives them; k_basis,
-    l_basis and span_basis are their Vector views, built on each read.
+    the vector v / v[f], as `linalg._kernel_rows` gives them.
     complement_basis is C, as `linalg.complete_to_basis` picks it;
     projection is the matrix of pi.
     """
@@ -115,10 +117,6 @@ class ConvolutionData:
         self.residues, self.lam = residues, lam
         self.k_rows, self.l_rows, self.span_rows = k_rows, l_rows, span_rows
         self.complement_basis, self.projection = complement_basis, projection
-
-    k_basis = property(lambda self: _vectors(self.k_rows))
-    l_basis = property(lambda self: _vectors(self.l_rows))
-    span_basis = property(lambda self: _vectors(self.span_rows))
 
 
 def convolution(t: SchlesingerTuple, lam) -> ConvolutionData:
@@ -172,18 +170,20 @@ def _kernel(a: ExactMatrix, name: str) -> list[Row]:
     return kern
 
 
-def _vectors(rows: list[Row]) -> list[Vector]:
-    return [tuple(linalg._scalar(x, y, re[f]) for x, y in zip(re, im)) for f, (re, im) in rows]
-
-
 def middle_convolution(t: SchlesingerTuple, lam) -> SchlesingerTuple:
     """The induced tuple on the quotient of the convolution space:
     M_j = pi[:, block j] * B_j[:, C] (see the module docstring).
 
     Total as a construction; the theorem-backed facts (index invariance,
     composition, preserved irreducibility) hold under the genericity
-    conditions and are asserted only in tests.  The scheme is a predicted
-    transport (`predicted_scheme`), verified once against the output.
+    conditions and are asserted only in tests.  The scheme is
+    `predicted_scheme`'s, verified once against the output and dropped when
+    it fails or cannot be formed (NotNormalizableError).  Its lemma needs
+    lam != 0 and conditions (*) and (**), which this operation does not
+    prove.  Outside them a prediction is often still right: of 2336 on
+    random rank-2 and rank-3 tuples with entries in -1..1 that fail them,
+    2094 verified.  So the check, not the lemma, decides here; `_mc_max`,
+    which proves the conditions, attaches the prediction unverified.
     """
     lam = gr(lam)
     cd = convolution(t, lam)
@@ -206,7 +206,13 @@ def middle_convolution(t: SchlesingerTuple, lam) -> SchlesingerTuple:
             im[k][k] += li * u
         mats.append(linalg._matrix(q, q, den, re, im))
     out = SchlesingerTuple(t.poles, mats)
-    return _attach_predicted(out, t.scheme, lambda s: predicted_scheme(s, lam))
+    if t.scheme is None:
+        return out
+    try:
+        predicted = predicted_scheme(t.scheme, lam)
+    except NotNormalizableError:
+        return out
+    return _attach_scheme(out, predicted) if verify_scheme(out, predicted) else out
 
 
 # -- point bookkeeping operations -------------------------------------------------
@@ -285,6 +291,38 @@ def predicted_scheme(s: RiemannScheme, lam) -> RiemannScheme:
     -lam at infinity and +lam at finite points.  For lam = 0 the convolution
     is the identity up to conjugacy and the scheme is returned unchanged.
     The convolution half of `plan_step`; each column is sorted once.
+
+    Lemma.  Let s be the verified scheme of a tuple t that satisfies
+    Dettweiler and Reiter's conditions (*) and (**), and let lam != 0.  Then
+    this is the scheme of `middle_convolution(t, lam)`, and it raises
+    nothing.
+
+    Proof.  A canonical column lists each label's parts in descending
+    multiplicity, and a class is fixed by its Weyr counts w_k, the number
+    of Jordan blocks of size >= k at the label; so each label's parts must
+    be the output's Weyr counts.  The output's rank is m = pn - sum_j
+    nullity(A_j) - nullity(A_inf - lam): K = (+) ker A_j, L = diag ker(sum
+    A_j + lam) and they meet in 0.  The largest part of a label is its
+    nullity, so the finite slots are nullity(A_j), infinity's is
+    nullity(A_inf - lam), and d = n - m.  Under the hypotheses, Dettweiler
+    and Reiter's theorem (J. Algebra 318 (2007)) gives the output's Jordan
+    blocks.  At a finite point, J(a, l) with a not in {0, -lam} becomes
+    J(a + lam, l), J(0, l) becomes J(lam, l - 1), J(-lam, l) becomes
+    J(0, l + 1), and e blocks J(0, 1) fill the rank m.  Let z_1 >= z_2 >= ...
+    be the Weyr counts at 0 and y_1 >= y_2 >= ... those at -lam.  The output
+    has a's counts at a + lam, z_2, z_3, ... at lam, and y_1 + e, y_1, y_2,
+    ... at 0.  The blocks other than the e fill n - z_1 + y_1, so
+    y_1 + e = m - n + z_1 = z_1 - d.  The rule above moves every finite part
+    by lam, except the slot, the part z_1 at 0, which becomes z_1 - d at 0:
+    the first Weyr count at 0, followed by the y_k moved there from -lam,
+    while the z_k for k >= 2 land at lam.  At infinity, J(a, l) with a not in
+    {0, lam} becomes J(a - lam, l), J(lam, l) becomes J(0, l - 1), J(0, l)
+    becomes J(-lam, l + 1), and e' blocks J(-lam, 1) fill the rank; with
+    u_k at lam and v_k at 0, the same count gives u_1 - d = v_1 + e' as the
+    first Weyr count at -lam, followed by the v_k, and u_2, u_3, ... at 0.
+    A multiplicity z_1 - d or u_1 - d of zero means no block there, and
+    `canonical_column` drops the part.  As e and e' are >= 0, no
+    multiplicity is negative.
     """
     lam = gr(lam)
     if lam.is_zero():
@@ -328,23 +366,28 @@ def mc_max(t: SchlesingerTuple) -> SchlesingerTuple:
 
 
 def _mc_max(t: SchlesingerTuple) -> SchlesingerTuple:
-    """`mc_max` on a scheme-carrying tuple of rank >= 2 that the caller has
-    proven irreducible: `plan_step` of its scheme applied to the residues,
-    whose scheme is verified once against the output.
+    """`mc_max` on a scheme-carrying tuple that the caller has proven
+    irreducible: `plan_step` of its scheme applied to the residues, with
+    the step's scheme attached by lemma.
 
-    Lemma.  The output is irreducible.
+    Lemma.  The output is irreducible, and its scheme is the step's.
 
     Proof.  An addition shifts each residue by a scalar, so it keeps every
-    invariant subspace.  An irreducible tuple of rank >= 2 satisfies
-    Dettweiler and Reiter's conditions (*) and (**): a nonzero vector in
-    the kernels of the A_i, i != j, and of A_j + tau spans an invariant
-    line, and a proper subspace that contains their images is invariant,
-    and nonzero unless every residue is scalar.  So their theorem makes the
-    convolution at lam != 0 irreducible; a rank-0 output raises.
+    invariant subspace, and its scheme is `_shifted`'s.  An irreducible
+    tuple of rank >= 2 satisfies Dettweiler and Reiter's conditions (*) and
+    (**): a nonzero vector in the kernels of the A_i, i != j, and of
+    A_j + tau spans an invariant line, and a proper subspace that contains
+    their images is invariant, and nonzero unless every residue is scalar.
+    The step's lam is nonzero: the slot labels' sum, or after a retry on a
+    zero sum, a different label less the one it replaced.  So their theorem
+    makes the convolution irreducible, and `predicted_scheme`'s lemma gives
+    its scheme; a rank-0 output raises.  At rank 1 each column has one
+    part, the additions zero every finite residue, K is the whole space and
+    the convolution raises.
     """
     step = plan_step(t.scheme)
     out = middle_convolution(addition(t.with_scheme(None), step.mu), step.lam)
-    return _attach_predicted(out, t.scheme, lambda _: step.scheme)
+    return _attach_scheme(out, step.scheme)
 
 
 class KatzStep(NamedTuple):

@@ -25,7 +25,7 @@ from .errors import (
 from .katz import predicted_scheme
 from .linalg import ExactMatrix
 from .scalars import GaussianRational, format_scalar, gr
-from .schlesinger import SchlesingerTuple, _attach_predicted, _attach_scheme, verify_scheme
+from .schlesinger import SchlesingerTuple, _attach_scheme, verify_scheme
 from .spectral import Column, RiemannScheme, canonical_column
 
 
@@ -219,6 +219,31 @@ def mc_via_images(o: OkuboSystem, lam) -> OkuboSystem:
     is conjugate to a normal-form system living on the direct sum of the
     residue images; this builds that system directly and is the independent
     counterpart of the quotient construction.
+
+    Lemma.  Let o satisfy the normal-form conditions and carry a verified
+    scheme s, with lam != 0 and A + lam invertible.  The output is
+    conjugate to `middle_convolution(scf_from_onf(o), lam)`, and its scheme
+    is `predicted_scheme(s, lam)`.
+
+    Proof.  Write A_j = E_j A for the residues, E_j the projection onto
+    block j.  First, L = diag ker(sum A_j + lam) = diag ker(A + lam) = 0.
+    The map phi: (v_nu) -> (A_nu v_nu) takes V = (Q(i)^n)^p onto
+    W = (+) im A_nu with kernel K, and phi G_j = H_j phi, where H_j vanishes
+    outside row block j, which is (A_j ... A_j) + lam.  So V/(K + L) with
+    the induced maps is W with the H_j, and the output, the restriction of
+    their sum to W in the image bases, has the H_j as its residues.
+    Second, the residues satisfy (*) and (**), as A is invertible.  (*) at
+    k: let A_j v = 0 for j != k and (A_k + tau) v = 0.  Then A v = A_k v =
+    -tau v, so v = 0 when tau = 0; else v = -A_k v / tau lies in block k,
+    where it is an eigenvector of the diagonal block killed by the other
+    rows of its column strip, which the column test excludes.  (**) at k:
+    let w A_j = 0 for j != k and w (A_k + tau) = 0.  Each block row of A has
+    full row rank, so w vanishes outside block k; there it is a left
+    eigenvector of the diagonal block that kills the rest of its row
+    strip, which the row test excludes.  With one point there is no other
+    block, and no condition is needed: K = ker A = 0, the output is A + lam,
+    and `predicted_scheme` moves s by lam with d = 0.  Otherwise
+    `predicted_scheme`'s lemma gives the scheme.
     """
     lam = gr(lam)
     if lam.is_zero():
@@ -238,7 +263,7 @@ def mc_via_images(o: OkuboSystem, lam) -> OkuboSystem:
     b = linalg.block_matrix([zeros[:j] + [c] + zeros[j + 1 :] for j, c in enumerate(images)])
     # the new coefficient matrix is the restricted sum
     out = OkuboSystem([c.ncols for c in images], o.poles, linalg.solve(b, gsum * b))
-    return _attach_predicted(out, o.scheme, lambda s: predicted_scheme(s, lam))
+    return _attach_scheme(out, None if o.scheme is None else predicted_scheme(o.scheme, lam))
 
 
 def euler_transform(o: OkuboSystem, lam) -> OkuboSystem:

@@ -73,7 +73,19 @@ def reduction_lines(source, mode: str, level: str) -> Iterator[str]:
 def _reduce(stage, step) -> Iterator[str]:
     """The reduction loop.  A stage is (rank, idx, spectral type m, state);
     step(state, m) takes one reduction step from it and returns the next
-    stage, or None when no reduction point is left."""
+    stage, or None when no reduction point is left.
+
+    Progress guard.  Each step must lower the rank plus the number of
+    points, so the loop ends within that many steps; a step that does not
+    raises InvariantError naming its stage.  The guard cannot fire: a Katz
+    step, on a system, a scheme or a bare type, lowers the rank by its slot
+    defect d > 0 and adds no point; two Yokoyama rounds lower the rank by
+    at least the reduction point's positive defect and keep the points
+    (`_yokoyama_move`'s lemma); and a shifted restriction deletes the last
+    point and lowers the rank by its block size, which may be zero.  So the
+    rank alone need not fall within two steps: blocks (1, 1, 0, 0) stay at
+    rank 2 for two steps while their empty blocks go.
+    """
     for k in count():
         rank, idx, m, state = stage
         yield f"step {k}: rank {rank}, idx {idx}, type {format_spectral_type(m)}"
@@ -90,6 +102,9 @@ def _reduce(stage, step) -> Iterator[str]:
             yield f"minimal normal-form stage reached: {format_spectral_type(m)}"
             yield _name_basic(katz_reduce(m)[0])
             return
+        if stage[0] + stage[2].num_points >= rank + m.num_points:
+            stalled = f"step {k} (rank {rank}, type {format_spectral_type(m)})"
+            raise InvariantError(f"{stalled} lowered neither the rank nor the number of points")
 
 
 def _name_basic(m: PartitionTuple) -> str:

@@ -19,7 +19,6 @@ from .errors import (
     DuplicatePoleError,
     InvariantError,
     NonSquareError,
-    NotNormalizableError,
     PartitionSizeMismatchError,
     PointMismatchError,
     SchemeUnavailableError,
@@ -87,12 +86,12 @@ class SchlesingerTuple:
 # -- carrying a Riemann scheme through an operation -----------------------------
 #
 # An operation that builds a system from a scheme-carrying one carries the
-# scheme by one of two rules.  An exact transport has a lemma, stated in the
-# operation's docstring, that gives every output class from the input's
-# verified ones; it checks the lemma's hypotheses and attaches the transported
-# scheme with `_attach_scheme`, verifying nothing.  A predicted transport rests
-# on genericity hypotheses that it does not check, so `_attach_predicted`
-# verifies its scheme once and drops it when the check fails.
+# scheme by one rule: a lemma, stated in the operation's docstring, gives
+# every output class from the input's verified ones; the operation checks the
+# lemma's hypotheses and attaches the scheme with `_attach_scheme`, verifying
+# nothing.  A scheme is verified where it enters the library: a constructor,
+# with_scheme, a file, and the public `katz.middle_convolution`, which does
+# not prove its lemma's hypotheses and so checks its prediction instead.
 
 
 def _attach_scheme(system, scheme: Optional[RiemannScheme]):
@@ -100,7 +99,7 @@ def _attach_scheme(system, scheme: Optional[RiemannScheme]):
     not verified again; system itself when scheme is None.
 
     Only for a scheme just verified against exactly this system's residues,
-    or one an exact transport lemma gives from a verified scheme, so that each
+    or one a transport lemma gives from a verified scheme, so that each
     (system, scheme) pair is verified at most once.  A scheme from any other
     source goes through the verifying constructors or with_scheme.
     """
@@ -109,27 +108,6 @@ def _attach_scheme(system, scheme: Optional[RiemannScheme]):
     out = copy.copy(system)
     out.scheme = scheme
     return out
-
-
-def _attach_predicted(system, scheme: Optional[RiemannScheme], predict):
-    """system carrying predict(scheme), the scheme that an operation with
-    genericity hypotheses predicts from its input's verified `scheme`, when
-    that prediction verifies against system's residues; system itself when
-    scheme is None, when predict raises NotNormalizableError, or when the
-    prediction fails the check.  system is the operation's scheme-less output.
-    """
-    if scheme is None:
-        return system
-    try:
-        predicted = predict(scheme)
-    except NotNormalizableError:
-        return system
-    from .okubo import OkuboSystem, scf_from_onf  # okubo imports this module
-
-    t = scf_from_onf(system) if isinstance(system, OkuboSystem) else system
-    if predicted.order != t.rank or not verify_scheme(t, predicted):
-        return system
-    return _attach_scheme(system, predicted)
 
 
 def residue_at_infinity(t: SchlesingerTuple) -> ExactMatrix:
@@ -406,8 +384,24 @@ def infer_scheme(t: SchlesingerTuple) -> RiemannScheme:
     infinity first, whose residue has an eigenvalue outside Q(i).
 
     Each column comes from lifted modular roots (`_class_column`), in time
-    polynomial in the size of the entries, and the scheme is then verified
-    against the residues like a declared one.
+    polynomial in the size of the entries.
+
+    Lemma.  The scheme passes `verify_scheme`.
+
+    Proof.  `_gaussian_parts` gives, for each candidate eigenvalue, its Weyr
+    counts.  The candidates are distinct: each reduces, under Z[i] -> F_p
+    with i -> iota, to the root mod p it was lifted from, and those roots
+    are distinct.  When the counts sum to n, the candidates therefore cover
+    every eigenvalue with its whole multiplicity.  `verify_scheme` checks
+    each column by `_in_class` (its block lemma is equivalent), which tests
+    the nullity of each prefix product (m - c_1)...(m - c_k) of the
+    canonical column.  The kernel of a product of commuting polynomials in
+    m splits over m's generalized eigenspaces, so this kernel is the direct
+    sum, over the labels c, of ker (m - c)^k_c, where k_c counts c among
+    c_1, ..., c_k.  A canonical column lists each label's parts in
+    descending multiplicity, so the first k_c parts of c are its first k_c
+    Weyr counts, and they add up to nullity (m - c)^k_c.  The nullity of the
+    prefix product is therefore the sum of its parts, which is the check.
     """
     points = [("infinity", residue_at_infinity(t))]
     for j, (pole, m) in enumerate(zip(t.poles, t.matrices), start=1):
@@ -420,10 +414,7 @@ def infer_scheme(t: SchlesingerTuple) -> RiemannScheme:
                 f"the residue at {point} has eigenvalues outside the Gaussian rationals"
             )
         cols.append(col)
-    scheme = RiemannScheme(t.poles, cols)
-    if not verify_scheme(t, scheme):
-        raise SchemeUnavailableError("inferred class data failed verification")
-    return scheme
+    return RiemannScheme(t.poles, cols)
 
 
 def _class_column(m: ExactMatrix) -> Optional[Column]:

@@ -10,7 +10,8 @@ Scheme object:        {"points": ["inf", ...], "columns":
 All scalars are strings in the canonical grammar; multiplicities and block
 sizes are JSON integers.  A file that breaks this shape raises ParseError.
 Operation logs are JSON objects, one per line, replayable through
-apply_operation.
+apply_operation; their scalars may also be JSON integers, and a missing or
+malformed field raises ParseError naming it.
 """
 
 from __future__ import annotations
@@ -208,41 +209,55 @@ def apply_operation(system, entry: dict):
     if op in ("mc", "add", "swapinf", "perm", "appendpole", "dropzero"):
         t = scf_from_onf(system) if isinstance(system, OkuboSystem) else system
         if op == "mc":
-            return middle_convolution(t, parse_scalar(str(entry["lambda"])))
+            return middle_convolution(t, _field(entry, "lambda", _operand))
         if op == "add":
-            return addition(t, [parse_scalar(str(x)) for x in entry["mu"]])
+            return addition(t, _field(entry, "mu", lambda x: [_operand(c) for c in _list(x, "its value")]))
         if op == "swapinf":
-            return swap_with_infinity(t, int(entry["j"]))
+            return swap_with_infinity(t, _field(entry, "j", _integer))
         if op == "perm":
-            return permute(t, [int(x) for x in entry["sigma"]])
+            return permute(t, _field(entry, "sigma", lambda x: [_integer(k) for k in _list(x, "its value")]))
         if op == "appendpole":
-            return append_infinity_pole(t, parse_scalar(str(entry["t"])))
+            return append_infinity_pole(t, _field(entry, "t", _operand))
         return drop_trailing_zero_pole(t)
     if op in ("extend", "restrict", "euler", "convert"):
         o = onf_from_scf(system) if isinstance(system, SchlesingerTuple) else system
         if op == "extend":
-            params = ExtensionParams(
-                parse_scalar(str(entry["rho1"])),
-                parse_scalar(str(entry["rho2"])),
-                parse_scalar(str(entry["t"])),
-            )
+            params = ExtensionParams(*(_field(entry, name, _operand) for name in ("rho1", "rho2", "t")))
             return extend_direct(o, params)
         if op == "restrict":
             return restrict(o, _restriction_params(o, entry))
         if op == "euler":
-            return euler_transform(o, parse_scalar(str(entry["lambda"])))
+            return euler_transform(o, _field(entry, "lambda", _operand))
         return o
     raise ParseError(f"unknown operation {op!r}")
+
+
+def _field(entry: dict, name: str, read):
+    """read(entry[name]); a missing field, or one that read refuses, raises
+    ParseError naming the field."""
+    if name not in entry:
+        raise ParseError(f'operation {entry.get("op")!r} needs the field "{name}"')
+    try:
+        return read(entry[name])
+    except ParseError as exc:
+        raise ParseError(f'field "{name}": {exc}') from None
+
+
+def _operand(x) -> GaussianRational:
+    """A scalar of an operation log: a string in the grammar or an integer."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return GaussianRational(x)
+    if not isinstance(x, str):
+        raise ParseError(f"scalar {x!r} must be a string or an integer")
+    return parse_scalar(x)
 
 
 def _restriction_params(o: OkuboSystem, entry: dict) -> RestrictionParams:
     from .errors import NotQ2Error
 
-    j = int(entry["j"])
+    j = _field(entry, "j", _integer)
     if "mu1" in entry and "mu2" in entry:
-        return RestrictionParams(
-            parse_scalar(str(entry["mu1"])), parse_scalar(str(entry["mu2"])), j
-        )
+        return RestrictionParams(_field(entry, "mu1", _operand), _field(entry, "mu2", _operand), j)
     if o.scheme is None:
         raise NotQ2Error(
             "restriction needs mu1/mu2 explicitly or a declared scheme to read them from"

@@ -1,15 +1,22 @@
 """Constructions that only the tests use: the normalized representative of a
-conjugacy class, a basic rank-2 tuple found by a deterministic search, and
-the big matrices of a convolution."""
+conjugacy class, a basic rank-2 tuple found by a deterministic search, the
+big matrices and the bases of a convolution, and the old rule that verified
+every predicted scheme."""
 
 import itertools
 from typing import Sequence
 
 from fuchsmc import linalg
-from fuchsmc.errors import CalculusError, PartitionSizeMismatchError, SchemeUnavailableError
+from fuchsmc.errors import (
+    CalculusError,
+    NotNormalizableError,
+    PartitionSizeMismatchError,
+    SchemeUnavailableError,
+)
 from fuchsmc.linalg import ExactMatrix
+from fuchsmc.okubo import OkuboSystem, scf_from_onf
 from fuchsmc.scalars import ONE, ZERO, gr
-from fuchsmc.schlesinger import SchlesingerTuple, infer_scheme, is_irreducible
+from fuchsmc.schlesinger import SchlesingerTuple, _attach_scheme, infer_scheme, is_irreducible, verify_scheme
 from fuchsmc.spectral import canonical_column, format_spectral_type
 
 
@@ -73,3 +80,41 @@ def big_matrices(cd) -> list[ExactMatrix]:
         b_j = [m.shift(cd.lam) if nu == j else m for nu, m in enumerate(cd.residues)]
         out.append(linalg.block_matrix([b_j if i == j else [zero] * p for i in range(p)]))
     return out
+
+
+def _vectors(rows):
+    """Gaussian-rational vectors of Z[i] rows (f, v), each the vector v / v[f]."""
+    return [tuple(linalg._scalar(x, y, re[f]) for x, y in zip(re, im)) for f, (re, im) in rows]
+
+
+def k_basis(cd):
+    """K of the convolution data cd as vectors."""
+    return _vectors(cd.k_rows)
+
+
+def l_basis(cd):
+    """L of the convolution data cd as vectors."""
+    return _vectors(cd.l_rows)
+
+
+def span_basis(cd):
+    """The independent choice from K + L of the convolution data cd as vectors."""
+    return _vectors(cd.span_rows)
+
+
+def attach_predicted(system, scheme, predict):
+    """The rule that verified every predicted scheme, the oracle of the
+    transport lemmas: system, an operation's scheme-less output, carrying
+    predict(scheme) when that prediction verifies against its residues;
+    system itself when scheme is None, when predict raises
+    NotNormalizableError, or when the check fails."""
+    if scheme is None:
+        return system
+    try:
+        predicted = predict(scheme)
+    except NotNormalizableError:
+        return system
+    t = scf_from_onf(system) if isinstance(system, OkuboSystem) else system
+    if predicted.order != t.rank or not verify_scheme(t, predicted):
+        return system
+    return _attach_scheme(system, predicted)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import constructions
 import yokoyama_cases
-from constructions import big_matrices, find_basic_2x2_tuple
+from constructions import attach_predicted, big_matrices, find_basic_2x2_tuple
 from fuchsmc import linalg
 from fuchsmc.cli import main
 from fuchsmc.errors import (
@@ -19,6 +20,7 @@ from fuchsmc.errors import (
     LengthMismatchError,
     NotAPermutationError,
     NotIrreducibleError,
+    NotOkuboConvertibleError,
     PreconditionFailError,
     SchemeUnavailableError,
 )
@@ -26,6 +28,7 @@ from fuchsmc.generate import random_scheme_tuple, random_schlesinger, rigid_fami
 from fuchsmc.identities import run_katz_suite
 from fuchsmc.katz import (
     _mc_max,
+    _shifted,
     addition,
     append_infinity_pole,
     convolution,
@@ -45,18 +48,18 @@ from fuchsmc.linalg import (
     kernel_basis,
     rank,
 )
-from fuchsmc.okubo import onf_from_scf, scf_from_onf
+from fuchsmc.okubo import OkuboSystem, mc_via_images, onf_from_scf, scf_from_onf
 from fuchsmc.reduction import reduction_lines
 from fuchsmc.scalars import ZERO, gr
 from fuchsmc.schlesinger import (
     SchlesingerTuple,
-    _attach_predicted,
     index_of_rigidity,
     is_equivalent,
+    is_irreducible,
     residue_at_infinity,
 )
 from fuchsmc.serialization import save_system, system_to_json
-from fuchsmc.spectral import RiemannScheme, d_max, format_spectral_type, ord_of
+from fuchsmc.spectral import RiemannScheme, d_max, format_spectral_type, ord_of, parse_spectral_type
 
 E = ExactMatrix.from_rows
 
@@ -104,16 +107,17 @@ class TestConvolution:
 
     def test_invertible_residues_have_trivial_kernel(self):
         t = SchlesingerTuple([0, 1], [E([[2]]), E([[3]])])
-        assert convolution(t, gr(1)).k_basis == []
+        assert constructions.k_basis(convolution(t, gr(1))) == []
 
     def test_subspace_dimensions_add_up(self):
         rng = random.Random(2)
         t = random_schlesinger(rng, 2, 2)
         cd = convolution(t, gr(1))
         pn = 4
-        overlap = len(cd.k_basis) + len(cd.l_basis) - len(cd.span_basis)
+        span = constructions.span_basis(cd)
+        overlap = len(constructions.k_basis(cd)) + len(constructions.l_basis(cd)) - len(span)
         assert overlap >= 0
-        assert len(cd.span_basis) + len(cd.complement_basis) == pn
+        assert len(span) + len(cd.complement_basis) == pn
 
 
 class TestMiddleConvolution:
@@ -125,7 +129,7 @@ class TestMiddleConvolution:
         out = middle_convolution(t, 1)
         cd = convolution(t, gr(1))
         pn = 1
-        assert out.rank == pn - len(cd.span_basis)
+        assert out.rank == pn - len(constructions.span_basis(cd))
 
     def test_composition_on_random_irreducible(self):
         rng = random.Random(4)
@@ -375,6 +379,142 @@ class TestPlanStep:
         assert "irreducible" in capsys.readouterr().err
 
 
+# -- Dettweiler and Reiter's lemma against the old verify-once rule --------------
+
+LEMMA_TYPES = ["11,11,11", "111,111,21", "21,21,21,21", "211,22,31,31", "1111,1111,31", "211,211,211", "221,32,32,41"]
+
+
+def realized_tuple(seed):
+    """`yokoyama_cases.realize` of a rigid type of LEMMA_TYPES with labels in
+    -2..2, the Fuchs relation fixed on a part of multiplicity one; None when
+    the labels do not realize or the realization is reducible.  The small
+    labels collide, so classes are often non-semisimple and labels land at
+    0 and -lam."""
+    rng = random.Random(seed)
+    m = parse_spectral_type(rng.choice(LEMMA_TYPES))
+    cols = [[(gr(rng.randint(-2, 2)), mult) for _, mult in col] for col in m.columns]
+    total = sum((label * mult for col in cols for label, mult in col), ZERO)
+    j, i = next((j, i) for j, col in enumerate(cols) for i, (_, mult) in enumerate(col) if mult == 1)
+    cols[j][i] = (cols[j][i][0] - total, 1)
+    try:
+        t = yokoyama_cases.realize(RiemannScheme(range(len(cols) - 1), cols))
+    except (AssertionError, CalculusError):
+        return None
+    return t if is_irreducible(t) else None
+
+
+def lemma_input(which):
+    kind, k = which
+    if kind == "rigid":
+        return rigid_family_realization(k)
+    return normal_form_tuple(k) if kind == "random" else realized_tuple(k)
+
+
+def lemma_branches(s, lam):
+    """The parts of s that `predicted_scheme(s, lam)` moves by the lemma's
+    special cases: a second part at 0 or a part at -lam at a finite point,
+    a second part at lam or a part at 0 at infinity."""
+    found = set()
+    for col in s.columns[1:]:
+        if sum(label.is_zero() for label, _ in col) > 1:
+            found.add("finite 0 twice")
+        if any(label == -lam for label, _ in col):
+            found.add("finite -lam")
+    inf = s.column_at_infinity()
+    if sum(label == lam for label, _ in inf) > 1:
+        found.add("infinity lam twice")
+    if any(label.is_zero() for label, _ in inf):
+        found.add("infinity 0")
+    return found
+
+
+def mc_max_against_verification(t):
+    """_mc_max(t) and the branches its step reaches, after checking that
+    it attaches the scheme the old rule attaches to the same output: the
+    step's scheme when `verify_scheme` accepts it, none when it does not."""
+    step = plan_step(t.scheme)
+    got = _mc_max(t)
+    bare = middle_convolution(addition(t.with_scheme(None), step.mu), step.lam)
+    want = attach_predicted(bare, t.scheme, lambda _: step.scheme)
+    assert got.matrices == bare.matrices
+    assert want.scheme is not None and got.scheme == want.scheme
+    return got, lemma_branches(_shifted(t.scheme, step.mu), step.lam)
+
+
+def images_against_verification(t):
+    """The branches that `mc_via_images` reaches on t's normal form, after
+    checking at up to three parameters that it attaches the scheme the old
+    rule attaches.  The parameters put a finite label at -lam, or are 1 and
+    2; none is a label at infinity, as A + lam must be invertible."""
+    try:
+        o = onf_from_scf(t)
+    except NotOkuboConvertibleError:
+        return set()
+    inf = {label for label, _ in o.scheme.column_at_infinity()}
+    finite = [-label for col in o.scheme.columns[1:] for label, _ in col if not label.is_zero()]
+    found = set()
+    for lam in [lam for lam in dict.fromkeys(finite + [gr(1), gr(2)]) if lam not in inf][:3]:
+        got = mc_via_images(o, lam)
+        bare = OkuboSystem(got.block_sizes, got.poles, got.a)
+        want = attach_predicted(bare, o.scheme, lambda s: predicted_scheme(s, lam))
+        assert want.scheme is not None and got.scheme == want.scheme
+        found |= lemma_branches(o.scheme, lam)
+    return found
+
+
+def lemma_walk(t):
+    """The branches reached by `_mc_max` and by `mc_via_images` on every
+    stage of t's Katz reduction, each stage checked against the old rule."""
+    by_step, by_images = set(), set()
+    while t.rank > 1 and d_max(t.scheme.spectral_type()) > 0:
+        by_images |= images_against_verification(t)
+        try:
+            t, found = mc_max_against_verification(t)
+        except PreconditionFailError:  # a zero slot total: no step, no scheme
+            break
+        by_step |= found
+    return by_step, by_images
+
+
+# random normal forms that reach each branch: by the step, 0 (infinity lam
+# twice), 4 (finite 0 twice) and 27 (finite -lam); by the images, 0 (finite
+# -lam) and 19 (finite 0 twice)
+LEMMA_EXAMPLES = [("random", 0), ("random", 4), ("random", 19), ("random", 27)]
+
+
+class TestDettweilerReiterLemma:
+    """The old rule, which verified every predicted scheme once, is the
+    oracle of the schemes that `_mc_max` and `mc_via_images` attach by
+    `predicted_scheme`'s lemma: the same scheme, and never none."""
+
+    @given(
+        st.one_of(
+            st.integers(2, 10).map(lambda n: ("rigid", n)),
+            st.integers(0, 10**6).map(lambda k: ("random", k)),
+            st.integers(0, 10**6).map(lambda k: ("realized", k)),
+        )
+    )
+    @example(("random", 0))
+    @example(("random", 4))
+    @example(("random", 19))
+    @example(("random", 27))
+    @settings(max_examples=60, deadline=None)
+    def test_lemma_attaches_what_verification_accepts(self, which):
+        t = lemma_input(which)
+        assume(t is not None)
+        lemma_walk(t)
+
+    def test_every_branch_is_reached(self):
+        by_step, by_images = set(), set()
+        for which in LEMMA_EXAMPLES:
+            step, images = lemma_walk(lemma_input(which))
+            by_step |= step
+            by_images |= images
+        assert {"finite 0 twice", "finite -lam", "infinity lam twice"} <= by_step
+        # A and A + lam are invertible, so infinity has no part at 0 or lam
+        assert by_images == {"finite 0 twice", "finite -lam"}
+
+
 @pytest.mark.parametrize("case", [f"rigid {n}" for n in range(2, 13)] + ["a", "b", "c"])
 def test_katz_levels_print_the_same_lines(case):
     source = rigid_family_realization(int(case[6:])) if case.startswith("rigid") else getattr(yokoyama_cases, f"case_{case}")()
@@ -422,7 +562,7 @@ def _mc_by_quotient(t, lam):
     basis_inv = inverse(ExactMatrix.from_columns(span_basis, nrows=pn).hstack(comp_mat))
     mats = [(basis_inv * (g * comp_mat)).submatrix(range(s, pn), range(len(comp))) for g in big]
     out = SchlesingerTuple(t.poles, mats)
-    scheme = _attach_predicted(out, t.scheme, lambda s: predicted_scheme(s, lam)).scheme
+    scheme = attach_predicted(out, t.scheme, lambda s: predicted_scheme(s, lam)).scheme
     return out if scheme is None else out.with_scheme(scheme)
 
 
@@ -433,8 +573,8 @@ def assert_same_as_quotient(t, lam):
     cd = convolution(t, lam)
     big, k_basis, l_basis, span_basis, comp = _convolution_by_quotient(t, lam)
     assert big_matrices(cd) == big
-    assert cd.k_basis == k_basis and cd.l_basis == l_basis
-    assert cd.span_basis == span_basis and cd.complement_basis == comp
+    assert constructions.k_basis(cd) == k_basis and constructions.l_basis(cd) == l_basis
+    assert constructions.span_basis(cd) == span_basis and cd.complement_basis == comp
     try:
         want = _mc_by_quotient(t, lam)
     except PreconditionFailError as exc:
@@ -535,7 +675,7 @@ class TestAgainstTheQuotientConstruction:
     def test_complement_is_complete_to_basis(self, t, lam):
         cd = convolution(t, lam)
         pn = t.num_points * t.rank
-        stacked = ExactMatrix.from_columns(cd.k_basis + cd.l_basis, nrows=pn)
+        stacked = ExactMatrix.from_columns(constructions.k_basis(cd) + constructions.l_basis(cd), nrows=pn)
         assert cd.complement_basis == complete_to_basis(stacked)[1]
 
 

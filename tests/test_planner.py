@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 from fuchsmc import reduction, serialization as ser, yokoyama
 from fuchsmc.cli import main
-from fuchsmc.errors import DegenerateExtensionError, NotGenericError
+from fuchsmc.errors import DegenerateExtensionError, InvariantError, NotGenericError
 from fuchsmc.generate import rigid_family_realization
 from fuchsmc.linalg import ExactMatrix
 from fuchsmc.okubo import OkuboSystem, _euler_transform, _structural_zero, euler_transform, onf_from_scf, scf_from_onf
 from fuchsmc.scalars import gr
 from fuchsmc.schlesinger import _is_irreducible_by_closure, infer_scheme, is_irreducible, verify_scheme
-from fuchsmc.spectral import RiemannScheme
+from fuchsmc.spectral import RiemannScheme, parse_spectral_type
 from fuchsmc.yokoyama import (
     ExtensionParams,
     RestrictionParams,
@@ -95,6 +95,20 @@ class TestRoadmapCases:
         ]
         assert list(islice(scheme_lines(*tied_scheme()), CAP)) == want
         assert lines(case_c(), "matrix") == lines(case_c(), "scheme") == want
+
+    def test_empty_blocks_go_at_equal_rank(self):
+        # two trailing empty blocks: two shifted restrictions delete them at
+        # rank 2, so the rank falls only in the third step
+        o = OkuboSystem([1, 1, 0, 0], [0, 1, 2, 3], ExactMatrix.from_rows([[1, 2], [2, 1]]))
+        o = o.with_scheme(infer_scheme(scf_from_onf(o)))
+        want = [
+            "step 0: rank 2, idx 2, type 11,11,11,2,2",
+            "step 1: rank 2, idx 2, type 11,11,11,2",
+            "step 2: rank 2, idx 2, type 11,11,11",
+            "step 3: rank 1, idx 2, type 1,1",
+            "reached rank 1",
+        ]
+        assert lines(o, "matrix") == lines(o, "scheme") == want
 
     def test_case_a_from_a_file(self, tmp_path, capsys):
         inp = tmp_path / "case_a.json"
@@ -307,3 +321,12 @@ class TestEmptyBlock:
         assert irreducible(ext)
         with pytest.raises(DegenerateExtensionError):
             extend_direct(o, params)
+
+
+def test_a_step_that_lowers_nothing_is_an_invariant_breach():
+    # a stub step that returns its own stage keeps the rank and the points
+    stage = reduction._type_stage(parse_spectral_type("11,11,11"))
+    steps = reduction._reduce(stage, lambda state, m: reduction._type_stage(m))
+    assert next(steps) == "step 0: rank 2, idx 2, type 11,11,11"
+    with pytest.raises(InvariantError, match=r"^step 0 \(rank 2, type 11,11,11\) lowered neither"):
+        next(steps)

@@ -22,7 +22,7 @@ from fuchsmc.linalg import ExactMatrix, inverse
 from fuchsmc.okubo import onf_from_scf
 from fuchsmc.scalars import gr
 from fuchsmc.serialization import save_system
-from fuchsmc.schlesinger import SchlesingerTuple, infer_scheme
+from fuchsmc.schlesinger import SchlesingerTuple, infer_scheme, verify_scheme
 from fuchsmc.spectral import canonical_column
 
 E = ExactMatrix.from_rows
@@ -91,10 +91,14 @@ def corpus_label(rng):
 
 
 def inferred(t):
+    """infer_scheme(t)'s repr, or its error; an inferred scheme must pass the
+    check that inference no longer runs, `verify_scheme`."""
     try:
-        return repr(infer_scheme(t))
+        scheme = infer_scheme(t)
     except SchemeUnavailableError:
         return "SchemeUnavailableError"
+    assert verify_scheme(t, scheme)
+    return repr(scheme)
 
 
 # -- totality: each input in a child process, under a one-second bound --------------
@@ -269,9 +273,11 @@ def jordan_sums(draw):
 def test_planted_spectrum_is_inferred(blocks, seed):
     m = planted(random.Random(seed), blocks, spread=2)
     assert m.den > 1
-    scheme = infer_scheme(SchlesingerTuple([0], [m]))
+    t = SchlesingerTuple([0], [m])
+    scheme = infer_scheme(t)
     assert scheme.column_at(1) == weyr_column(blocks)
     assert scheme.column_at_infinity() == weyr_column([(-label, size) for label, size in blocks])
+    assert verify_scheme(t, scheme)
 
 
 # infer_scheme on SchlesingerTuple([0], [corpus_residue(rng)]), rng seeded

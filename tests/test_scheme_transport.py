@@ -1,10 +1,10 @@
 """Each (system, scheme) fact on the scheme-transport path is computed once.
 
-An exact transport attaches its scheme by lemma, with `verify_scheme` kept
-as the oracle; a predicted one is verified once against the output it is
-attached to; a scheme from outside (constructor, with_scheme, file) is still
-verified; a composite without epsilon runs the epsilon it plans; and the
-reduction driver's output is unchanged.
+A transport attaches its scheme by lemma, with `verify_scheme` kept as the
+oracle; only the public middle convolution verifies its prediction, once,
+against the output it is attached to; a scheme from outside (constructor,
+with_scheme, file) is still verified; a composite without epsilon runs the
+epsilon it plans; and the reduction driver's output is unchanged.
 """
 
 import functools
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from constructions import find_basic_2x2_tuple
+from constructions import attach_predicted, find_basic_2x2_tuple
 from fuchsmc import generate, katz, linalg, modular, okubo, reduction, schlesinger, yokoyama
 from fuchsmc import serialization as ser
 from fuchsmc.cli import main
@@ -138,8 +138,8 @@ def test_katz_reduce_verifies_each_scheme_once(tmp_path, monkeypatch, capsys, de
     seen = verify_scheme_keys(monkeypatch)
     assert main(["reduce", "--input", str(inp), "--mode", "katz"]) == 0
     assert "reached rank 1" in capsys.readouterr().out
-    assert seen
-    assert len(set(seen)) == len(seen)
+    # the declared scheme at load; an inferred one is proven, not checked
+    assert len(seen) == (1 if declared else 0)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -208,28 +208,29 @@ def test_yokoyama_reduce_proves_each_fact_cheaply(tmp_path, monkeypatch, capsys)
 
 @pytest.mark.parametrize("declared", [True, False], ids=["declared", "inferred"])
 def test_katz_reduce_verifies_only_the_load_and_the_convolutions(tmp_path, monkeypatch, capsys, declared):
-    # rank 5 to 1: the load (or the inference) and one convolution per step;
-    # the additions of mc_max attach their schemes by lemma
+    # rank 5 to 1: only the declared scheme at load; the inference and each
+    # step's additions and convolution attach their schemes by lemma
     t = rigid_family_realization(5)
     inp = tmp_path / "rigid5.json"
     ser.save_system(str(inp), t if declared else t.with_scheme(None))
     seen = verify_scheme_keys(monkeypatch)
     assert main(["reduce", "--input", str(inp), "--mode", "katz"]) == 0
     assert capsys.readouterr().out == GOLDEN_REDUCE[(5, "katz")]
-    assert len(seen) == 1 + 4
+    assert len(seen) == (1 if declared else 0)
 
 
 @pytest.mark.parametrize("declared", [True, False], ids=["declared", "inferred"])
 def test_yokoyama_reduce_verifies_only_the_load(tmp_path, monkeypatch, capsys, declared):
-    # rank 5 to 1: the load (or the inference); extension, the Euler shift,
-    # restriction and the block swaps attach their schemes by lemma
+    # rank 5 to 1: only the declared scheme at load; the inference,
+    # extension, the Euler shift, restriction and the block swaps attach
+    # their schemes by lemma
     o = rigid_onf(5)
     inp = tmp_path / "rigid5.json"
     ser.save_system(str(inp), o if declared else o.with_scheme(None))
     seen = verify_scheme_keys(monkeypatch)
     assert main(["reduce", "--input", str(inp), "--mode", "yokoyama"]) == 0
     assert capsys.readouterr().out == GOLDEN_REDUCE[(5, "yokoyama")]
-    assert len(seen) == 1
+    assert len(seen) == (1 if declared else 0)
 
 
 @functools.cache
@@ -333,7 +334,7 @@ def okubo_pool():
 def transport_outcome(operation, system, params):
     """operation(system, params), `extend_direct` or `restrict`, against the
     old rule, which verified every prediction once: the scheme it attaches
-    must be the one `_attach_predicted` attaches to the same output, the
+    must be the one `attach_predicted` attaches to the same output, the
     prediction when `verify_scheme` accepts it and none when it does not.
     Returns how the scheme was carried: "raised", "lemma", "verified" or
     "dropped"."""
@@ -350,14 +351,14 @@ def transport_outcome(operation, system, params):
             return "raised"
     bare = OkuboSystem(got.block_sizes, got.poles, got.a)
     if operation is extend_direct:
-        want = schlesinger._attach_predicted(
+        want = attach_predicted(
             bare,
             system.scheme,
             lambda s: scheme_of_extension(s, params.rho1, params.rho2, system.block_sizes, params.t_new),
         )
     else:
         ow = yokoyama.swap_blocks(system, params.j, system.num_points)
-        want = schlesinger._attach_predicted(
+        want = attach_predicted(
             bare,
             ow.scheme,
             lambda s: scheme_of_restriction(s, ow.block_sizes),
@@ -692,6 +693,28 @@ class TestOutsideSchemesAreStillVerified:
         inp.write_text(json.dumps(data))
         assert main(["reduce", "--input", str(inp), "--mode", "yokoyama"]) == 3
         assert "invariant breach" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("declared", [True, False], ids=["declared", "inferred"])
+    def test_scheme_command_verifies_each_scheme_once(self, tmp_path, monkeypatch, capsys, declared):
+        # the loader checks a declared scheme, the command an inferred one
+        t = rigid_family_realization(4)
+        inp = tmp_path / "rigid4.json"
+        ser.save_system(str(inp), t if declared else t.with_scheme(None))
+        seen = verify_scheme_keys(monkeypatch)
+        assert main(["scheme", "--input", str(inp), "--infer"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(json.dumps(ser.scheme_to_json(t.scheme), indent=1))
+        assert out.endswith("verified; spectral type 1111,31,1111\n")
+        assert len(seen) == 1
+
+    def test_scheme_command_refuses_a_mismatched_file(self, tmp_path, capsys):
+        o = rigid_onf(3)
+        data = ser.onf_to_json(o)
+        data["scheme"] = ser.scheme_to_json(wrong_scheme(o.scheme))
+        inp = tmp_path / "bad.json"
+        inp.write_text(json.dumps(data))
+        assert main(["scheme", "--input", str(inp)]) == 3
+        assert "declared scheme does not match" in capsys.readouterr().err
 
 
 class TestInvariantErrorsPropagate:

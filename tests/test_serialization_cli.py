@@ -141,6 +141,47 @@ class TestApply:
         assert "parse error" in capsys.readouterr().err
 
 
+# operation-log entries that name a malformed or missing field, and that
+# field; each was once read as something else ("21" as [2, 1], 1.7 and true
+# as 1) or raised a KeyError, ValueError or TypeError (exit 1)
+MALFORMED_OPS = {
+    "sigma as a string": ({"op": "perm", "sigma": "21"}, "sigma"),
+    "mu as a string": ({"op": "add", "mu": "12"}, "mu"),
+    "a float j": ({"op": "swapinf", "j": 1.7}, "j"),
+    "a boolean j": ({"op": "swapinf", "j": True}, "j"),
+    "a missing lambda": ({"op": "mc"}, "lambda"),
+    "a text j": ({"op": "swapinf", "j": "x"}, "j"),
+    "sigma as a number": ({"op": "perm", "sigma": 5}, "sigma"),
+    "a boolean in mu": ({"op": "add", "mu": ["1", True]}, "mu"),
+    "a float lambda": ({"op": "euler", "lambda": 0.5}, "lambda"),
+    "a bad scalar t": ({"op": "appendpole", "t": "1 2"}, "t"),
+    "a missing rho2": ({"op": "extend", "rho1": "1", "t": "5"}, "rho2"),
+    "a float j to restrict": ({"op": "restrict", "j": 1.0}, "j"),
+}
+
+
+class TestOperationFields:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_OPS))
+    def test_malformed_field_is_a_parse_error(self, tmp_path, capsys, case):
+        entry, field = MALFORMED_OPS[case]
+        with pytest.raises(ParseError, match=f'"{field}"'):
+            ser.apply_operation(rigid_family_realization(3), entry)
+        inp, ops = tmp_path / "in.json", tmp_path / "ops.jsonl"
+        ser.save_system(str(inp), rigid_family_realization(3))
+        ops.write_text(json.dumps(entry) + "\n")
+        assert main(["apply", "--input", str(inp), "--ops", str(ops), "--output", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert "parse error" in err and f'"{field}"' in err
+
+    def test_scalars_may_be_strings_or_integers(self):
+        t = rigid_family_realization(3)
+        for text, number in (({"op": "mc", "lambda": "2"}, {"op": "mc", "lambda": 2}),
+                             ({"op": "add", "mu": ["1", "-2"]}, {"op": "add", "mu": [1, -2]})):
+            a, b = ser.apply_operation(t, text), ser.apply_operation(t, number)
+            assert ser.system_to_json(a) == ser.system_to_json(b)
+        assert ser.apply_operation(t, {"op": "perm", "sigma": [2, 1]}).poles == (gr(1), gr(0))
+
+
 # a UTF-16 byte-order mark and a NUL: no UTF-8 decoder accepts the first byte
 NOT_UTF8 = b"\xff\xfe\x00"
 
