@@ -8,12 +8,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import CalculusError
-from .generate import (
-    random_okubo,
-    random_scheme_tuple,
-    random_schlesinger,
-    rigid_family_realization,
-)
+from .generate import random_okubo, random_scheme_tuple, random_schlesinger, rigid_family_type
 from .katz import addition, middle_convolution, permute, swap_with_infinity
 from .okubo import (
     OkuboSystem,
@@ -31,7 +26,7 @@ from .schlesinger import (
     is_irreducible,
     matrix_tuples_equivalent,
 )
-from .spectral import d_max, katz_reduce, lemma_ineq_holds, ord_of
+from .spectral import d_max, katz_reduce, lemma_ineq_holds, ord_of, parse_spectral_type
 from .yokoyama import (
     ExtensionParams,
     RestrictionParams,
@@ -367,8 +362,7 @@ def run_reduction_inequality_suite(max_rank: int = 5) -> SuiteReport:
 
     rep = SuiteReport()
     for n in range(2, max_rank + 1):
-        t = rigid_family_realization(n)
-        m = t.scheme.spectral_type()
+        m = parse_spectral_type(rigid_family_type(n))
         chain = [m] + katz_reduce(m)[1]
         for step, cur in enumerate(chain):
             if ord_of(cur) <= 1 or d_max(cur) <= 0:

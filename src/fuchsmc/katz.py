@@ -105,7 +105,7 @@ class ConvolutionData:
 
     K, L and the independent choice from K + L are Z[i] rows (f, v), each
     the vector v / v[f], as `linalg._kernel_rows` gives them.
-    complement_basis is C, as `linalg.complete_to_basis` picks it;
+    complement_basis is C, as `tests/constructions.complete_to_basis` picks it;
     projection is the matrix of pi.
     """
 

@@ -535,21 +535,6 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     return _stacked([(d, (re[n:], im[n:])) for d, (re, im) in rows], n)
 
 
-def complete_to_basis(span_cols: ExactMatrix) -> tuple[list[int], list[int]]:
-    """Split coordinates against a spanning set.
-
-    Returns (independent, complement): the rref-pivot choice of independent
-    columns of span_cols, and the standard basis indices completing them to a
-    basis of the ambient space.
-    """
-    n = span_cols.nrows
-    aug = span_cols.hstack(ExactMatrix.identity(n))
-    pivots = independent_columns(aug)
-    indep = [c for c in pivots if c < span_cols.ncols]
-    comp = [c - span_cols.ncols for c in pivots if c >= span_cols.ncols]
-    return indep, comp
-
-
 # -- Gaussian integer matrices -------------------------------------------------
 
 

@@ -287,9 +287,8 @@ def _euler_transform(o: OkuboSystem, lam) -> OkuboSystem:
     [0:n - n_j] followed by the classes of its diagonal block plus lambda,
     which are the block's classes with every label raised by lambda.
 
-    Proof.  A scalar shift moves every label and keeps every Weyr count.  A
-    residue's nonzero rows are its block row, which no other residue shares,
-    and A and A + lambda are invertible, so `verify_scheme`'s block lemma
+    Proof.  A scalar shift moves every label and keeps every Weyr count.
+    A and A + lambda are invertible, so the block lemma (`_structural_zero`)
     gives the column of block j, in o and in the output alike, as
     [0:n - n_j] followed by the classes of the diagonal block (n_j = n
     leaves one point, whose residue is the whole matrix).
@@ -347,8 +346,27 @@ def _invertible(s: RiemannScheme) -> bool:
 
 def _structural_zero(col: Column, n: int, nj: int) -> list:
     """The parts of a normal-form column without its structural kernel part
-    [0:n - nj]: the classes of the diagonal block, by `verify_scheme`'s block
-    lemma.  A column without that part raises NotONFShapeError."""
+    [0:n - nj]: the classes of the diagonal block, by the block lemma below.
+    A column without that part raises NotONFShapeError.
+
+    Block lemma.  Let the n x n matrix M have its nonzero rows among I,
+    |I| = r < n, and let its rows I, [P | B] with P = M[I, I], have full row
+    rank r.  Then M is in the class of a canonical column C if and only if
+    C's first zero part has multiplicity n - r and P is in the class of C
+    with that part removed.  A normal-form residue whose A is invertible is
+    such an M: its rows I are the block row of A, which no other residue
+    shares.
+
+    Proof.  Ordering I first, M = [[P, B], [0, 0]].  For c != 0,
+    M - c = [[P - c, B], [0, -c]] with -c invertible, so
+    nullity((M - c)^k) = nullity((P - c)^k).  For c = 0, the rows of M^k
+    are those of P^(k-1) [P | B], whose rank is rank(P^(k-1)) since
+    [P | B] has full row rank, so nullity(M^k) = n - r + nullity(P^(k-1)).
+    The Weyr counts of M are therefore those of P, except at 0, where
+    n - r comes first.  A canonical column lists the parts of each label in
+    descending multiplicity, and they are that label's Weyr counts, so C's
+    zero parts must be n - r followed by P's, and its other parts P's.
+    """
     if nj == n:
         return list(col)
     for i, (label, m) in enumerate(col):

@@ -10,8 +10,7 @@ class described by an (eigenvalue, multiplicity) list.
 from __future__ import annotations
 
 import copy
-from collections import Counter
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Optional, Sequence
 
 from . import linalg, modular
@@ -320,59 +319,15 @@ def _in_class(m: ExactMatrix, column: Column) -> bool:
 
 
 def verify_scheme(t: SchlesingerTuple, s: RiemannScheme) -> bool:
-    """Check the declared scheme column-by-column against the residues.
-
-    A scheme's columns are canonical and all sum to its order, so each one
-    can go to the class test as it is.  The infinity column goes first.
-    When it passes with no zero label, the residue sum S is invertible, and
-    a finite residue M whose nonzero rows I meet no other residue's nonzero
-    rows, with 0 < |I| = r < n, is checked on its r x r support block
-    P = M[I, I] instead (a normal-form residue is one such block row):
-
-    Lemma.  M is in the class of a canonical column C if and only if C's
-    first zero part has multiplicity n - r and P is in the class of C with
-    that part removed.
-
-    Proof.  Ordering I first, M = [[P, B], [0, 0]], and the rows I of S are
-    [P | B], since no other residue has a nonzero row in I; S is invertible,
-    so [P | B] has full row rank r.  For c != 0, M - c = [[P - c, B],
-    [0, -c]] with -c invertible, so nullity((M - c)^k) = nullity((P - c)^k).
-    For c = 0, the rows of M^k are those of P^(k-1) [P | B], whose rank is
-    rank(P^(k-1)), so nullity(M^k) = n - r + nullity(P^(k-1)).  The Weyr
-    counts of M are therefore those of P, except at 0, where n - r comes
-    first.  A canonical column lists the parts of each label in descending
-    multiplicity, and they are that label's Weyr counts, so C's zero parts
-    must be n - r followed by P's, and its other parts P's.
-    """
+    """Check the declared scheme column by column against the residues,
+    infinity first.  A scheme's columns are canonical and all sum to its
+    order, so each one goes to the class test as it is."""
     if s.poles != t.poles:
         raise PointMismatchError("scheme points disagree with the tuple's poles")
     if s.order != t.rank:
         return False
-    inf_col = s.column_at_infinity()
-    if not _in_class(residue_at_infinity(t), inf_col):
-        return False
-    n = t.rank
-    supports = [[i for i, (x, y) in enumerate(zip(m.re, m.im)) if any(x) or any(y)] for m in t.matrices]
-    owned = set()  # the rows that are nonzero in exactly one residue
-    if not any(label.is_zero() for label, _ in inf_col):
-        counts = Counter(chain.from_iterable(supports))
-        owned = {i for i, c in counts.items() if c == 1}
-    return all(
-        _in_block_class(m, rows, col)
-        if 0 < len(rows) < n and owned.issuperset(rows)
-        else _in_class(m, col)
-        for m, rows, col in zip(t.matrices, supports, s.columns[1:])
-    )
-
-
-def _in_block_class(m: ExactMatrix, rows: list[int], column: Column) -> bool:
-    """`_in_class` for a residue whose nonzero rows are exactly `rows`, and
-    whose row block of the (invertible) residue sum is its own: the lemma of
-    `verify_scheme`."""
-    k = next((k for k, (label, _) in enumerate(column) if label.is_zero()), None)
-    if k is None or column[k][1] != m.nrows - len(rows):
-        return False
-    return _in_class(m.submatrix(rows, rows), column[:k] + column[k + 1 :])
+    residues = (residue_at_infinity(t),) + t.matrices
+    return all(_in_class(m, col) for m, col in zip(residues, s.columns))
 
 
 # -- scheme inference ------------------------------------------------------------
@@ -393,12 +348,11 @@ def infer_scheme(t: SchlesingerTuple) -> RiemannScheme:
     with i -> iota, to the root mod p it was lifted from, and those roots
     are distinct.  When the counts sum to n, the candidates therefore cover
     every eigenvalue with its whole multiplicity.  `verify_scheme` checks
-    each column by `_in_class` (its block lemma is equivalent), which tests
-    the nullity of each prefix product (m - c_1)...(m - c_k) of the
-    canonical column.  The kernel of a product of commuting polynomials in
-    m splits over m's generalized eigenspaces, so this kernel is the direct
-    sum, over the labels c, of ker (m - c)^k_c, where k_c counts c among
-    c_1, ..., c_k.  A canonical column lists each label's parts in
+    each column by `_in_class`, which tests the nullity of each prefix
+    product (m - c_1)...(m - c_k) of the canonical column.  The kernel of a
+    product of commuting polynomials in m splits over m's generalized
+    eigenspaces, so this kernel is the direct sum, over the labels c, of
+    ker (m - c)^k_c, where k_c counts c among c_1, ..., c_k.  A canonical column lists each label's parts in
     descending multiplicity, so the first k_c parts of c are its first k_c
     Weyr counts, and they add up to nullity (m - c)^k_c.  The nullity of the
     prefix product is therefore the sum of its parts, which is the check.

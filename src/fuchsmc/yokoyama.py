@@ -151,15 +151,13 @@ def _extend_direct(o: OkuboSystem, params: ExtensionParams) -> OkuboSystem:
     rho1 = rho2, times an invertible map.  So A on U has A's Weyr counts
     with the first one at each rho_k removed (the first two when rho1 =
     rho2), and Y has them at s - lam, which is s + l for the label l = -lam
-    at infinity.  The proof of `verify_scheme`'s block lemma uses the
-    invertible residue sum only to give a residue's block row full row
-    rank, and each block row of A_hat has it: [A_j | C_j] contains A's
-    block row j, A being invertible, and [X | Y] has r rows and
-    rank(X) = rank(W) = r.
+    at infinity.  The block lemma (`_structural_zero`) needs a residue's
+    block row to have full row rank, and each block row of A_hat has it:
+    [A_j | C_j] contains A's block row j, A being invertible, and [X | Y]
+    has r rows and rank(X) = rank(W) = r.
     So block j's column is [0:n + r - n_j] followed by the classes of
     A_hat's diagonal block j: A's block for j <= p, Y for the new point.
-    The same lemma on o reads A's blocks from o's scheme
-    (`_structural_zero`).
+    The same lemma on o reads A's blocks from o's scheme.
 
     Lemma (extension keeps irreducibility).  If o is irreducible, so is
     A_hat.

@@ -1,7 +1,7 @@
 """Constructions that only the tests use: the normalized representative of a
 conjugacy class, a basic rank-2 tuple found by a deterministic search, the
-big matrices and the bases of a convolution, and the old rule that verified
-every predicted scheme."""
+big matrices, the bases and the complement choice of a convolution, and the
+old rule that verified every predicted scheme."""
 
 import itertools
 from typing import Sequence
@@ -80,6 +80,18 @@ def big_matrices(cd) -> list[ExactMatrix]:
         b_j = [m.shift(cd.lam) if nu == j else m for nu, m in enumerate(cd.residues)]
         out.append(linalg.block_matrix([b_j if i == j else [zero] * p for i in range(p)]))
     return out
+
+
+def complete_to_basis(span_cols: ExactMatrix) -> tuple[list[int], list[int]]:
+    """Split coordinates against a spanning set: the rref-pivot choice of
+    independent columns of span_cols, and the standard basis indices that
+    complete them to a basis of the ambient space.  The oracle of
+    `katz.ConvolutionData.complement_basis`."""
+    n = span_cols.nrows
+    pivots = linalg.independent_columns(span_cols.hstack(ExactMatrix.identity(n)))
+    indep = [c for c in pivots if c < span_cols.ncols]
+    comp = [c - span_cols.ncols for c in pivots if c >= span_cols.ncols]
+    return indep, comp
 
 
 def _vectors(rows):

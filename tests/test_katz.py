@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import constructions
 import yokoyama_cases
-from constructions import attach_predicted, big_matrices, find_basic_2x2_tuple
+from constructions import attach_predicted, big_matrices, complete_to_basis, find_basic_2x2_tuple
 from fuchsmc import linalg
 from fuchsmc.cli import main
 from fuchsmc.errors import (
@@ -43,7 +43,6 @@ from fuchsmc.katz import (
 from fuchsmc.linalg import (
     ExactMatrix,
     block_matrix,
-    complete_to_basis,
     inverse,
     kernel_basis,
     rank,
@@ -401,6 +400,22 @@ def realized_tuple(seed):
     except (AssertionError, CalculusError):
         return None
     return t if is_irreducible(t) else None
+
+
+def test_realize_refuses_a_step_that_keeps_the_order():
+    # idx -2: plan_step stays at order 4 here (lam = -7, -8, -1, 1, ...)
+    scheme = RiemannScheme(
+        [0, 1, 2],
+        [
+            [(gr(1), 2), (gr(2), 2)],
+            [(gr(1), 2), (gr(-1), 2)],
+            [(gr(3), 2), (gr(0), 2)],
+            [(gr(-7), 2), (gr(1), 1), (gr(1), 1)],
+        ],
+    )
+    assert plan_step(scheme).scheme.order == 4
+    with pytest.raises(ValueError, match="keeps the order 4"):
+        yokoyama_cases.realize(scheme)
 
 
 def lemma_input(which):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from constructions import big_matrices, build_L
+from constructions import big_matrices, build_L, complete_to_basis
 from fuchsmc import linalg
 from fuchsmc.errors import NonSquareError, PreconditionFailError, SizeMismatchError
 from fuchsmc.generate import random_schlesinger
@@ -20,7 +20,6 @@ from fuchsmc.linalg import (
     block_matrix,
     char_poly,
     commutant_dim,
-    complete_to_basis,
     generated_algebra_dim,
     image_basis,
     independent_columns,

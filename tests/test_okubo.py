@@ -23,6 +23,7 @@ from fuchsmc.katz import middle_convolution
 from fuchsmc.linalg import ExactMatrix, kernel_basis, largest_invariant_subspace, rank
 from fuchsmc.okubo import (
     OkuboSystem,
+    _structural_zero,
     check_onf_conditions,
     euler_transform,
     mc_via_images,
@@ -34,7 +35,6 @@ from fuchsmc.scalars import gr
 from fuchsmc.schlesinger import (
     SchlesingerTuple,
     _class_column,
-    _in_class,
     check_star_conditions,
     is_equivalent,
     residue_at_infinity,
@@ -353,13 +353,7 @@ class TestPickGeneric:
         assert pick_generic(list(range(1, 8))) == gr(8)
 
 
-# -- verify_scheme's support-block check, against the n x n class test
-
-
-def full_size_verdict(t, s):
-    """verify_scheme with every residue, infinity first, on the n x n class test."""
-    residues = (residue_at_infinity(t),) + t.matrices
-    return all(_in_class(m, col) for m, col in zip(residues, s.columns))
+# -- verify_scheme against the class scheme, and the block lemma
 
 
 def class_scheme(t):
@@ -485,6 +479,9 @@ def perturbed(rng, s):
 
 
 class TestBlockCheckAgainstFullSize:
+    """`verify_scheme` accepts exactly the class scheme, and the block lemma
+    of `_structural_zero` holds on the normal forms with A invertible."""
+
     @given(
         st.integers(0, 10_000),
         st.integers(2, 6),
@@ -506,7 +503,7 @@ class TestBlockCheckAgainstFullSize:
             t, s = scf_from_onf(o), o.scheme
             o = o.with_scheme(None)
         elif source == "rank one":
-            # a singular A whose blocks of size one meet the block conditions
+            # a singular A with blocks of size one
             u, v = ([gr(rng.choice([-2, -1, 1, 2])) for _ in range(n)] for _ in range(2))
             o = OkuboSystem([1] * n, range(n), ExactMatrix(n, n, [[x * y for y in v] for x in u]))
             t = scf_from_onf(o)
@@ -514,35 +511,25 @@ class TestBlockCheckAgainstFullSize:
         else:
             t = overlapping_tuple(rng, n)
             s = class_scheme(t)
-        assert verify_scheme(t, s) and full_size_verdict(t, s)
+        assert verify_scheme(t, s) and s == class_scheme(t)
+        if o is not None and rank(o.a) == o.rank:
+            # the block lemma: each residue's class, its structural zero
+            # removed, is the class of its diagonal block
+            for j, nj in enumerate(o.block_sizes, 1):
+                block = _structural_zero(_class_column(t.matrices[j - 1]), o.rank, nj)
+                assert tuple(block) == _class_column(o.diagonal_block(j))
         for _ in range(8):
             bad = perturbed(rng, s)
             if bad is not None:
-                assert verify_scheme(t, bad) == full_size_verdict(t, bad)
+                assert verify_scheme(t, bad) == (bad == s)
         if o is not None:
             # the rank of A read from the scheme, or by elimination
             assert check_onf_conditions(o.with_scheme(s)) == check_onf_conditions(o)
 
-    def test_normal_forms_are_checked_on_their_blocks(self, monkeypatch):
-        # with an invertible A, every finite residue is checked on its
-        # n_j x n_j diagonal block; with a singular one, on n x n
-        o = onf_from_scf(rigid_family_realization(4))
-        t = scf_from_onf(OkuboSystem([1, 1], [0, 1], E([[1, 1], [1, 1]])))
-        singular = class_scheme(t)
-        sizes = []
-        monkeypatch.setattr(
-            "fuchsmc.schlesinger._in_class",
-            lambda m, col, real=_in_class: sizes.append(m.nrows) or real(m, col),
-        )
-        assert OkuboSystem(o.block_sizes, o.poles, o.a, o.scheme).scheme is o.scheme
-        assert sizes == [4] + list(o.block_sizes)
-        sizes.clear()
-        assert verify_scheme(t, singular)
-        assert sizes == [2, 2, 2]
-
     def test_inputs_reach_both_paths(self):
         # the generator yields invertible A with singular diagonal blocks
-        # (the block check with zero labels in P's class) and singular A
+        # (the block lemma with zero labels in the block's class) and
+        # singular A
         kinds = set()
         for seed in range(60):
             o = rational_spectrum_onf(random.Random(seed), 4)

@@ -338,6 +338,26 @@ MALFORMED = {
 }
 
 
+# the declared scheme of the rigid n = 6 normal form (blocks 1 and 5), with
+# the column [0:5 6:1] at the first point changed in one place
+BAD_RIGID6_COLUMNS = {
+    "a finite label moved": [{"value": "0", "mult": 5}, {"value": "7", "mult": 1}],
+    "a structural zero resized": [{"value": "0", "mult": 4}, {"value": "6", "mult": 2}],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RIGID6_COLUMNS))
+def test_load_refuses_a_wrong_declared_scheme(tmp_path, capsys, case):
+    data = ser.onf_to_json(onf_from_scf(rigid_family_realization(6)))
+    assert data["blocks"] == [1, 5]
+    assert data["scheme"]["columns"][1] == [{"value": "0", "mult": 5}, {"value": "6", "mult": 1}]
+    data["scheme"]["columns"][1] = BAD_RIGID6_COLUMNS[case]
+    inp = tmp_path / "bad.json"
+    inp.write_text(json.dumps(data))
+    assert main(["scheme", "--input", str(inp)]) == 3
+    assert "declared scheme does not match the system" in capsys.readouterr().err
+
+
 class TestIdxSchemeConvert:
     def test_idx_of_type_text(self, capsys):
         assert main(["idx", "--type", "111,21,21,21"]) == 0

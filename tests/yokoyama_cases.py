@@ -106,10 +106,14 @@ def realize(scheme) -> SchlesingerTuple:
     """A tuple carrying the scheme: Katz's algorithm run backwards.  The
     scheme is reduced to rank 1 on labels (`plan_step`), and each step is
     undone on matrices, convolving at -lam and adding -mu; every scheme the
-    convolutions predict is verified, and must be the recorded one."""
+    convolutions predict is verified, and must be the recorded one.  A
+    step that does not lower the order raises ValueError: the scheme is not
+    rigid, and the loop would not end."""
     steps = []
     while scheme.order > 1:
         step = plan_step(scheme)
+        if step.scheme.order >= scheme.order:
+            raise ValueError(f"a Katz step keeps the order {scheme.order}: {scheme}")
         steps.append((scheme, step))
         scheme = step.scheme
     t = SchlesingerTuple(scheme.poles, [ExactMatrix.from_rows([[col[0][0]]]) for col in scheme.columns[1:]], scheme)
