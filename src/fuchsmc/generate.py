@@ -14,7 +14,7 @@ from . import linalg
 from .errors import CalculusError, InvariantError
 from .katz import middle_convolution, addition
 from .linalg import ExactMatrix
-from .okubo import OkuboSystem, check_onf_conditions, pick_generic
+from .okubo import OkuboSystem, check_onf_conditions, pick_generic, scf_from_onf
 from .scalars import gr
 from .schlesinger import SchlesingerTuple, is_irreducible
 from .spectral import PartitionTuple, RiemannScheme, format_spectral_type
@@ -76,16 +76,10 @@ def random_okubo(
             continue
         if not check_onf_conditions(o):
             continue
-        if irreducible and not is_irreducible(_scf(o)):
+        if irreducible and not is_irreducible(scf_from_onf(o)):
             continue
         return o
     raise CalculusError(f"no valid normal-form instance of size {n} found")
-
-
-def _scf(o: OkuboSystem):
-    from .okubo import scf_from_onf
-
-    return scf_from_onf(o)
 
 
 def random_scheme_tuple(

@@ -7,8 +7,15 @@ import random
 from dataclasses import dataclass, field
 
 from . import linalg
-from .errors import CalculusError
-from .generate import random_okubo, random_scheme_tuple, random_schlesinger, rigid_family_type
+from .errors import CalculusError, DegenerateExtensionError, NotGenericError, NotOkuboConvertibleError
+from .generate import (
+    random_composition,
+    random_matrix,
+    random_okubo,
+    random_scheme_tuple,
+    random_schlesinger,
+    rigid_family_type,
+)
 from .katz import addition, middle_convolution, permute, swap_with_infinity
 from .okubo import (
     OkuboSystem,
@@ -26,7 +33,7 @@ from .schlesinger import (
     is_irreducible,
     matrix_tuples_equivalent,
 )
-from .spectral import d_max, katz_reduce, lemma_ineq_holds, ord_of, parse_spectral_type
+from .spectral import d_max, katz_reduce, lemma_ineq_holds, ord_of, parse_spectral_type, partial_max
 from .yokoyama import (
     ExtensionParams,
     RestrictionParams,
@@ -38,7 +45,6 @@ from .yokoyama import (
     rere_katz_pipeline,
     restrict,
 )
-from .errors import DegenerateExtensionError, NotGenericError, NotOkuboConvertibleError
 
 
 @dataclass
@@ -335,8 +341,6 @@ def run_conditions_suite(seed: int, count: int) -> SuiteReport:
     vacuous by the empty-intersection convention while the block-level test
     still demands full rank, so the two are only claimed to agree for p >= 2.
     """
-    from .generate import random_composition, random_matrix
-
     rng = random.Random(seed)
     rep = SuiteReport()
     for i in range(count):
@@ -358,8 +362,6 @@ def run_conditions_suite(seed: int, count: int) -> SuiteReport:
 
 def run_reduction_inequality_suite(max_rank: int = 5) -> SuiteReport:
     """The strict inequality along every rigid reduction chain."""
-    from .spectral import partial_max
-
     rep = SuiteReport()
     for n in range(2, max_rank + 1):
         m = parse_spectral_type(rigid_family_type(n))

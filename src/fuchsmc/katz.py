@@ -356,7 +356,8 @@ def mc_max(t: SchlesingerTuple) -> SchlesingerTuple:
     maximal finite slots, then the convolution at the maximal slot total.
 
     The order drops by the slot defect exactly when that total is nonzero;
-    slot ties are retried to avoid a zero total when possible.
+    slot ties are retried to avoid a zero total when possible.  A slot
+    defect d <= 0 raises PreconditionFailError (`plan_step`).
     """
     if t.scheme is None:
         raise SchemeUnavailableError("reduction step needs a declared scheme")
@@ -407,9 +408,13 @@ def plan_step(s: RiemannScheme) -> KatzStep:
     first other part of a column's largest multiplicity whose label differs
     from its slot's takes the slot; with none, the step is undefined.  mu
     moves the finite slots to 0, and infinity's slot to lam (`_shifted`),
-    and `predicted_scheme` convolves at lam.
+    and `predicted_scheme` convolves at lam, which lowers the order by the
+    slot defect d; a scheme with d <= 0 has no step.
     """
     cols = s.columns
+    d = sum(col[0][1] for col in cols) - (len(cols) - 2) * s.order
+    if d <= 0:
+        raise PreconditionFailError(f"slot defect d = {d}: a Katz step would not lower the order {s.order}")
     slots, labels = [1] * len(cols), [col[0][0] for col in cols]
     if sum(labels, gr(0)).is_zero():
         retry = ((j, i) for j, col in enumerate(cols) for i, (label, mult) in enumerate(col)

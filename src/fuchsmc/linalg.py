@@ -19,10 +19,10 @@ predicates built on them try an exact certificate first, and solve the
 n^2-wide system only when it does not decide:
 
 - `commutant_dim` reads the dimension off the characteristic polynomial
-  (division-free, `modular.berkowitz`), its square-free decomposition and the
-  nullities of (m - lam)^j (`nullity_chain`, which forms no power); it solves
-  the Sylvester system only for a repeated factor of degree >= 2
-  (`_commutant_dim_sylvester`);
+  (division-free, `modular.berkowitz`), the roots of gcd(chi, chi') lifted
+  from roots mod p, and their Weyr counts (`weyr_counts`, over
+  `nullity_chain`, which forms no power); it solves the Sylvester system
+  only for a repeated eigenvalue outside Q(i) (`_commutant_dim_sylvester`);
 - `spin_conjugacy` decides simultaneous conjugacy on the n-dimensional
   image of the intertwiners under X -> X e_1, when e_1 is cyclic and that
   image has dimension <= 1;
@@ -598,56 +598,73 @@ def _sylvester_rows(a: IntMatrix, b: IntMatrix) -> list[IntRow]:
 def commutant_dim(m: ExactMatrix) -> int:
     """Dimension of the centralizer {X : mX = Xm} inside full matrix space.
 
-    Read off the characteristic polynomial chi instead of solving the n^2
-    Sylvester equations.  The dimension is sum over the eigenvalues lam of
-    sum_j w_j^2, where w_j = nullity((m - lam)^j) - nullity((m - lam)^(j-1))
-    are the Weyr counts: the number of Jordan blocks of size >= j, so that
-    sum_j w_j^2 = sum over pairs of blocks of the smaller size (Frobenius).
-    With the square-free decomposition chi = prod_k q_k^k (Yun):
+    Read off the characteristic polynomial chi of the stored integer
+    multiple A = den * m, which has the commutant of m, instead of solving
+    the n^2 Sylvester equations.  The dimension is the sum over the
+    eigenvalues of sum_j w_j^2, where the Weyr count w_j (`weyr_counts`) is
+    the number of Jordan blocks of size >= j (Frobenius).  A simple
+    eigenvalue adds 1, so the dimension is n plus sum_j w_j^2 - a over the
+    repeated eigenvalues, a = sum_j w_j their multiplicities.
 
-    - a simple eigenvalue has w_1 = 1, so q_1 contributes deg q_1; when chi
-      is square-free mod a prime of Z[i] it is square-free, and the answer
-      is n without any decomposition;
-    - when chi = x^z chi' with chi'(0) != 0 and chi' square-free mod that
-      prime (the residues of a convolution are singular, so 0 is their
-      usual repeated eigenvalue), the answer is n - z plus the Weyr sum of
-      0, again without any decomposition;
-    - a linear q_k, k >= 2, gives lam in Q(i); its Weyr counts come from
-      `nullity_chain` over lam repeated, which forms no power of m - lam.
+    - chi square-free mod a prime of Z[i] is square-free: the answer is n.
+    - chi = x^z chi' with chi'(0) != 0 and chi' square-free mod that prime
+      (0 is the usual repeated eigenvalue of a convolution's residues): the
+      answer is n - z plus the Weyr sum of 0, whose chain stops at z.
+    - Otherwise each candidate of `modular.gaussian_root_candidates(c)`,
+      c = gcd(chi, chi'), is read, and those with a >= 2 are added.  When
+      their a - 1 add up to deg c, every repeated eigenvalue is counted;
+      when they fall short, one lies outside Q(i), and only then the
+      Sylvester system is solved (`_commutant_dim_sylvester`).  Each chain
+      stops at the nullity 1 + left, left being deg c less the a - 1 found
+      so far: no multiplicity still to be found exceeds it.
 
-    A q_k of degree >= 2 with k >= 2 has eigenvalues outside Q(i) whose
-    Jordan structures need not agree; only then the Sylvester system is
-    solved (`_commutant_dim_sylvester`).
+    Lemma.  c = prod (x - lam)^(a_lam - 1) over the eigenvalues of A, and
+    its roots in Q(i) lie in Z[i] and among the candidates.
+
+    Proof.  Over a splitting field chi' = sum_lam a_lam chi / (x - lam):
+    (x - lam)^(a_lam - 1) divides every term, and (x - lam)^a_lam every
+    term but that of lam, as a_lam != 0.  The Euclidean algorithm runs in
+    Q(i), so the gcd is the same there.  c divides the monic chi over Z[i],
+    so it is monic over Z[i] by Gauss's lemma (InvariantError otherwise),
+    and its roots in Q(i) are algebraic integers, so they lie in Z[i].  As
+    the candidates are distinct, the a - 1 found add up to deg c exactly
+    when every root of c is found.
     """
     if not m.is_square():
         raise NonSquareError("commutant of a non-square matrix")
     n = m.nrows
     if n == 1:
         return 1
-    # c*m has the commutant of m, so everything runs on an integer multiple
-    a = m.re, m.im
-    chi = modular.berkowitz(*a)
+    chi = modular.berkowitz(m.re, m.im)
     if modular.is_squarefree(*chi):
         return n
     # eigenvalue 0 has multiplicity z, the number of zero low coefficients
     z = next(j for j, (x, y) in enumerate(zip(*chi)) if x or y)
     if z and modular.is_squarefree(chi[0][z:], chi[1][z:]):
-        total, repeated = n - z, [(0, z)]
-    else:
-        factors = modular.squarefree_decomposition([GaussianRational(x, y) for x, y in zip(*chi)])
-        if any(k > 1 and len(q) > 2 for k, q in factors):
-            return _commutant_dim_sylvester(m)
-        total = sum(len(q) - 1 for k, q in factors if k == 1)
-        # chi is that of den * m, so -q[0] / den is an eigenvalue of m
-        repeated = [(-q[0] / m.den, k) for k, q in factors if k > 1]
-    for lam, k in repeated:  # sum_j w_j^2; the nullity reaches k by j = k
-        prev = 0
-        for nullity in nullity_chain(m, repeat(lam, k)):
-            total += (nullity - prev) ** 2
-            prev = nullity
-            if prev == k:
-                break
-    return total
+        return n - z + sum(w * w for w in weyr_counts(m, 0, z))
+    c = modular.gcd_with_derivative(*chi)
+    total, left = n, len(c[0]) - 1
+    for x, y in modular.gaussian_root_candidates(*c) if left else ():
+        counts = weyr_counts(m, gr(x, y) / m.den, left + 1)
+        total += sum(w * w - w for w in counts)
+        left -= max(sum(counts) - 1, 0)  # a - 1, or 0 when the candidate is not an eigenvalue
+    return _commutant_dim_sylvester(m) if left else total
+
+
+def weyr_counts(m: ExactMatrix, lam, mult: int | None = None) -> list[int]:
+    """The Weyr counts of lam for m (Gantmacher, Theory of Matrices I, ch.
+    VI): the rises of `nullity_chain` over lam repeated, until the nullity
+    reaches mult or a step adds nothing.  They add up to the multiplicity
+    of lam; a mult equal to it spares the chain its last, empty step."""
+    counts, prev = [], 0
+    for nullity in nullity_chain(m, repeat(lam)):
+        if nullity == prev:
+            break
+        counts.append(nullity - prev)
+        prev = nullity
+        if prev == mult:
+            break
+    return counts
 
 
 def nullity_chain(m: ExactMatrix, shifts: Iterable) -> Iterator[int]:
@@ -662,8 +679,7 @@ def nullity_chain(m: ExactMatrix, shifts: Iterable) -> Iterator[int]:
     with c_k = c/e, the image of a row v, times d e, is e vA - d c v.  The
     basis never grows, and a scheme column lists its largest multiplicity
     first, so it is soon small; once it is empty the nullity stays n and
-    nothing more is computed.  Over lam repeated, the rises of the chain are
-    the Weyr counts of lam (Gantmacher, Theory of Matrices I, ch. VI).
+    nothing more is computed.
     """
     if not m.is_square():
         raise NonSquareError("nullity chain of a non-square matrix")

@@ -1,8 +1,8 @@
 """The arithmetic behind the certificates of `linalg.commutant_dim` and
 `schlesinger.is_irreducible`, and behind the eigenvalues of
 `schlesinger.infer_scheme`: exact characteristic polynomials over Z[i],
-square-free decomposition over Q(i), roots in Z[i] lifted from roots mod p,
-and linear algebra over the residue fields F_p of Z[i] for primes
+the repeated part gcd(f, f') over Q(i), roots in Z[i] lifted from roots mod
+p, and linear algebra over the residue fields F_p of Z[i] for primes
 p ≡ 1 (mod 4).
 
 For such p, -1 has a square root iota mod p, and i -> iota maps every
@@ -24,6 +24,7 @@ from math import isqrt
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
+from .errors import InvariantError
 from .scalars import ZERO, GaussianRational
 
 PRIMES = (10009, 10037, 10061, 10069, 10093)  # each ≡ 1 (mod 4)
@@ -97,33 +98,22 @@ def _divmod(f, g):
     return q, _trimmed(f[: len(g) - 1])
 
 
-def _gcd(f, g):
-    """The monic gcd over Q(i), f nonzero."""
-    while g:
-        f, g = g, _divmod(f, g)[1]
-    return [c / f[-1] for c in f]
-
-
 def _derivative(f):
     return [c * k for k, c in enumerate(f)][1:]
 
 
-def squarefree_decomposition(f) -> list[tuple[int, list]]:
-    """The pairs (k, q_k), q_k monic and not constant, with f = prod q_k^k,
-    for a monic f over Q(i) (Yun's algorithm)."""
-    df = _derivative(f)
-    a = _gcd(f, df)
-    b, c = _divmod(f, a)[0], _divmod(df, a)[0]
-    out, k = [], 1
-    while len(b) > 1:
-        # c and the derivative of b have the same degree while b is not constant
-        d = _trimmed([x - y for x, y in zip(c, _derivative(b))])
-        a = _gcd(b, d)
-        if len(a) > 1:
-            out.append((k, a))
-        b, c = _divmod(b, a)[0], _divmod(d, a)[0]
-        k += 1
-    return out
+def gcd_with_derivative(re: Sequence[int], im: Sequence[int]) -> tuple[list[int], list[int]]:
+    """gcd(f, f'), monic, of a monic polynomial f over Z[i] (the real and
+    imaginary parts of its coefficients), in the same form.  It divides f,
+    so it is monic over Z[i] by Gauss's lemma; InvariantError if it is not."""
+    f = [GaussianRational(x, y) for x, y in zip(re, im)]
+    g = _derivative(f)
+    while g:  # Euclid over Q(i)
+        f, g = g, _divmod(f, g)[1]
+    c = [x / f[-1] for x in f]
+    if any(x.den != 1 for x in c):
+        raise InvariantError("gcd(f, f') of a monic f over Z[i] has a coefficient outside Z[i]")
+    return [x.x for x in c], [x.y for x in c]
 
 
 def is_squarefree(re: Sequence[int], im: Sequence[int], p: int = PRIMES[0]) -> bool:
@@ -210,9 +200,10 @@ def gaussian_root_candidates(re: Sequence[int], im: Sequence[int]) -> list[tuple
     of its coefficients): one per root mod p of its square-free part g.  A
     candidate need not be a root.
 
-    g = f / gcd(f, f') is monic over Z[i] by Gauss's lemma.  p is the first
-    prime ≡ 1 (mod 4) for which g mod p is square-free, so each root mod p
-    is simple and Newton-lifts, like iota, to q = p^(2^j) > 16 B^2, where
+    g = f / gcd(f, f') is monic over Z[i] by Gauss's lemma.  A linear
+    g = x + g_0 has the one root -g_0.  Otherwise p is the first prime
+    ≡ 1 (mod 4) for which g mod p is square-free, so each root mod p is
+    simple and Newton-lifts, like iota, to q = p^(2^j) > 16 B^2, where
     B = 1 + max |Re c| + |Im c| bounds the roots' moduli (Cauchy).  A root
     z of g reduces mod q to the lift of z mod p.  The elements of Z[i] that
     vanish mod q form the ideal spanned by q and i - iota, of norm q, whose
@@ -223,8 +214,10 @@ def gaussian_root_candidates(re: Sequence[int], im: Sequence[int]) -> list[tuple
     Comput. 12, 1983.)
     """
     f = [GaussianRational(x, y) for x, y in zip(re, im)]
-    g = _divmod(f, _gcd(f, _derivative(f)))[0]
+    g = _divmod(f, [GaussianRational(x, y) for x, y in zip(*gcd_with_derivative(re, im))])[0]
     gre, gim = [int(c.re) for c in g], [int(c.im) for c in g]
+    if len(g) == 2:
+        return [(-gre[0], -gim[0])]
     p = next(p for p in _primes() if is_squarefree(gre, gim, p))
     bound, q = 1 + max(abs(x) + abs(y) for x, y in zip(gre, gim)), p
     while q <= 16 * bound * bound:

@@ -10,7 +10,6 @@ class described by an (eigenvalue, multiplicity) list.
 from __future__ import annotations
 
 import copy
-from itertools import repeat
 from typing import Optional, Sequence
 
 from . import linalg, modular
@@ -64,11 +63,6 @@ class SchlesingerTuple:
 
     def with_scheme(self, scheme: Optional[RiemannScheme]) -> "SchlesingerTuple":
         return SchlesingerTuple(self.poles, self.matrices, scheme)
-
-    def spectral_type(self):
-        if self.scheme is None:
-            raise SchemeUnavailableError("tuple carries no declared scheme")
-        return self.scheme.spectral_type()
 
     def __eq__(self, other):
         if not isinstance(other, SchlesingerTuple):
@@ -240,8 +234,8 @@ def _equivalent_by_sylvester(
     the fallback of `matrix_tuples_equivalent` and its test oracle.
 
     The basis is searched for an invertible element.  When there is none,
-    the nullities of the powers m^k, k <= n, of each matrix are compared
-    (`linalg.nullity_chain`), and then the principal lattice
+    the Weyr counts at 0 of each matrix are compared (`linalg.weyr_counts`),
+    which fix the nullities of all its powers, and then the principal lattice
     {c in N^k : sum c <= n} of basis coefficients is searched.  The
     determinant restricted to the space is a polynomial of total degree at
     most n in the coefficients, and that lattice is unisolvent for such
@@ -259,8 +253,7 @@ def _equivalent_by_sylvester(
     if k == 1:
         return False
     for a, b in zip(a_mats, b_mats):
-        chains = linalg.nullity_chain(a, repeat(0, n)), linalg.nullity_chain(b, repeat(0, n))
-        if any(x != y for x, y in zip(*chains)):
+        if linalg.weyr_counts(a, 0) != linalg.weyr_counts(b, 0):
             return False
     for coeffs in _principal_lattice(k, n):
         g = ExactMatrix.zeros(n)
@@ -384,16 +377,12 @@ def _gaussian_parts(m: ExactMatrix) -> list:
 
     m = A/d with A over Z[i], and an eigenvalue z/d of m in Q(i) has z a root
     of the monic characteristic polynomial of A, so z lies in Z[i] and among
-    `modular.gaussian_root_candidates`.  Over each candidate the nullity
-    chain of m - z/d rises by the Weyr counts of z/d until it stops growing;
-    a candidate that is not an eigenvalue rises by nothing.
+    `modular.gaussian_root_candidates`.  Each candidate gives the parts of
+    its Weyr counts (`linalg.weyr_counts`); a candidate that is not an
+    eigenvalue has none.
     """
     entries = []
     for x, y in modular.gaussian_root_candidates(*modular.berkowitz(m.re, m.im)):
-        lam, prev = gr(x, y) / m.den, 0
-        for nullity in linalg.nullity_chain(m, repeat(lam)):
-            if nullity == prev:
-                break
-            entries.append((lam, nullity - prev))
-            prev = nullity
+        lam = gr(x, y) / m.den
+        entries += ((lam, w) for w in linalg.weyr_counts(m, lam))
     return entries

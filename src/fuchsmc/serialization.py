@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import ParseError
+from .errors import NotQ2Error, ParseError
 from .katz import (
     addition,
     append_infinity_pole,
@@ -253,8 +253,6 @@ def _operand(x) -> GaussianRational:
 
 
 def _restriction_params(o: OkuboSystem, entry: dict) -> RestrictionParams:
-    from .errors import NotQ2Error
-
     j = _field(entry, "j", _integer)
     if "mu1" in entry and "mu2" in entry:
         return RestrictionParams(_field(entry, "mu1", _operand), _field(entry, "mu2", _operand), j)

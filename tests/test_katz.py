@@ -278,9 +278,10 @@ class TestMcMax:
         assert format_spectral_type(t.scheme.spectral_type()) == rigid_family_type(11)
 
     def test_basic_tuple_does_not_shrink(self):
+        # type 11,11,11,11 has slot defect d = 0: no step lowers the order
         t = find_basic_2x2_tuple()
-        out = mc_max(t)
-        assert out.rank >= t.rank
+        with pytest.raises(PreconditionFailError, match="d = 0"):
+            mc_max(t)
 
 
 def normal_form_tuple(seed):
@@ -403,7 +404,7 @@ def realized_tuple(seed):
 
 
 def test_realize_refuses_a_step_that_keeps_the_order():
-    # idx -2: plan_step stays at order 4 here (lam = -7, -8, -1, 1, ...)
+    # idx -2 with slot defect d = 0: a step would stay at order 4
     scheme = RiemannScheme(
         [0, 1, 2],
         [
@@ -413,8 +414,9 @@ def test_realize_refuses_a_step_that_keeps_the_order():
             [(gr(-7), 2), (gr(1), 1), (gr(1), 1)],
         ],
     )
-    assert plan_step(scheme).scheme.order == 4
-    with pytest.raises(ValueError, match="keeps the order 4"):
+    with pytest.raises(PreconditionFailError, match="d = 0"):
+        plan_step(scheme)
+    with pytest.raises(PreconditionFailError, match="d = 0"):
         yokoyama_cases.realize(scheme)
 
 

@@ -615,12 +615,26 @@ class TestIntertwinersAgainstOracle:
 P = PRIMES[0]
 
 
-def derogatory_two_eigenvalues(data):
-    """Two distinct eigenvalues of equal multiplicity k + 1, each with two
-    Jordan blocks: the square-free factor of multiplicity k + 1 has degree
-    two, which forces the fallback."""
-    k = data.draw(st.integers(1, 2))
-    return data.draw(st.permutations([(k, "2"), (1, "2"), (k, "-1/3+i"), (1, "-1/3+i")]))
+def equal_multiplicities(data):
+    """Jordan blocks of two or three distinct eigenvalues in Q(i) of one
+    multiplicity a >= 2, each split into blocks its own way."""
+    pool = st.sampled_from(["0", "2", "-1", "i", "1+i", "-1/3+i"])
+    labels = data.draw(st.lists(pool, min_size=2, max_size=3, unique=True))
+    a = data.draw(st.integers(2, 3 if len(labels) == 2 else 2))
+    blocks = [(k, lam) for lam in labels for k in data.draw(st.sampled_from(compositions(a)))]
+    return data.draw(st.permutations(blocks))
+
+
+def counting_sylvester(m, monkeypatch):
+    """commutant_dim(m) and the matrices it hands to the Sylvester solve."""
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return _commutant_dim_sylvester(x)
+
+    monkeypatch.setattr(linalg, "_commutant_dim_sylvester", counting)
+    return commutant_dim(m), calls
 
 
 class TestCertificatesAgainstOracle:
@@ -646,23 +660,26 @@ class TestCertificatesAgainstOracle:
 
     @given(st.data())
     @settings(max_examples=20, deadline=None)
-    def test_commutant_falls_back_on_two_multiple_eigenvalues(self, data):
-        blocks = derogatory_two_eigenvalues(data)
+    def test_commutant_of_equal_multiplicities(self, data):
+        # every repeated eigenvalue lies in Q(i), so none reaches the solve
+        blocks = equal_multiplicities(data)
         j = jordan_sum(blocks)
         m = conjugated(j, data.draw(matrices(j.nrows, j.nrows)))
-        calls = []
-
-        def counting(x):
-            calls.append(x)
-            return _commutant_dim_sylvester(x)
-
-        linalg._commutant_dim_sylvester, saved = counting, linalg._commutant_dim_sylvester
-        try:
-            got = commutant_dim(m)
-        finally:
-            linalg._commutant_dim_sylvester = saved
-        assert calls == [m]
+        with pytest.MonkeyPatch.context() as mp:
+            got, calls = counting_sylvester(m, mp)
+        assert calls == []
         assert got == jordan_commutant_dim(blocks) == _commutant_dim_sylvester(m)
+
+    def test_commutant_solves_for_repeated_eigenvalues_outside_q_i(self, monkeypatch):
+        # [[C, I], [0, C]] with C = [[0, 2], [1, 0]]: +-sqrt(2), each one 2-block
+        c = [[0, 2], [1, 0]]
+        j = E([c[0] + [1, 0], c[1] + [0, 1], [0, 0] + c[0], [0, 0] + c[1]])
+        g = E([[1, 2, 0, 1], [0, 1, G("i"), 0], [1, 0, 1, 3], [2, 0, 0, 1]])
+        m = conjugated(j, g)
+        assert m != j
+        got, calls = counting_sylvester(m, monkeypatch)
+        assert calls == [m]
+        assert got == 4 == _commutant_dim_sylvester(m)
 
     @pytest.mark.parametrize("den", [P, P * PRIMES[1], P * P])
     def test_commutant_with_the_prime_as_denominator(self, den):
@@ -717,10 +734,10 @@ class TestCommutantOfSingularMatrices:
         m = conjugated(jordan_sum(blocks), g)
         assert m != jordan_sum(blocks)
 
-        def refuse(f):
-            raise AssertionError("square-free decomposition reached")
+        def refuse(re, im):
+            raise AssertionError("repeated-root search reached")
 
-        monkeypatch.setattr(linalg.modular, "squarefree_decomposition", refuse)
+        monkeypatch.setattr(linalg.modular, "gcd_with_derivative", refuse)
         assert commutant_dim(m) == jordan_commutant_dim(blocks) == _commutant_dim_sylvester(m)
 
 

@@ -478,7 +478,7 @@ def perturbed(rng, s):
     return RiemannScheme(s.poles, cols)
 
 
-class TestBlockCheckAgainstFullSize:
+class TestClassSchemeAndBlockLemma:
     """`verify_scheme` accepts exactly the class scheme, and the block lemma
     of `_structural_zero` holds on the normal forms with A invertible."""
 
@@ -526,10 +526,11 @@ class TestBlockCheckAgainstFullSize:
             # the rank of A read from the scheme, or by elimination
             assert check_onf_conditions(o.with_scheme(s)) == check_onf_conditions(o)
 
-    def test_inputs_reach_both_paths(self):
+    def test_inputs_cover_the_block_lemma_cases(self):
         # the generator yields invertible A with singular diagonal blocks
-        # (the block lemma with zero labels in the block's class) and
-        # singular A
+        # (the block lemma with zero labels in the block's class), invertible
+        # A with invertible blocks, and singular A, where the lemma is not
+        # checked
         kinds = set()
         for seed in range(60):
             o = rational_spectrum_onf(random.Random(seed), 4)

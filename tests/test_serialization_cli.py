@@ -411,6 +411,41 @@ class TestIdxSchemeConvert:
         assert ser.load_system(str(out)).rank == 1
 
 
+class TestSchemeLessSystems:
+    """Systems without a declared scheme: idx read off the commutants of
+    the residues, and operations that carry no scheme."""
+
+    @pytest.fixture
+    def bare4(self, tmp_path):
+        inp = tmp_path / "bare4.json"
+        ser.save_system(str(inp), rigid_family_realization(4).with_scheme(None))
+        return inp
+
+    def test_idx_reads_the_commutants(self, bare4, capsys):
+        assert main(["idx", "--input", str(bare4)]) == 0
+        assert capsys.readouterr().out == "2\n"
+
+    def test_append_swap_and_drop_return_the_input(self, bare4, tmp_path):
+        ops, out = tmp_path / "ops.jsonl", tmp_path / "out.json"
+        ops.write_text('{"op":"appendpole","t":"5"}\n{"op":"swapinf","j":3}\n{"op":"dropzero"}\n')
+        assert main(["apply", "--input", str(bare4), "--ops", str(ops), "--output", str(out)]) == 0
+        assert json.loads(out.read_text()) == json.loads(bare4.read_text())
+        rows = [json.loads(line) for line in (tmp_path / "out.json.log").read_text().splitlines()]
+        assert [(r["op"]["op"], r["idx"], r["scheme"]) for r in rows] == [
+            ("appendpole", 2, None), ("swapinf", 2, None), ("dropzero", 2, None)
+        ]
+
+    def test_restriction_with_explicit_mu_undoes_the_extension(self, tmp_path):
+        inp, ops, out = tmp_path / "onf4.json", tmp_path / "ops.jsonl", tmp_path / "out.json"
+        ser.save_system(str(inp), onf_from_scf(rigid_family_realization(4)).with_scheme(None))
+        ops.write_text(
+            '{"op":"extend","rho1":"1","rho2":"2","t":"5"}\n'
+            '{"op":"restrict","j":3,"mu1":"1","mu2":"2"}\n'
+        )
+        assert main(["apply", "--input", str(inp), "--ops", str(ops), "--output", str(out)]) == 0
+        assert out.read_text() == inp.read_text()
+
+
 # sha256 of `fuchsmc reduce` stdout on onf_from_scf(rigid_family_realization(n)),
 # recorded before idx and the rank of A were read from verified schemes
 RECORDED_REDUCE = {

@@ -50,8 +50,9 @@ def case_a() -> OkuboSystem:
 
 
 def case_b() -> OkuboSystem:
-    """Rank 5, type 221,32,32,41: its rank-4 stage repeats 20 times at both
-    levels before it falls (ROADMAP item 8)."""
+    """Rank 5, type 221,32,32,41: its rank-4 stage once repeated 20 times at
+    both levels before it fell (ROADMAP item 8); each level now prints 4
+    step lines."""
     a = ExactMatrix.from_rows(
         [
             [12, 0, F(-17, 4), F(1, 4), 0],
@@ -106,14 +107,12 @@ def realize(scheme) -> SchlesingerTuple:
     """A tuple carrying the scheme: Katz's algorithm run backwards.  The
     scheme is reduced to rank 1 on labels (`plan_step`), and each step is
     undone on matrices, convolving at -lam and adding -mu; every scheme the
-    convolutions predict is verified, and must be the recorded one.  A
-    step that does not lower the order raises ValueError: the scheme is not
-    rigid, and the loop would not end."""
+    convolutions predict is verified, and must be the recorded one.  Each
+    step lowers the order: `plan_step` refuses a scheme whose slot defect
+    is d <= 0 (PreconditionFailError), so the loop ends."""
     steps = []
     while scheme.order > 1:
         step = plan_step(scheme)
-        if step.scheme.order >= scheme.order:
-            raise ValueError(f"a Katz step keeps the order {scheme.order}: {scheme}")
         steps.append((scheme, step))
         scheme = step.scheme
     t = SchlesingerTuple(scheme.poles, [ExactMatrix.from_rows([[col[0][0]]]) for col in scheme.columns[1:]], scheme)
