@@ -19,14 +19,17 @@ predicates built on them try an exact certificate first, and solve the
 n^2-wide system only when it does not decide:
 
 - `commutant_dim` reads the dimension off the characteristic polynomial
-  (division-free, `modular.berkowitz`), the roots of gcd(chi, chi') lifted
-  from roots mod p, and their Weyr counts (`weyr_counts`, over
-  `nullity_chain`, which forms no power); it solves the Sylvester system
-  only for a repeated eigenvalue outside Q(i) (`_commutant_dim_sylvester`);
+  (division-free, `modular.berkowitz`, on the live block of nonzero rows,
+  `_int_char_poly`), the roots of gcd(chi, chi') lifted from roots mod p,
+  and their Weyr counts (`weyr_counts`, over `nullity_chain`, which forms
+  no power); with zero rows R and an invertible live block D it is that of
+  D plus |R|^2; it solves the Sylvester system only for a repeated
+  eigenvalue outside Q(i) (`_commutant_dim_sylvester`);
 - `spin_conjugacy` decides simultaneous conjugacy on the n-dimensional
   image of the intertwiners under X -> X e_1, when e_1 is cyclic and that
   image has dimension <= 1;
 - irreducibility is certified mod p by Norton's test (`fuchsmc.modular`),
+  which tries the scheme's hints, then the residues, then random words,
   and `generated_algebra_dim` is its fallback.
 
 Each certificate is either a proof over Q(i) or returns "undecided"; none
@@ -629,13 +632,34 @@ def commutant_dim(m: ExactMatrix) -> int:
     and its roots in Q(i) are algebraic integers, so they lie in Z[i].  As
     the candidates are distinct, the a - 1 found add up to deg c exactly
     when every root of c is found.
+
+    chi comes from the live block D of A, its rows R that are not zero and
+    those columns (`_int_char_poly`), and when chi_D(0) != 0 the tiers run
+    on D alone.  A convolution's residues are zero outside about rank(m)
+    rows, and the rows of an Okubo form's A_j outside block j.
+
+    Lemma.  With R the zero rows of A, chi = x^|R| chi_D, and if D is
+    invertible the commutant of A has dimension that of D plus |R|^2.
+
+    Proof.  With S first, A = [[D, E], [0, 0]] is block triangular, so chi
+    = x^|R| chi_D.  If D is invertible, T = [[1, D^-1 E], [0, 1]] gives
+    A = T^-1 (D + 0) T.  An X commuting with D + 0 has D X_12 = 0 and
+    X_21 D = 0, so X_12 = X_21 = 0; X_11 commutes with D and X_22 is free.
     """
     if not m.is_square():
         raise NonSquareError("commutant of a non-square matrix")
+    chi, (dre, dim) = _int_char_poly(m)
+    dead = m.nrows - len(dre)
+    if dead and (chi[0][dead] or chi[1][dead]):  # chi_D(0) != 0
+        d = _stored(len(dre), len(dre), 1, dre, dim)
+        return dead * dead + _commutant_dim(d, (chi[0][dead:], chi[1][dead:]))
+    return _commutant_dim(m, chi)
+
+
+def _commutant_dim(m: ExactMatrix, chi: IntRow) -> int:
+    """`commutant_dim` from chi, the characteristic polynomial of m's stored
+    integer multiple."""
     n = m.nrows
-    if n == 1:
-        return 1
-    chi = modular.berkowitz(m.re, m.im)
     if modular.is_squarefree(*chi):
         return n
     # eigenvalue 0 has multiplicity z, the number of zero low coefficients
@@ -719,9 +743,11 @@ def _commutant_dim_sylvester(m: ExactMatrix) -> int:
 
 
 def _gaussian_apply(m: IntMatrix, v: IntRow) -> IntRow:
+    """m v over Z[i]; a zero row of re(m), and re(m) im(v) for a real v,
+    take no product."""
     (mre, mim), (vre, vim) = m, v
-    re = [dot(r, vre) for r in mre]
-    im = [dot(r, vim) for r in mre]
+    re = [dot(r, vre) if any(r) else 0 for r in mre]
+    im = [dot(r, vim) if any(r) else 0 for r in mre] if any(vim) else [0] * len(re)
     if any(map(any, mim)):
         re = [x - dot(r, vim) for x, r in zip(re, mim)]
         im = [x + dot(r, vre) for x, r in zip(im, mim)]
@@ -962,5 +988,17 @@ def char_poly(m: ExactMatrix) -> list[GaussianRational]:
     if not m.is_square():
         raise NonSquareError("characteristic polynomial of a non-square matrix")
     n = m.nrows
-    cre, cim = modular.berkowitz(m.re, m.im)
+    cre, cim = _int_char_poly(m)[0]
     return [_scalar(x, y, m.den ** (n - k)) for k, (x, y) in enumerate(zip(cre, cim))]
+
+
+def _int_char_poly(m: ExactMatrix) -> tuple[IntRow, IntMatrix]:
+    """det(xI - A) for the stored integer multiple A = den * m, low degree
+    first, and the block D of A on its nonzero rows and those columns:
+    Berkowitz on D only, as det(xI - A) = x^|R| det(xI - D) for the zero
+    rows R (see `commutant_dim`)."""
+    live = [i for i, (r, s) in enumerate(zip(m.re, m.im)) if any(r) or any(s)]
+    block = [[m.re[i][j] for j in live] for i in live], [[m.im[i][j] for j in live] for i in live]
+    pad = [0] * (m.nrows - len(live))
+    cre, cim = modular.berkowitz(*block)
+    return (pad + cre, pad + cim), block

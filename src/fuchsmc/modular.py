@@ -1,6 +1,6 @@
 """The arithmetic behind the certificates of `linalg.commutant_dim` and
 `schlesinger.is_irreducible`, and behind the eigenvalues of
-`schlesinger.infer_scheme`: exact characteristic polynomials over Z[i],
+`schlesinger.infer_scheme`: characteristic polynomials over Z[i] or mod p,
 the repeated part gcd(f, f') over Q(i), roots in Z[i] lifted from roots mod
 p, and linear algebra over the residue fields F_p of Z[i] for primes
 p ≡ 1 (mod 4).
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
+from itertools import chain
 from math import isqrt
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -53,35 +54,41 @@ def dot(x: Sequence[int], y: Sequence[int]) -> int:
 # -- exact polynomials -------------------------------------------------------------
 
 
-def berkowitz(re: list[list[int]], im: list[list[int]]) -> tuple[list[int], list[int]]:
-    """det(xI - a) of the Gaussian integer matrix a = re + i im, as real and
-    imaginary coefficient lists; division-free (Berkowitz).
+def berkowitz(
+    re: list[list[int]], im: Optional[list[list[int]]] = None, p: int = 0
+) -> tuple[list[int], list[int]]:
+    """det(xI - a) of the Gaussian integer matrix a = re + i im (im None for
+    a real a), as real and imaginary coefficient lists; division-free
+    (Berkowitz).  With a prime p, re is a matrix mod p and the coefficients
+    come mod p: they are the exact ones reduced, as reduction is a ring map.
 
     The characteristic polynomial c of the leading r x r block grows to the
     (r+1) x (r+1) block as T c, with T lower triangular Toeplitz on
     1, -a_rr, -R v, -R A_r v, ..., -R A_r^(r-1) v: R the row left of a_rr,
     v the column above it and A_r the block.
     """
-    real = not any(map(any, im))
+    real = im is None or not any(map(any, im))
     cre, cim = [1], [0]  # high degree first while it grows
     for r in range(len(re)):
-        bre, bim = [row[:r] for row in re[:r]], [row[:r] for row in im[:r]]
-        vre, vim = [row[r] for row in re[:r]], [row[r] for row in im[:r]]
-        tre, tim = [1, -re[r][r]], [0, -im[r][r]]
-        for _ in range(r):  # zip stops the row at the block's width
-            if real:
+        bre, vre = [row[:r] for row in re[:r]], [row[r] for row in re[:r]]
+        tre = [1, -re[r][r]]
+        if real:
+            for _ in range(r):  # zip stops the row at the block's width
                 tre.append(-dot(re[r], vre))
-                vre = [dot(x, vre) for x in bre]
-                continue
+                vre = [dot(x, vre) % p for x in bre] if p else [dot(x, vre) for x in bre]
+            cre = [dot(tre[i::-1], cre) for i in range(r + 2)]
+            if p:
+                cre = [c % p for c in cre]
+            continue
+        bim, vim = [row[:r] for row in im[:r]], [row[r] for row in im[:r]]
+        tim = [0, -im[r][r]]
+        for _ in range(r):
             tre.append(dot(im[r], vim) - dot(re[r], vre))
             tim.append(-dot(re[r], vim) - dot(im[r], vre))
             vre, vim = (
                 [dot(x, vre) - dot(y, vim) for x, y in zip(bre, bim)],
                 [dot(x, vim) + dot(y, vre) for x, y in zip(bre, bim)],
             )
-        if real:
-            cre = [dot(tre[i::-1], cre) for i in range(r + 2)]
-            continue
         cre, cim = (
             [dot(tre[i::-1], cre) - dot(tim[i::-1], cim) for i in range(r + 2)],
             [dot(tre[i::-1], cim) + dot(tim[i::-1], cre) for i in range(r + 2)],
@@ -201,7 +208,9 @@ def gaussian_root_candidates(re: Sequence[int], im: Sequence[int]) -> list[tuple
     candidate need not be a root.
 
     g = f / gcd(f, f') is monic over Z[i] by Gauss's lemma.  A linear
-    g = x + g_0 has the one root -g_0.  Otherwise p is the first prime
+    g = x + g_0 has the one root -g_0.  A g = x h has the root 0, listed
+    first as among the roots mod p, and the candidates of h, whose bound B
+    below is that of g.  Otherwise p is the first prime
     ≡ 1 (mod 4) for which g mod p is square-free, so each root mod p is
     simple and Newton-lifts, like iota, to q = p^(2^j) > 16 B^2, where
     B = 1 + max |Re c| + |Im c| bounds the roots' moduli (Cauchy).  A root
@@ -215,9 +224,15 @@ def gaussian_root_candidates(re: Sequence[int], im: Sequence[int]) -> list[tuple
     """
     f = [GaussianRational(x, y) for x, y in zip(re, im)]
     g = _divmod(f, [GaussianRational(x, y) for x, y in zip(*gcd_with_derivative(re, im))])[0]
-    gre, gim = [int(c.re) for c in g], [int(c.im) for c in g]
-    if len(g) == 2:
+    return _candidates([int(c.re) for c in g], [int(c.im) for c in g])
+
+
+def _candidates(gre: list[int], gim: list[int]) -> list[tuple[int, int]]:
+    """`gaussian_root_candidates` of a square-free monic g over Z[i]."""
+    if len(gre) == 2:
         return [(-gre[0], -gim[0])]
+    if not (gre[0] or gim[0]):
+        return [(0, 0)] + _candidates(gre[1:], gim[1:])
     p = next(p for p in _primes() if is_squarefree(gre, gim, p))
     bound, q = 1 + max(abs(x) + abs(y) for x, y in zip(gre, gim)), p
     while q <= 16 * bound * bound:
@@ -369,19 +384,27 @@ def full_matrix_algebra(mats, hints: Iterable[tuple] = ()) -> bool:
     M_n(F_p) by Burnside.  Reduction mod p can only lower a dimension, so
     the algebra over Q(i) has dimension n^2 as well.
 
-    The first prime of PRIMES that divides no denominator is used.  The
-    pairs (theta, lam) of `hints` (an ExactMatrix of the algebra and a
-    Gaussian rational, such as a residue and a simple eigenvalue its scheme
-    declares) are tried first, and need no characteristic polynomial.  A
-    hint only proposes lam: the nullity is checked mod p, and a hint whose
-    lam or theta has a denominator p divides, or whose nullity is not 1, is
-    passed over.  The first hint of nullity one decides the hints: both
-    spins full proves the claim, and a proper spin leaves it to the random
-    path.  That path draws theta as a seeded random combination of the
-    generators and their pairwise products, and lam as a root of its
-    characteristic polynomial with nullity one.  Every other outcome (no
-    nullity-one root in THETA_TRIES draws, or a proper spin, which may be
-    an artefact of the reduction) proves nothing.
+    The first prime of PRIMES that divides no denominator is used, and
+    theta is tried from three sources in turn; the first verdict decides, as
+    a proper spin proves the algebra mod p reducible, and then no theta can
+    prove it full.
+
+    - The pairs (theta, lam) of `hints` (an ExactMatrix of the algebra and a
+      Gaussian rational, such as a residue and a simple eigenvalue its
+      scheme declares) need no characteristic polynomial.  A hint only
+      proposes lam: one whose lam or theta has a denominator p divides is
+      passed over, and `_norton` checks the nullity mod p itself.
+    - Each generator, with lam a root mod p of the characteristic
+      polynomial of its live block D (its nonzero rows and those columns):
+      with the dead rows R it is x^|R| chi_D, and for lam != 0 the nullity
+      of the generator minus lam is that of D - lam.  lam = 0 is skipped
+      when R is not empty.
+    - Seeded random combinations of the generators and their pairwise
+      products, THETA_TRIES of them, each with the roots mod p of its
+      characteristic polynomial.
+
+    Every other outcome (no theta - lam of nullity one, or a proper spin,
+    which may be an artefact of the reduction) proves nothing.
     """
     for p in PRIMES:
         red = reduce_matrices(mats, p)
@@ -389,17 +412,41 @@ def full_matrix_algebra(mats, hints: Iterable[tuple] = ()) -> bool:
             break
     else:
         return False
-    n = len(red[0])
     cols = [list(zip(*m)) for m in red]
+    for theta, lam in chain(_hinted(hints, p), _residue_thetas(red, p), _random_thetas(red, cols, p)):
+        verdict = _norton(theta, lam, red, cols, p)
+        if verdict is not None:
+            return verdict
+    return False
+
+
+def _hinted(hints: Iterable[tuple], p: int):
+    """The hints mod p, each (theta, lam) with theta and lam reduced."""
     for theta, lam in hints:
         theta, lam = reduce_matrices([theta], p), reduce_scalar(lam, p)
-        if theta is None or lam is None:
+        if theta is not None and lam is not None:
+            yield theta[0], lam
+
+
+def _residue_thetas(red, p: int):
+    """(theta, lam) for each generator theta and each root lam mod p of its
+    live block's characteristic polynomial, lam = 0 left out when theta has
+    a zero row."""
+    for theta in red:
+        live = [i for i, row in enumerate(theta) if any(row)]
+        if not live:
             continue
-        verdict = _norton(theta[0], lam, red, cols, p)
-        if verdict:
-            return True
-        if verdict is False:
-            break
+        chi = berkowitz([[theta[i][j] for j in live] for i in live], p=p)[0]
+        for lam in roots(chi, p):
+            if lam or len(live) == len(theta):
+                yield theta, lam
+
+
+def _random_thetas(red, cols, p: int):
+    """(theta, lam) for seeded random combinations theta of the generators
+    and their pairwise products, and the roots lam mod p of each one's
+    characteristic polynomial."""
+    n = len(red[0])
     products = [(a, cb) for i, a in enumerate(red) for cb in cols[i + 1 :]]
     words = red + [[[dot(r, c) % p for c in cb] for r in a] for a, cb in products]
     rng = random.Random(0)
@@ -409,12 +456,8 @@ def full_matrix_algebra(mats, hints: Iterable[tuple] = ()) -> bool:
             [sum(c * w[i][j] for c, w in zip(coeffs, words)) % p for j in range(n)]
             for i in range(n)
         ]
-        chi = [c % p for c in berkowitz(theta, [[0] * n] * n)[0]]
-        for lam in roots(chi, p):
-            verdict = _norton(theta, lam, red, cols, p)
-            if verdict is not None:
-                return verdict
-    return False
+        for lam in roots(berkowitz(theta, p=p)[0], p):
+            yield theta, lam
 
 
 def _norton(theta, lam: int, red, cols, p: int) -> Optional[bool]:

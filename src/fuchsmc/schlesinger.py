@@ -152,11 +152,11 @@ def is_irreducible(t: SchlesingerTuple) -> bool:
     residue of the first column with a simple label lam (multiplicity one,
     no other part with that label) and that lam, so no characteristic
     polynomial or root is needed; the scheme only proposes lam, and the
-    test checks nullity(residue - lam) = 1 mod p itself.  Otherwise, or
-    when that does not prove it, random algebra elements are drawn.  The
-    test decides nothing on a reducible tuple, or when no element it tries
-    has an eigenvalue of nullity one; only then the span closure runs
-    (`_is_irreducible_by_closure`).
+    test checks nullity(residue - lam) = 1 mod p itself.  When no hint
+    decides, the residues are tried with the roots mod p of their live
+    blocks, and then random algebra elements.  The test decides nothing on a reducible
+    tuple, or when no element it tries has an eigenvalue of nullity one;
+    only then the span closure runs (`_is_irreducible_by_closure`).
     """
     if t.rank == 1 or modular.full_matrix_algebra(t.matrices, _norton_hints(t)):
         return True
@@ -382,7 +382,7 @@ def _gaussian_parts(m: ExactMatrix) -> list:
     eigenvalue has none.
     """
     entries = []
-    for x, y in modular.gaussian_root_candidates(*modular.berkowitz(m.re, m.im)):
+    for x, y in modular.gaussian_root_candidates(*linalg._int_char_poly(m)[0]):
         lam = gr(x, y) / m.den
         entries += ((lam, w) for w in linalg.weyr_counts(m, lam))
     return entries

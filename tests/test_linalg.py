@@ -606,6 +606,99 @@ class TestIntertwinersAgainstOracle:
         assert solve_sylvester_space(a_list, b_list) == oracle_intertwiners(a_list, b_list)
 
 
+# -- block rows: the live block against the dense computations -----------------------
+#
+# A residue of a convolution or of an Okubo form is zero outside a few rows; the
+# characteristic polynomial and the commutant read only the block D on the other
+# rows and columns, and a product skips the zero rows.
+
+SQRT2_BLOCKS = [
+    [[0, 2], [1, 0]],  # +-sqrt(2)
+    [[0, 2, 1, 0], [1, 0, 0, 1], [0, 0, 0, 2], [0, 0, 1, 0]],  # one 2-block each
+    [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]],  # two 1-blocks each
+]
+
+
+@st.composite
+def block_rows(draw):
+    """(m, r): [[D, E], [0, 0]] with r live rows, under one permutation of
+    the coordinates; D is drawn invertible, singular, with repeated
+    eigenvalues (nilpotent parts included) or with +-sqrt(2) repeated."""
+    kind = draw(st.sampled_from(["random", "jordan", "sqrt2"]))
+    if kind == "sqrt2":
+        d = E(draw(st.sampled_from(SQRT2_BLOCKS)))
+    elif kind == "jordan":
+        sizes = draw(st.sampled_from(compositions(draw(st.integers(1, 4)))))
+        d = jordan_sum([(k, draw(st.sampled_from(["0", "2", "-1/2", "1+i"]))) for k in sizes])
+    else:
+        d = draw(matrices(*[draw(st.integers(1, 4))] * 2))
+    r, dead = d.nrows, draw(st.integers(1, 3))
+    if kind != "random":
+        d = conjugated(d, draw(matrices(r, r)))
+    e = draw(matrices(r, dead))
+    rows = [list(x) + list(y) for x, y in zip(d.rows, e.rows)] + [[ZERO] * (r + dead)] * dead
+    perm = draw(st.permutations(range(r + dead)))
+    return E([[rows[i][j] for j in perm] for i in perm]), r
+
+
+def dense_apply(m, v):
+    """m v on Gaussian integer pairs, one product per entry."""
+    (mre, mim), (vre, vim) = m, v
+    return (
+        [sum(a * x - b * y for a, b, x, y in zip(r, s, vre, vim)) for r, s in zip(mre, mim)],
+        [sum(a * y + b * x for a, b, x, y in zip(r, s, vre, vim)) for r, s in zip(mre, mim)],
+    )
+
+
+class TestLiveBlock:
+    @example((E([[1, 0, 2, 0], [0, 0, 0, 0], [3, 0, 1, 0], [0, 0, 0, 0]]), 2))
+    @given(block_rows())
+    @settings(max_examples=80, deadline=None)
+    def test_commutant(self, case):
+        m, r = case
+        sizes = []
+        berkowitz = linalg.modular.berkowitz
+
+        def recording(re, im=None, p=0):
+            sizes.append(len(re))
+            return berkowitz(re, im, p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg.modular, "berkowitz", recording)
+            got = commutant_dim(m)
+        assert got == _commutant_dim_sylvester(m)
+        assert max(sizes) <= r
+
+    @given(st.integers(0, 6), st.sampled_from(PRIMES[:2]), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_berkowitz_mod_p_is_the_exact_one_reduced(self, n, p, real, data):
+        ints = st.integers(-(10**6), 10**6)
+        re = data.draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n))
+        im = [[0] * n for _ in range(n)] if real else data.draw(
+            st.lists(st.lists(ints, min_size=n, max_size=n), min_size=n, max_size=n)
+        )
+        iota = linalg.modular.sqrt_minus_one(p)
+        cre, cim = linalg.modular.berkowitz(re, im)
+        reduced = [[(x + iota * y) % p for x, y in zip(r, s)] for r, s in zip(re, im)]
+        assert linalg.modular.berkowitz(reduced, p=p)[0] == [(x + iota * y) % p for x, y in zip(cre, cim)]
+
+    @given(st.integers(1, 5), st.integers(0, 4), st.sampled_from(["real", "imaginary", "complex", "zero"]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_apply_is_the_dense_product(self, n, dead, kind, data):
+        ints = st.integers(-50, 50)
+        row = st.lists(ints, min_size=n, max_size=n)
+        zero = [0] * n
+        re = data.draw(st.lists(row, min_size=n, max_size=n))
+        im = data.draw(st.lists(st.one_of(row, st.just(zero)), min_size=n, max_size=n))
+        for i in data.draw(st.lists(st.integers(0, n - 1), max_size=dead)):
+            re[i], im[i] = zero, zero
+        vre = zero if kind in ("imaginary", "zero") else data.draw(row)
+        vim = zero if kind in ("real", "zero") else data.draw(row)
+        m, v = (re, im), (vre, vim)
+        assert linalg._gaussian_apply(m, v) == dense_apply(m, v)
+        assert linalg._gaussian_apply((re, [zero] * n), v) == dense_apply((re, [zero] * n), v)
+
+
 # -- certificates against the closures they replace -------------------------------
 #
 # char_poly is division-free, and commutant_dim reads the commutant off the
@@ -640,7 +733,7 @@ def counting_sylvester(m, monkeypatch):
 class TestCertificatesAgainstOracle:
     @example(E([[G(1), G(Fraction(1, P))], [G(0), G(Fraction(1, P), 1)]]))
     @example(E([[G("1/2-3i")]]))
-    @given(gaussian_matrices(max_size=5, square=True))
+    @given(st.one_of(gaussian_matrices(max_size=5, square=True), block_rows().map(lambda case: case[0])))
     @settings(max_examples=80, deadline=None)
     def test_char_poly_is_faddeev_leverrier(self, m):
         assert char_poly(m) == oracle_char_poly(m)

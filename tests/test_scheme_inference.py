@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import constructions
-from fuchsmc import cli, schlesinger
+from fuchsmc import cli, modular, schlesinger
 from fuchsmc.errors import SchemeUnavailableError
 from fuchsmc.generate import rigid_family_realization
 from fuchsmc.linalg import ExactMatrix, inverse
@@ -166,6 +166,45 @@ def run_child(code, inputs):
 def infer_in_child(residues):
     rows = [[[str(m[i, j]) for j in range(m.ncols)] for i in range(m.nrows)] for m in residues]
     return run_child(INFER_CHILD, rows)
+
+
+def poly_with_roots(roots):
+    """The monic polynomial with the given Gaussian integer roots (x, y), as
+    real and imaginary coefficient lists, low degree first."""
+    re, im = [1], [0]
+    for x, y in roots:  # times (z - x - iy)
+        re, im = (
+            [a - x * b + y * c for a, b, c in zip([0] + re, re + [0], im + [0])],
+            [a - x * c - y * b for a, b, c in zip([0] + im, re + [0], im + [0])],
+        )
+    return re, im
+
+
+@pytest.mark.parametrize(
+    "roots,want",
+    [
+        ([(0, 0), (0, 0), (4, 0)], [(0, 0), (4, 0)]),
+        ([(0, 0)] * 3 + [(2, 0)] * 2, [(0, 0), (2, 0)]),
+        ([(0, 0), (-3, 7), (-3, 7)], [(0, 0), (-3, 7)]),
+    ],
+)
+def test_zero_and_one_more_root_need_no_prime(monkeypatch, roots, want):
+    # a square-free part x (x - c) is answered directly: 0, then the root of
+    # the linear rest, as the search mod p would list them
+    def refuse(*args):
+        raise AssertionError("root search mod p reached")
+
+    monkeypatch.setattr(modular, "roots", refuse)
+    assert modular.gaussian_root_candidates(*poly_with_roots(roots)) == want
+
+
+def test_zero_first_then_the_candidates_of_the_rest():
+    # x (x - 2)(x + 1 - i)(x^2 - 2): 0, then every Gaussian root of the rest
+    re, im = poly_with_roots([(0, 0), (2, 0), (-1, 1)])
+    re = [a - 2 * b for a, b in zip([0, 0] + re, re + [0, 0])]  # times x^2 - 2
+    im = [a - 2 * b for a, b in zip([0, 0] + im, im + [0, 0])]
+    candidates = modular.gaussian_root_candidates(re, im)
+    assert candidates[0] == (0, 0) and {(2, 0), (-1, 1)} <= set(candidates[1:])
 
 
 @pytest.mark.parametrize(

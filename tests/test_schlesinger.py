@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from constructions import build_L, find_basic_2x2_tuple
-from fuchsmc import linalg, modular, schlesinger
+from fuchsmc import identities, linalg, modular, schlesinger
 from fuchsmc.errors import (
     DuplicatePoleError,
     PartitionSizeMismatchError,
@@ -20,9 +20,15 @@ from fuchsmc.errors import (
     SchemeUnavailableError,
     SizeMismatchError,
 )
-from fuchsmc.generate import random_scheme_tuple, random_schlesinger, rigid_family_realization
+from fuchsmc.generate import (
+    random_composition,
+    random_okubo,
+    random_scheme_tuple,
+    random_schlesinger,
+    rigid_family_realization,
+)
 from fuchsmc.linalg import ExactMatrix, block_matrix, commutant_dim, inverse, rank
-from fuchsmc.okubo import onf_from_scf, scf_from_onf
+from fuchsmc.okubo import OkuboSystem, onf_from_scf, scf_from_onf
 from fuchsmc.scalars import gr
 from fuchsmc.schlesinger import (
     SchlesingerTuple,
@@ -534,6 +540,61 @@ class TestSchemeSeededNorton:
         assert [h[1] for h in schlesinger._norton_hints(t)] == [gr(1)]
         assert not seeded_only(t)
         assert not is_irreducible(t)
+
+
+def block_diagonal(mats):
+    sizes = [m.nrows for m in mats]
+    return block_matrix(
+        [[m if i == j else ExactMatrix.zeros(a, b) for j, b in enumerate(sizes)] for i, (m, a) in enumerate(zip(mats, sizes))]
+    )
+
+
+class TestResidueNorton:
+    """Norton's test started from the residues, against the closure, on the
+    residues of normal forms: each one is a block row of A, zero elsewhere."""
+
+    @given(seeds, st.integers(2, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_okubo_normal_forms(self, seed, n):
+        t = scf_from_onf(random_okubo(random.Random(seed), n, irreducible=False))
+        assert is_irreducible(t) == _is_irreducible_by_closure(t.matrices)
+
+    @given(seeds, st.integers(3, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_conjugated_block_triangular_normal_forms(self, seed, n):
+        # A keeps the span of e_1..e_k, a graded subspace, so every E_j A does;
+        # a block-diagonal conjugation hides it and keeps the block rows
+        rng = random.Random(seed)
+        blocks = random_composition(rng, n, min_parts=2)
+        k = rng.randint(1, n - 1)
+        a = random_matrix(rng, n)
+        a = ExactMatrix(n, n, [[a[i, j] if i < k or j >= k else gr(0) for j in range(n)] for i in range(n)])
+        g = block_diagonal([random_invertible(rng, b) for b in blocks])
+        t = scf_from_onf(OkuboSystem(blocks, range(len(blocks)), conjugate_all([a], g)[0]))
+        assert not _is_irreducible_by_closure(t.matrices)
+        assert not is_irreducible(t)
+
+    def test_suite_call_forms_no_full_size_characteristic_polynomial(self, monkeypatch):
+        # the 12 x 12 call of this suite, on a convolution whose residues are
+        # zero outside about rank(M_j) rows, is decided by a residue's live block
+        sizes, calls = [], []
+        berkowitz, irreducible = modular.berkowitz, identities.is_irreducible
+
+        def recording_berkowitz(re, im=None, p=0):
+            sizes.append(len(re))
+            return berkowitz(re, im, p)
+
+        def recording(t):
+            start = len(sizes)
+            out = irreducible(t)
+            calls.append((t.rank, sizes[start:]))
+            return out
+
+        monkeypatch.setattr(modular, "berkowitz", recording_berkowitz)
+        monkeypatch.setattr(identities, "is_irreducible", recording)
+        assert identities.run_katz_suite(8, 5, 4, 3).ok
+        (big,) = [s for rank, s in calls if rank == 12]
+        assert big and max(big) < 12
 
 
 class TestEquivalenceCertificate:
